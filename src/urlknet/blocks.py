@@ -68,10 +68,6 @@ class SeBlock:
     def channels(self) -> int:
         return self.reduce_weight.shape[1]
 
-    def astype(self, dtype) -> "SeBlock":
-        return SeBlock(*(np.asarray(a).astype(dtype) for a in (
-            self.reduce_weight, self.reduce_bias, self.expand_weight, self.expand_bias)))
-
 
 def se_forward(x: Tensor4, se: SeBlock) -> Tensor4:
     """Multiply x by its per-sample channel gate sigmoid(expand(relu(reduce(gap(x)))))."""
@@ -110,14 +106,6 @@ class FfnBlock:
     @property
     def channels(self) -> int:
         return self.pw1.in_channels
-
-    def astype(self, dtype) -> "FfnBlock":
-        return FfnBlock(
-            pw1=self.pw1.astype(dtype),
-            grn_gamma=self.grn_gamma.astype(dtype),
-            grn_beta=self.grn_beta.astype(dtype),
-            pw2=self.pw2.astype(dtype),
-        )
 
 
 def ffn_forward(x: Tensor4, ffn: FfnBlock) -> Tensor4:
@@ -167,8 +155,6 @@ class BlockSpec:
 
 def _dw_forward(x: Tensor4, b: BlockSpec) -> Tensor4:
     if b.merged:
-        if b.dw_conv is None:
-            raise StateError("block flagged merged but has no fused conv")
         return conv2d(x, b.dw_conv)
     if b.kind == LARK:
         return reparam_forward(x, b.reparam_cfg, b.branches)

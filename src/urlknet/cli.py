@@ -27,6 +27,7 @@ from .model import (  # noqa: E402
     INSTANCE_NAMES,
     REFERENCE_PARAMS_M,
     arch_config,
+    build_from_state,
     build_named,
     forward,
     merge_for_deploy,
@@ -252,8 +253,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_import(args) -> int:
-    model = container.load_model(args.weights)
     manifest, tensors = container.read_container(args.weights)
+    model = build_from_state(manifest.get("model_name", ""), manifest.get("mode", ""), dict(tensors))
     _emit({
         "schema_version": SCHEMA_VERSION,
         "command": "import",

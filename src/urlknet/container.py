@@ -41,7 +41,7 @@ def write_container(
 ) -> None:
     """Write named tensors; order in the file follows the given order."""
     entries = []
-    chunks = []
+    payload = []
     offset = 0
     for name, arr in tensors:
         arr = np.ascontiguousarray(arr)
@@ -49,16 +49,15 @@ def write_container(
         tag = _DTYPE_TAGS.get(le.dtype)
         if tag is None:
             raise FormatError(f"tensor {name!r} has unsupported dtype {arr.dtype}")
-        raw = le.tobytes()
         entries.append({
             "name": name,
             "shape": list(arr.shape),
             "dtype": tag,
             "byte_offset": offset,
-            "byte_length": len(raw),
+            "byte_length": le.nbytes,
         })
-        chunks.append(raw)
-        offset += len(raw)
+        payload.append(le)
+        offset += le.nbytes
     manifest = json.dumps({
         "format_version": FORMAT_VERSION,
         "model_name": model_name,
@@ -69,8 +68,8 @@ def write_container(
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(manifest)))
         fh.write(manifest)
-        for raw in chunks:
-            fh.write(raw)
+        for le in payload:
+            fh.write(le.data)
 
 
 def read_container(path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]]:
@@ -88,14 +87,25 @@ def read_container(path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]
         manifest = json.loads(blob[len(MAGIC) + 4:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: manifest is not valid JSON ({e})") from None
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatError(
             f"{path}: unsupported format_version {manifest.get('format_version')!r}"
         )
+    for key in ("model_name", "mode"):
+        if not isinstance(manifest.get(key, ""), str):
+            raise FormatError(f"{path}: manifest {key} must be a string")
+    entries = manifest.get("tensors", [])
+    if not isinstance(entries, list):
+        raise FormatError(f"{path}: manifest tensors must be a list")
     payload = blob[header_end:]
     tensors = []
+    seen = set()
     offset = 0
-    for entry in manifest.get("tensors", []):
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: tensor entry must be a JSON object, got {entry!r}")
         try:
             name = entry["name"]
             shape = tuple(int(s) for s in entry["shape"])
@@ -104,6 +114,13 @@ def read_container(path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]
             byte_length = int(entry["byte_length"])
         except (KeyError, TypeError, ValueError) as e:
             raise FormatError(f"{path}: malformed tensor entry ({e})") from None
+        if not isinstance(name, str):
+            raise FormatError(f"{path}: tensor name must be a string, got {name!r}")
+        if name in seen:
+            raise FormatError(f"{path}: duplicate tensor name {name!r}")
+        seen.add(name)
+        if not isinstance(entry["shape"], list) or any(d < 0 for d in shape):
+            raise FormatError(f"{path}: tensor {name!r} has malformed shape {entry['shape']!r}")
         if byte_offset != offset:
             raise FormatError(
                 f"{path}: tensor {name!r} at offset {byte_offset}, expected {offset} "

@@ -11,11 +11,18 @@ one fused KxK conv, every SmaK conv absorbs its BN, and each post-FFN BN folds
 into the FFN's second 1x1 conv. Parameter counts always describe the deploy
 form and include the classifier head; BN running statistics are buffers, not
 parameters, and are excluded.
+
+_layout(cfg, merged) is the single source of tensor names, their order in
+the weight container, their shapes and their init. Building (draws in layout
+order), loading (name and shape validation), dtype conversion, saving
+(iter_state) and parameter counting all derive from it, and _assemble is the
+only code that turns arrays in layout order into model objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -167,6 +174,162 @@ class ModelInstance:
 
 
 # ---------------------------------------------------------------------------
+# the tensor layout: the one place container names, order and init live
+# ---------------------------------------------------------------------------
+
+# Layout init tags. "normal" is a +-2 sigma truncated normal, drawn in layout
+# order; the others are constant fills. BN running statistics and eps are
+# buffers, not parameters.
+_FILLS = {"zeros": 0.0, "ones": 1.0, "stat0": 0.0, "stat1": 1.0, "eps": BN_EPS}
+_BUFFERS = ("stat0", "stat1", "eps")
+
+
+def _layout(cfg: ArchConfig, merged: bool):
+    """Yield (dotted name, shape, init) of every tensor, in container order.
+
+    Init tags describe the train-structure model that build_model draws; the
+    merged layout is used for loading, counting and naming only.
+    """
+    def bn(prefix: str, c: int):
+        yield f"{prefix}.gamma", (c,), "ones"
+        yield f"{prefix}.beta", (c,), "zeros"
+        yield f"{prefix}.running_mean", (c,), "stat0"
+        yield f"{prefix}.running_var", (c,), "stat1"
+        yield f"{prefix}.eps", (1,), "eps"
+
+    c = cfg.width
+    widths = cfg.stage_widths
+    yield "stem.conv1.weight", (c // 2, cfg.in_channels, 3, 3), "normal"
+    yield from bn("stem.bn1", c // 2)
+    yield "stem.conv2.weight", (c, c // 2, 3, 3), "normal"
+    yield from bn("stem.bn2", c)
+    for s in range(1, 5):
+        w = widths[s - 1]
+        if s > 1:
+            yield f"transition{s}.conv.weight", (w, widths[s - 2], 3, 3), "normal"
+            yield from bn(f"transition{s}.bn", w)
+        for i, kind in enumerate(cfg.stage_kinds(s)):
+            p = f"stage{s}.block{i}"
+            if merged:
+                k = cfg.lark_kernel if kind == LARK else 3
+                yield f"{p}.dw.weight", (w, 1, k, k), "normal"
+                yield f"{p}.dw.bias", (w,), "zeros"
+            elif kind == LARK:
+                for j, (k, _) in enumerate(cfg.reparam_cfg(w).branches):
+                    yield f"{p}.dw.branch{j}.weight", (w, 1, k, k), "normal"
+                    yield from bn(f"{p}.dw.branch{j}.bn", w)
+            else:
+                yield f"{p}.dw.weight", (w, 1, 3, 3), "normal"
+                yield from bn(f"{p}.dw.bn", w)
+            yield f"{p}.se.reduce.weight", (w // 4, w), "normal"
+            yield f"{p}.se.reduce.bias", (w // 4,), "zeros"
+            yield f"{p}.se.expand.weight", (w, w // 4), "normal"
+            yield f"{p}.se.expand.bias", (w,), "zeros"
+            yield from bn(f"{p}.bn1", w)
+            yield f"{p}.ffn.pw1.weight", (4 * w, w, 1, 1), "normal"
+            yield f"{p}.ffn.pw1.bias", (4 * w,), "zeros"
+            yield f"{p}.ffn.grn.gamma", (4 * w,), "normal"
+            yield f"{p}.ffn.grn.beta", (4 * w,), "normal"
+            yield f"{p}.ffn.pw2.weight", (w, 4 * w, 1, 1), "normal"
+            yield f"{p}.ffn.pw2.bias", (w,), "zeros"
+            if not merged:
+                yield from bn(f"{p}.bn2", w)
+    yield from bn("head.bn", widths[3])
+    yield "head.fc.weight", (cfg.num_classes, widths[3]), "normal"
+    yield "head.fc.bias", (cfg.num_classes,), "zeros"
+
+
+def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance:
+    """Turn arrays given in _layout order into the model objects."""
+    take = iter(arrays).__next__
+
+    def bn() -> BnParams:
+        gamma, beta, mean, var, eps = (take() for _ in range(5))
+        return BnParams(gamma, beta, mean, var, eps=float(eps[0]))
+
+    def conv(stride=1, padding=0, dilation=1, groups=1, bias=False) -> ConvLayer:
+        weight = Tensor4(take())
+        return ConvLayer(weight, take() if bias else None, stride, padding, dilation, groups)
+
+    def block(kind: str, c: int) -> BlockSpec:
+        rcfg = branches = dw_conv = dw_bn = None
+        if merged:
+            k = cfg.lark_kernel if kind == LARK else 3
+            dw_conv = conv(padding=k // 2, groups=c, bias=True)
+        elif kind == LARK:
+            rcfg = cfg.reparam_cfg(c)
+            branches = tuple(
+                DilatedBranch(conv(padding=(k - 1) * r // 2, dilation=r, groups=c), bn())
+                for k, r in rcfg.branches
+            )
+        else:
+            dw_conv, dw_bn = conv(padding=1, groups=c), bn()
+        se = SeBlock(take(), take(), take(), take())
+        post_dw_bn = bn()
+        ffn = FfnBlock(conv(bias=True), take(), take(), conv(bias=True))
+        return BlockSpec(
+            kind=kind, channels=c, se=se, post_dw_bn=post_dw_bn, ffn=ffn,
+            reparam_cfg=rcfg, branches=branches, dw_conv=dw_conv, dw_bn=dw_bn,
+            post_ffn_bn=None if merged else bn(), merged=merged,
+        )
+
+    stem_convs, stem_bns = zip(*[(conv(2, 1), bn()) for _ in range(2)])
+    stages, transitions = [], []
+    for s in range(1, 5):
+        if s > 1:
+            transitions.append(DownsampleBlock("transition", (conv(2, 1),), (bn(),)))
+        stages.append(tuple(block(kind, cfg.stage_widths[s - 1]) for kind in cfg.stage_kinds(s)))
+    head_bn = bn()
+    return ModelInstance(
+        name=name, config=cfg, stem=DownsampleBlock("stem", stem_convs, stem_bns),
+        stages=tuple(stages), transitions=tuple(transitions), head_bn=head_bn,
+        head_weight=take(), head_bias=take(), merged=merged,
+    )
+
+
+def _arrays(model: ModelInstance):
+    """Every tensor of the model in _layout order, from one walk of the objects."""
+    def bn(p: BnParams):
+        # BnParams fields in declaration order, as _assemble passes them
+        *stats, eps = (getattr(p, f.name) for f in fields(p))
+        return (*stats, np.array([eps], dtype=np.float64))
+
+    def conv(layer: ConvLayer):
+        return (layer.weight.data,) if layer.bias is None else (layer.weight.data, layer.bias)
+
+    for down, stage in zip((model.stem, *model.transitions), model.stages):
+        for layer, p in zip(down.convs, down.bns):
+            yield from conv(layer)
+            yield from bn(p)
+        for b in stage:
+            if b.branches is not None:
+                for br in b.branches:
+                    yield from conv(br.conv)
+                    yield from bn(br.bn)
+            else:
+                yield from conv(b.dw_conv)
+                if b.dw_bn is not None:
+                    yield from bn(b.dw_bn)
+            gate, mlp = b.se, b.ffn
+            yield from (gate.reduce_weight, gate.reduce_bias, gate.expand_weight, gate.expand_bias)
+            yield from bn(b.post_dw_bn)
+            yield from conv(mlp.pw1)
+            yield from (mlp.grn_gamma, mlp.grn_beta)
+            yield from conv(mlp.pw2)
+            if b.post_ffn_bn is not None:
+                yield from bn(b.post_ffn_bn)
+    yield from bn(model.head_bn)
+    yield from (model.head_weight, model.head_bias)
+
+
+def _tensors(model: ModelInstance):
+    """(name, init, array) for every tensor: _layout's entries paired with _arrays."""
+    layout = _layout(model.config, model.merged)
+    for (name, _, init), arr in zip(layout, _arrays(model), strict=True):
+        yield name, init, arr
+
+
+# ---------------------------------------------------------------------------
 # building
 # ---------------------------------------------------------------------------
 
@@ -183,111 +346,19 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.
     return x
 
 
-def _identity_bn(channels: int) -> BnParams:
-    return BnParams(
-        gamma=np.ones(channels),
-        beta=np.zeros(channels),
-        running_mean=np.zeros(channels),
-        running_var=np.ones(channels),
-        eps=BN_EPS,
-    )
-
-
-def _conv_for_bn(rng, c_out, c_in_g, k, stride, padding, dilation=1, groups=1) -> ConvLayer:
-    return ConvLayer(
-        weight=Tensor4(_trunc_normal(rng, (c_out, c_in_g, k, k))),
-        bias=None,
-        stride=stride,
-        padding=padding,
-        dilation=dilation,
-        groups=groups,
-    )
-
-
-def _build_block(rng, kind: str, channels: int, cfg: ArchConfig) -> BlockSpec:
-    c = channels
-    if kind == LARK:
-        rcfg = cfg.reparam_cfg(c)
-        branches = tuple(
-            DilatedBranch(
-                conv=_conv_for_bn(rng, c, 1, k, (1, 1), ((k - 1) * r // 2,) * 2, (r, r), groups=c),
-                bn=_identity_bn(c),
-            )
-            for k, r in rcfg.branches
-        )
-        dw_conv, dw_bn = None, None
-    else:
-        rcfg, branches = None, None
-        dw_conv = _conv_for_bn(rng, c, 1, 3, (1, 1), (1, 1), groups=c)
-        dw_bn = _identity_bn(c)
-    se = SeBlock(
-        reduce_weight=_trunc_normal(rng, (c // 4, c)),
-        reduce_bias=np.zeros(c // 4),
-        expand_weight=_trunc_normal(rng, (c, c // 4)),
-        expand_bias=np.zeros(c),
-    )
-    ffn = FfnBlock(
-        pw1=ConvLayer(Tensor4(_trunc_normal(rng, (4 * c, c, 1, 1))), bias=np.zeros(4 * c)),
-        grn_gamma=_trunc_normal(rng, (4 * c,)),
-        grn_beta=_trunc_normal(rng, (4 * c,)),
-        pw2=ConvLayer(Tensor4(_trunc_normal(rng, (c, 4 * c, 1, 1))), bias=np.zeros(c)),
-    )
-    return BlockSpec(
-        kind=kind,
-        channels=c,
-        se=se,
-        post_dw_bn=_identity_bn(c),
-        ffn=ffn,
-        reparam_cfg=rcfg,
-        branches=branches,
-        dw_conv=dw_conv,
-        dw_bn=dw_bn,
-        post_ffn_bn=_identity_bn(c),
-    )
-
-
 def build_model(cfg: ArchConfig, seed: int = 0, name: str = "custom") -> ModelInstance:
     """Deterministically initialize a train-structure model from a seed.
 
     Conv/linear/GRN parameters draw from a +-2 sigma truncated normal with
-    std 0.02 in a fixed structural order, so equal seeds give bit-identical
-    parameters. BN starts at identity statistics.
+    std 0.02 in layout order, so equal seeds give bit-identical parameters.
+    BN starts at identity statistics.
     """
     rng = np.random.default_rng(seed)
-    c = cfg.width
-    widths = cfg.stage_widths
-    stem = DownsampleBlock(
-        kind="stem",
-        convs=(
-            _conv_for_bn(rng, c // 2, cfg.in_channels, 3, (2, 2), (1, 1)),
-            _conv_for_bn(rng, c, c // 2, 3, (2, 2), (1, 1)),
-        ),
-        bns=(_identity_bn(c // 2), _identity_bn(c)),
-    )
-    stages = []
-    transitions = []
-    for s in range(1, 5):
-        width = widths[s - 1]
-        if s > 1:
-            transitions.append(DownsampleBlock(
-                kind="transition",
-                convs=(_conv_for_bn(rng, width, widths[s - 2], 3, (2, 2), (1, 1)),),
-                bns=(_identity_bn(width),),
-            ))
-        stages.append(tuple(
-            _build_block(rng, kind, width, cfg) for kind in cfg.stage_kinds(s)
-        ))
-    return ModelInstance(
-        name=name,
-        config=cfg,
-        stem=stem,
-        stages=tuple(stages),
-        transitions=tuple(transitions),
-        head_bn=_identity_bn(widths[3]),
-        head_weight=_trunc_normal(rng, (cfg.num_classes, widths[3])),
-        head_bias=np.zeros(cfg.num_classes),
-        merged=False,
-    )
+    arrays = [
+        _trunc_normal(rng, shape) if init == "normal" else np.full(shape, _FILLS[init])
+        for _, shape, init in _layout(cfg, merged=False)
+    ]
+    return _assemble(name, cfg, False, arrays)
 
 
 def build_named(name: str, seed: int = 0, in_channels: int = 3, num_classes: int = 1000) -> ModelInstance:
@@ -361,8 +432,8 @@ def model_astype(model: ModelInstance, dtype) -> ModelInstance:
     """Convert every parameter array to the given element width (f32/f64)."""
     dtype = np.dtype(dtype)
     arrays = {
-        name: arr if name.endswith(".eps") else arr.astype(dtype.type, copy=False)
-        for name, arr in iter_state(model)
+        name: arr if init == "eps" else arr.astype(dtype.type, copy=False)
+        for name, init, arr in _tensors(model)
     }
     return build_from_state(model.name, model.mode, arrays, config=model.config)
 
@@ -371,29 +442,14 @@ def model_astype(model: ModelInstance, dtype) -> ModelInstance:
 # parameter accounting
 # ---------------------------------------------------------------------------
 
-def _block_params(kind: str, c: int, K: int) -> int:
-    dw = c * K * K + c if kind == LARK else c * 9 + c
-    se = (c // 4) * c + c // 4 + c * (c // 4) + c
-    post_dw_bn = 2 * c
-    ffn = (4 * c * c + 4 * c) + 8 * c + (4 * c * c + c)
-    return dw + se + post_dw_bn + ffn
-
-
 def param_breakdown(cfg: ArchConfig) -> dict:
     """Analytic per-module scalar-parameter counts of the deploy-merged model."""
-    c = cfg.width
-    widths = cfg.stage_widths
-    out = {"stem": (c // 2) * cfg.in_channels * 9 + 2 * (c // 2) + c * (c // 2) * 9 + 2 * c}
-    transitions = 0
-    for s in range(2, 5):
-        transitions += widths[s - 1] * widths[s - 2] * 9 + 2 * widths[s - 1]
-    for s in range(1, 5):
-        out[f"stage{s}"] = sum(
-            _block_params(kind, widths[s - 1], cfg.lark_kernel)
-            for kind in cfg.stage_kinds(s)
-        )
-    out["transitions"] = transitions
-    out["head"] = 2 * widths[3] + cfg.num_classes * widths[3] + cfg.num_classes
+    out = dict.fromkeys(("stem", "stage1", "stage2", "stage3", "stage4", "transitions", "head"), 0)
+    for name, shape, init in _layout(cfg, merged=True):
+        if init not in _BUFFERS:
+            top = name.split(".", 1)[0]
+            # the three numbered transitions share one key
+            out[top if top in out else "transitions"] += math.prod(shape)
     out["total"] = sum(out.values())
     return out
 
@@ -410,110 +466,17 @@ def learnable_scalars(model: ModelInstance) -> int:
     running statistics are excluded. For a merged model this equals
     param_count(model).
     """
-    total = 0
-
-    def bn(p: BnParams) -> int:
-        return p.gamma.size + p.beta.size
-
-    def conv(l: ConvLayer) -> int:
-        return l.weight.data.size + (0 if l.bias is None else l.bias.size)
-
-    for block in (model.stem, *model.transitions):
-        total += sum(conv(l) for l in block.convs) + sum(bn(p) for p in block.bns)
-    for stage in model.stages:
-        for b in stage:
-            if b.branches is not None:
-                total += sum(conv(br.conv) + bn(br.bn) for br in b.branches)
-            if b.dw_conv is not None:
-                total += conv(b.dw_conv)
-            if b.dw_bn is not None:
-                total += bn(b.dw_bn)
-            total += sum(a.size for a in (
-                b.se.reduce_weight, b.se.reduce_bias, b.se.expand_weight, b.se.expand_bias))
-            total += bn(b.post_dw_bn)
-            total += conv(b.ffn.pw1) + conv(b.ffn.pw2)
-            total += b.ffn.grn_gamma.size + b.ffn.grn_beta.size
-            if b.post_ffn_bn is not None:
-                total += bn(b.post_ffn_bn)
-    total += bn(model.head_bn) + model.head_weight.size + model.head_bias.size
-    return total
+    return sum(arr.size for _, init, arr in _tensors(model) if init not in _BUFFERS)
 
 
 # ---------------------------------------------------------------------------
 # state-dict walking (weight container interface)
 # ---------------------------------------------------------------------------
 
-def _bn_state(prefix: str, p: BnParams):
-    yield f"{prefix}.gamma", p.gamma
-    yield f"{prefix}.beta", p.beta
-    yield f"{prefix}.running_mean", p.running_mean
-    yield f"{prefix}.running_var", p.running_var
-    yield f"{prefix}.eps", np.array([p.eps], dtype=np.float64)
-
-
 def iter_state(model: ModelInstance):
     """Yield (dotted name, array) for every tensor, in the canonical order."""
-    yield "stem.conv1.weight", model.stem.convs[0].weight.data
-    yield from _bn_state("stem.bn1", model.stem.bns[0])
-    yield "stem.conv2.weight", model.stem.convs[1].weight.data
-    yield from _bn_state("stem.bn2", model.stem.bns[1])
-    for s in range(1, 5):
-        if s > 1:
-            t = model.transitions[s - 2]
-            yield f"transition{s}.conv.weight", t.convs[0].weight.data
-            yield from _bn_state(f"transition{s}.bn", t.bns[0])
-        for i, b in enumerate(model.stages[s - 1]):
-            p = f"stage{s}.block{i}"
-            if b.merged:
-                yield f"{p}.dw.weight", b.dw_conv.weight.data
-                yield f"{p}.dw.bias", b.dw_conv.bias
-            elif b.kind == LARK:
-                for j, br in enumerate(b.branches):
-                    yield f"{p}.dw.branch{j}.weight", br.conv.weight.data
-                    yield from _bn_state(f"{p}.dw.branch{j}.bn", br.bn)
-            else:
-                yield f"{p}.dw.weight", b.dw_conv.weight.data
-                yield from _bn_state(f"{p}.dw.bn", b.dw_bn)
-            yield f"{p}.se.reduce.weight", b.se.reduce_weight
-            yield f"{p}.se.reduce.bias", b.se.reduce_bias
-            yield f"{p}.se.expand.weight", b.se.expand_weight
-            yield f"{p}.se.expand.bias", b.se.expand_bias
-            yield from _bn_state(f"{p}.bn1", b.post_dw_bn)
-            yield f"{p}.ffn.pw1.weight", b.ffn.pw1.weight.data
-            yield f"{p}.ffn.pw1.bias", b.ffn.pw1.bias
-            yield f"{p}.ffn.grn.gamma", b.ffn.grn_gamma
-            yield f"{p}.ffn.grn.beta", b.ffn.grn_beta
-            yield f"{p}.ffn.pw2.weight", b.ffn.pw2.weight.data
-            yield f"{p}.ffn.pw2.bias", b.ffn.pw2.bias
-            if b.post_ffn_bn is not None:
-                yield from _bn_state(f"{p}.bn2", b.post_ffn_bn)
-    yield from _bn_state("head.bn", model.head_bn)
-    yield "head.fc.weight", model.head_weight
-    yield "head.fc.bias", model.head_bias
-
-
-class _StateReader:
-    def __init__(self, arrays: dict):
-        self.arrays = dict(arrays)
-
-    def take(self, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-        if name not in self.arrays:
-            raise FormatError(f"weight container is missing tensor {name!r}")
-        arr = self.arrays.pop(name)
-        if shape is not None and tuple(arr.shape) != tuple(shape):
-            raise FormatError(
-                f"tensor {name!r} has shape {tuple(arr.shape)}, expected {tuple(shape)}"
-            )
-        return arr
-
-    def bn(self, prefix: str, channels: int) -> BnParams:
-        return BnParams(
-            gamma=self.take(f"{prefix}.gamma", (channels,)),
-            beta=self.take(f"{prefix}.beta", (channels,)),
-            running_mean=self.take(f"{prefix}.running_mean", (channels,)),
-            running_var=self.take(f"{prefix}.running_var", (channels,)),
-            eps=float(self.take(f"{prefix}.eps", (1,))[0]),
-        )
+    for name, _, arr in _tensors(model):
+        yield name, arr
 
 
 def build_from_state(
@@ -531,91 +494,29 @@ def build_from_state(
     if mode not in (TRAIN_MODE, MERGED_MODE):
         raise FormatError(f"unknown mode {mode!r}")
     merged = mode == MERGED_MODE
-    rd = _StateReader(arrays)
     if config is None:
         if name not in _INSTANCE_ROWS:
             raise FormatError(f"container names unknown model instance {name!r}")
-        if "stem.conv1.weight" not in rd.arrays or "head.fc.weight" not in rd.arrays:
-            raise FormatError("container is missing stem.conv1.weight or head.fc.weight")
-        in_channels = rd.arrays["stem.conv1.weight"].shape[1]
-        num_classes = rd.arrays["head.fc.weight"].shape[0]
+        # names do not depend on in_channels or num_classes: the first tensor
+        # (stem conv) carries in_channels as dim 1, the last (head bias)
+        # carries num_classes as dim 0
+        (first, *_), *_, (last, *_) = _layout(arch_config(name), merged)
+        try:
+            in_channels, num_classes = arrays[first].shape[1], arrays[last].shape[0]
+        except (KeyError, IndexError):
+            raise FormatError(f"container lacks a well-formed {first} or {last}") from None
         config = arch_config(name, in_channels=in_channels, num_classes=num_classes)
-    c = config.width
-    widths = config.stage_widths
-    K = config.lark_kernel
-
-    def conv(wname: str, shape, stride=(1, 1), padding=(0, 0), dilation=(1, 1), groups=1, bias_name=None):
-        bias = rd.take(bias_name, (shape[0],)) if bias_name else None
-        return ConvLayer(Tensor4(rd.take(wname, shape)), bias=bias, stride=stride,
-                         padding=padding, dilation=dilation, groups=groups)
-
-    stem = DownsampleBlock(
-        kind="stem",
-        convs=(
-            conv("stem.conv1.weight", (c // 2, config.in_channels, 3, 3), (2, 2), (1, 1)),
-            conv("stem.conv2.weight", (c, c // 2, 3, 3), (2, 2), (1, 1)),
-        ),
-        bns=(rd.bn("stem.bn1", c // 2), rd.bn("stem.bn2", c)),
-    )
-    stages, transitions = [], []
-    for s in range(1, 5):
-        width = widths[s - 1]
-        if s > 1:
-            transitions.append(DownsampleBlock(
-                kind="transition",
-                convs=(conv(f"transition{s}.conv.weight", (width, widths[s - 2], 3, 3), (2, 2), (1, 1)),),
-                bns=(rd.bn(f"transition{s}.bn", width),),
-            ))
-        blocks = []
-        for i, kind in enumerate(config.stage_kinds(s)):
-            p = f"stage{s}.block{i}"
-            rcfg = branches = dw_conv = dw_bn = post_ffn_bn = None
-            if merged:
-                ksize = K if kind == LARK else 3
-                dw_conv = conv(f"{p}.dw.weight", (width, 1, ksize, ksize), (1, 1),
-                               (ksize // 2, ksize // 2), groups=width, bias_name=f"{p}.dw.bias")
-            elif kind == LARK:
-                rcfg = config.reparam_cfg(width)
-                branches = tuple(
-                    DilatedBranch(
-                        conv=conv(f"{p}.dw.branch{j}.weight", (width, 1, k, k), (1, 1),
-                                  ((k - 1) * r // 2,) * 2, (r, r), groups=width),
-                        bn=rd.bn(f"{p}.dw.branch{j}.bn", width),
-                    )
-                    for j, (k, r) in enumerate(rcfg.branches)
-                )
-            else:
-                dw_conv = conv(f"{p}.dw.weight", (width, 1, 3, 3), (1, 1), (1, 1), groups=width)
-                dw_bn = rd.bn(f"{p}.dw.bn", width)
-            se = SeBlock(
-                reduce_weight=rd.take(f"{p}.se.reduce.weight", (width // 4, width)),
-                reduce_bias=rd.take(f"{p}.se.reduce.bias", (width // 4,)),
-                expand_weight=rd.take(f"{p}.se.expand.weight", (width, width // 4)),
-                expand_bias=rd.take(f"{p}.se.expand.bias", (width,)),
+    layout = list(_layout(config, merged))
+    for tname, shape, _ in layout:
+        if tname not in arrays:
+            raise FormatError(f"weight container is missing tensor {tname!r}")
+        if tuple(arrays[tname].shape) != shape:
+            raise FormatError(
+                f"tensor {tname!r} has shape {tuple(arrays[tname].shape)}, expected {shape}"
             )
-            post_dw_bn = rd.bn(f"{p}.bn1", width)
-            ffn = FfnBlock(
-                pw1=conv(f"{p}.ffn.pw1.weight", (4 * width, width, 1, 1), bias_name=f"{p}.ffn.pw1.bias"),
-                grn_gamma=rd.take(f"{p}.ffn.grn.gamma", (4 * width,)),
-                grn_beta=rd.take(f"{p}.ffn.grn.beta", (4 * width,)),
-                pw2=conv(f"{p}.ffn.pw2.weight", (width, 4 * width, 1, 1), bias_name=f"{p}.ffn.pw2.bias"),
-            )
-            if not merged:
-                post_ffn_bn = rd.bn(f"{p}.bn2", width)
-            blocks.append(BlockSpec(
-                kind=kind, channels=width, se=se, post_dw_bn=post_dw_bn, ffn=ffn,
-                reparam_cfg=rcfg, branches=branches, dw_conv=dw_conv, dw_bn=dw_bn,
-                post_ffn_bn=post_ffn_bn, merged=merged,
-            ))
-        stages.append(tuple(blocks))
-    head_bn = rd.bn("head.bn", widths[3])
-    head_weight = rd.take("head.fc.weight", (config.num_classes, widths[3]))
-    head_bias = rd.take("head.fc.bias", (config.num_classes,))
-    if rd.arrays:
-        extra = ", ".join(sorted(rd.arrays)[:5])
-        raise FormatError(f"container holds {len(rd.arrays)} unexpected tensor(s): {extra} ...")
-    return ModelInstance(
-        name=name, config=config, stem=stem, stages=tuple(stages),
-        transitions=tuple(transitions), head_bn=head_bn,
-        head_weight=head_weight, head_bias=head_bias, merged=merged,
-    )
+    extra = sorted(arrays.keys() - {tname for tname, _, _ in layout})
+    if extra:
+        raise FormatError(
+            f"container holds {len(extra)} unexpected tensor(s): {', '.join(extra[:5])} ..."
+        )
+    return _assemble(name, config, merged, [arrays[tname] for tname, _, _ in layout])

@@ -38,24 +38,12 @@ def equivalent_kernel_size(k: int, r: int) -> int:
 
 
 def dilate_kernel(weight: Tensor4, r: int) -> Tensor4:
-    """Expand a (c_out, c_in/g, k, k) kernel to its non-dilated equivalent.
-
-    Depthwise kernels (c_in/g == 1) expand directly; dense or group-wise
-    kernels are split into single-input-channel slices, expanded slice by
-    slice, and concatenated back.
-    """
+    """Expand a (c_out, c_in/g, k, k) kernel to its non-dilated equivalent."""
     if r < 1:
         raise ConfigError(f"dilation must be >= 1, got {r}")
     if r == 1:
         return weight
-    cin_g = weight.shape[1]
-    if cin_g == 1:
-        return conv_transpose2d_kernel(weight, r)
-    slices = [
-        conv_transpose2d_kernel(Tensor4(weight.data[:, i:i + 1]), r).data
-        for i in range(cin_g)
-    ]
-    return Tensor4(np.concatenate(slices, axis=1))
+    return conv_transpose2d_kernel(weight, r)
 
 
 def fuse_bn(conv: ConvLayer, bn: BnParams) -> ConvLayer:

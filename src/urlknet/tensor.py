@@ -80,9 +80,6 @@ class Tensor4:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def astype(self, dtype) -> "Tensor4":
-        return Tensor4(self.data.astype(dtype, copy=False))
-
     def copy(self) -> "Tensor4":
         return Tensor4(self.data.copy())
 
@@ -152,16 +149,6 @@ class ConvLayer:
     def is_depthwise(self) -> bool:
         return self.groups == self.in_channels == self.out_channels
 
-    def astype(self, dtype) -> "ConvLayer":
-        return ConvLayer(
-            weight=self.weight.astype(dtype),
-            bias=None if self.bias is None else self.bias.astype(dtype),
-            stride=self.stride,
-            padding=self.padding,
-            dilation=self.dilation,
-            groups=self.groups,
-        )
-
 
 @dataclass(frozen=True)
 class BnParams:
@@ -197,15 +184,6 @@ class BnParams:
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-    def astype(self, dtype) -> "BnParams":
-        return BnParams(
-            gamma=self.gamma.astype(dtype),
-            beta=self.beta.astype(dtype),
-            running_mean=self.running_mean.astype(dtype),
-            running_var=self.running_var.astype(dtype),
-            eps=self.eps,
-        )
 
 
 def identity_bn(channels: int, eps: float = 1e-5, dtype=np.float64) -> BnParams:
@@ -316,7 +294,7 @@ def conv2d(input: Tensor4, layer: ConvLayer) -> Tensor4:
 
 
 def conv_transpose2d_kernel(weight: Tensor4, stride: int) -> Tensor4:
-    """Expand a (m, 1, k, k) kernel slice by zero insertion.
+    """Expand a (c_out, c_in/g, k, k) kernel by zero insertion.
 
     Equivalent to a transpose convolution of the kernel with a 1x1 identity
     kernel at the given stride: entry (i, j) lands at (i*stride, j*stride) of a
@@ -325,13 +303,12 @@ def conv_transpose2d_kernel(weight: Tensor4, stride: int) -> Tensor4:
     r = int(stride)
     if r < 1:
         raise ConfigError(f"stride must be >= 1, got {stride}")
-    m, one, kh, kw = weight.shape
-    if one != 1 or kh != kw:
-        raise ShapeError(f"expected a (m, 1, k, k) kernel slice, got shape {weight.shape}")
-    k = kh
-    size = (k - 1) * r + 1
-    out = np.zeros((m, 1, size, size), dtype=weight.dtype)
-    out[:, :, ::r, ::r] = weight.data
+    c_out, cin_g, kh, kw = weight.shape
+    if kh != kw:
+        raise ShapeError(f"expected a square kernel, got shape {weight.shape}")
+    size = (kh - 1) * r + 1
+    out = np.zeros((c_out, cin_g, size, size), dtype=weight.dtype)
+    out[..., ::r, ::r] = weight.data
     return Tensor4(out)
 
 

@@ -1,11 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from urlknet import Tensor4, build_named, forward
 from urlknet.cli import main
-from urlknet.container import load_tensor
+from urlknet.container import MAGIC, load_tensor, save_model
 from urlknet.dataio import write_raw_array
 
 
@@ -157,6 +158,29 @@ class TestWeightsCommands:
         bad.write_bytes(b"garbage file")
         code, _ = run(capsys, ["import", "--weights", str(bad)])
         assert code == 2
+
+    @pytest.mark.parametrize("case", ["list", "tensors-int", "duplicate"])
+    def test_import_rejects_malformed_manifest(self, capsys, tmp_path, case):
+        bad = tmp_path / "bad.urlk"
+        if case == "duplicate":
+            save_model(bad, build_named("A", seed=0))
+            blob = bad.read_bytes()
+            (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+            manifest = json.loads(blob[len(MAGIC) + 4:len(MAGIC) + 4 + mlen])
+            payload = blob[len(MAGIC) + 4 + mlen:]
+            first = manifest["tensors"][0]
+            assert first["name"] == "stem.conv1.weight"
+            manifest["tensors"].append({**first, "byte_offset": len(payload)})
+            payload += payload[:first["byte_length"]]
+        else:
+            manifest = [] if case == "list" else {"format_version": 1, "tensors": 5}
+            payload = b""
+        text = json.dumps(manifest).encode()
+        bad.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + payload)
+        code = main(["import", "--weights", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 class TestEmbed:

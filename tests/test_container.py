@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -154,6 +155,92 @@ class TestMalformedFiles:
         write_container(path, list(iter_state(model)), model_name="A", mode="eval")
         with pytest.raises(FormatError, match="mode"):
             load_model(path)
+
+
+def write_raw_manifest(path, manifest, payload=b""):
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload)
+
+
+class TestMalformedManifest:
+    def test_manifest_not_an_object(self, tmp_path):
+        path = tmp_path / "list.urlk"
+        write_raw_manifest(path, [1, 2, 3])
+        with pytest.raises(FormatError, match="must be a JSON object"):
+            read_container(path)
+
+    def test_tensors_not_a_list(self, tmp_path):
+        path = tmp_path / "five.urlk"
+        write_raw_manifest(path, {"format_version": 1, "model_name": "", "mode": "data",
+                                  "tensors": 5})
+        with pytest.raises(FormatError, match="must be a list"):
+            read_container(path)
+
+    def test_tensor_entry_not_an_object(self, tmp_path):
+        path = tmp_path / "entry.urlk"
+        write_raw_manifest(path, {"format_version": 1, "model_name": "", "mode": "data",
+                                  "tensors": [5]})
+        with pytest.raises(FormatError, match="must be a JSON object"):
+            read_container(path)
+
+    @pytest.mark.parametrize("manifest,payload", [
+        ({"format_version": 1, "model_name": ["A"], "mode": "data", "tensors": []}, b""),
+        ({"format_version": 1, "model_name": "", "mode": "data",
+          "tensors": [{"name": ["x"], "shape": [1], "dtype": "f64", "byte_offset": 0,
+                       "byte_length": 8}]}, b"\x00" * 8),
+    ], ids=["model_name", "tensor_name"])
+    def test_non_string_names(self, tmp_path, manifest, payload):
+        path = tmp_path / "names.urlk"
+        write_raw_manifest(path, manifest, payload)
+        with pytest.raises(FormatError, match="must be a string"):
+            read_container(path)
+
+    @pytest.mark.parametrize("shape", [[-2, -4], "8"], ids=["negative", "string"])
+    def test_malformed_shape(self, tmp_path, shape):
+        path = tmp_path / "shape.urlk"
+        write_raw_manifest(path, {"format_version": 1, "model_name": "", "mode": "data",
+                                  "tensors": [{"name": "x", "shape": shape, "dtype": "f64",
+                                               "byte_offset": 0, "byte_length": 64}]},
+                           b"\x00" * 64)
+        with pytest.raises(FormatError, match="malformed shape"):
+            read_container(path)
+
+    def test_duplicate_tensor_name(self, tmp_path):
+        model = build_model(TOY, seed=0, name="custom")
+        tensors = list(iter_state(model))
+        first = tensors[0]
+        assert first[0] == "stem.conv1.weight"
+        path = tmp_path / "dup.urlk"
+        write_container(path, tensors + [(first[0], np.zeros_like(first[1]))],
+                        model_name="custom", mode="train-structure")
+        with pytest.raises(FormatError, match="duplicate tensor name"):
+            read_container(path)
+
+
+# sha256 of save_model output at seed 0; any change to the draw order, the
+# tensor layout or the byte encoding changes these
+PINNED_SHA256 = {
+    ("TOY", "train-structure", "f64"): "ecc7227bf7dd945c4ec9c03ffef184969a4de818f86f15d74d0382ef27e131f8",
+    ("TOY", "train-structure", "f32"): "b3a283d1acde448fd6edb5ac5252e22d68a3de97b882fa0c4a78eb58be0a5f8d",
+    ("TOY", "merged", "f64"): "afebed132e85d8f5d1bcab8d155d1ed4fbd267a74f4fd3e8943222ab2b3fa3f3",
+    ("TOY", "merged", "f32"): "37d7d81dafe6ce6ce566c127da4539cf749a65085e4dfcdd1e8dc5e96d2b3a40",
+    ("A", "train-structure", "f64"): "ee64d861a6cdd5b8707a12a2d492384346bca3d014c33c0c1ffa0e7cb9e1128b",
+    ("A", "train-structure", "f32"): "569b653245f0b1e8b3729c2837cd9cfa9d245120e7ec9e8946c5ff07bcebf479",
+    ("A", "merged", "f64"): "ef6111f525b661a8f291a36665d05be8a4e60d87e837efebc3d1b510a7658b90",
+    ("A", "merged", "f32"): "af8946cbf8fc2c2b5364b6814acfb91b5f3abf8302ef1622490b6453752427e5",
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("name", ["TOY", "A"])
+    def test_save_model_bytes(self, tmp_path, name):
+        train = build_model(TOY, seed=0, name="custom") if name == "TOY" else build_named("A", seed=0)
+        for mode, model in (("train-structure", train), ("merged", merge_for_deploy(train))):
+            for tag, dtype in (("f64", np.float64), ("f32", np.float32)):
+                path = tmp_path / f"{name}-{mode}-{tag}.urlk"
+                save_model(path, model_astype(model, dtype) if tag == "f32" else model)
+                digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                assert digest == PINNED_SHA256[(name, mode, tag)], (name, mode, tag)
 
 
 class TestCustomChannels:

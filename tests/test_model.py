@@ -24,6 +24,7 @@ from urlknet.blocks import LARK, SMAK
 from urlknet.model import (
     INSTANCE_NAMES,
     REFERENCE_PARAMS_M,
+    _layout,
     iter_state,
     learnable_scalars,
 )
@@ -102,6 +103,16 @@ class TestBuild:
     def test_starts_in_train_mode(self, model_a):
         assert not model_a.merged
         assert model_a.mode == "train-structure"
+
+    @pytest.mark.parametrize("name", ["TOY", "A", "T", "S"])
+    def test_layout_matches_state(self, name):
+        # T alternates LarK,SmaK in stage 3; S repeats LarK,SmaK,SmaK
+        train = build_model(TOY, seed=0) if name == "TOY" else build_named(name, seed=0)
+        for model in (train, merge_for_deploy(train)):
+            layout = [(n, shape) for n, shape, _ in _layout(model.config, model.merged)]
+            assert [(n, a.shape) for n, a in iter_state(model)] == layout
+        del train, model
+        gc.collect()
 
     def test_init_is_bounded(self):
         m = build_model(TOY, seed=3)
