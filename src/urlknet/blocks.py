@@ -1,10 +1,11 @@
 """Composite blocks: SE gating, FFN with GRN, LarK/SmaK blocks, downsampling.
 
 A block runs in one of two modes. In train-structure mode the depthwise stage
-is a multi-branch dilated block (LarK) or a 3x3 depthwise conv followed by its
-own BN (SmaK). merge_block() produces the deploy twin: the LarK branches
-collapse into one KxK conv, the SmaK conv absorbs its BN, and the post-FFN BN
-folds into the FFN's second 1x1 conv. Both modes compute
+is a dilated reparam block of parallel conv->BN branches: a LarK block has a
+principal 13x13 branch plus dilated small kernels, a SmaK block is the
+one-branch case, a single 3x3 conv->BN. merge_block() produces the deploy
+twin: the branches collapse into one KxK conv and the post-FFN BN folds into
+the FFN's second 1x1 conv. Both modes compute
 
     y   = x + BN(SE(DW(x)))
     out = y + BN_ffn(FFN(y))        (BN_ffn already folded when merged)
@@ -120,9 +121,9 @@ def ffn_forward(x: Tensor4, ffn: FfnBlock) -> Tensor4:
 class BlockSpec:
     """One LarK or SmaK block with all parameters and a mode flag.
 
-    Train structure:  LarK carries (reparam_cfg, branches); SmaK carries
-    (dw_conv, dw_bn). Merged: both carry just dw_conv (with bias) and
-    post_ffn_bn is None, already folded into ffn.pw2.
+    Train structure: both kinds carry (reparam_cfg, branches); a SmaK block
+    is the one-branch case, a single 3x3 conv->BN. Merged: both carry just
+    dw_conv (with bias) and post_ffn_bn is None, already folded into ffn.pw2.
     """
 
     kind: str
@@ -133,7 +134,6 @@ class BlockSpec:
     reparam_cfg: DilatedReparamCfg | None = None
     branches: tuple[DilatedBranch, ...] | None = None
     dw_conv: ConvLayer | None = None
-    dw_bn: BnParams | None = None
     post_ffn_bn: BnParams | None = None
     merged: bool = False
 
@@ -141,24 +141,16 @@ class BlockSpec:
         if self.kind not in (LARK, SMAK):
             raise ConfigError(f"unknown block kind {self.kind!r}")
         if self.merged:
-            if self.dw_conv is None or self.post_ffn_bn is not None or self.dw_bn is not None:
-                raise StateError("merged block must carry a fused dw_conv and no loose BNs")
-        elif self.kind == LARK:
-            if self.reparam_cfg is None or self.branches is None:
-                raise StateError("train-structure LarK block needs reparam_cfg and branches")
-            if self.post_ffn_bn is None:
-                raise StateError("train-structure block needs its post-FFN BN")
-        else:
-            if self.dw_conv is None or self.dw_bn is None or self.post_ffn_bn is None:
-                raise StateError("train-structure SmaK block needs dw_conv, dw_bn and post-FFN BN")
+            if self.dw_conv is None or self.branches is not None or self.post_ffn_bn is not None:
+                raise StateError("merged block must carry a fused dw_conv and no branches or loose BNs")
+        elif self.reparam_cfg is None or self.branches is None or self.post_ffn_bn is None:
+            raise StateError("train-structure block needs reparam_cfg, branches and its post-FFN BN")
 
 
 def _dw_forward(x: Tensor4, b: BlockSpec) -> Tensor4:
     if b.merged:
         return conv2d(x, b.dw_conv)
-    if b.kind == LARK:
-        return reparam_forward(x, b.reparam_cfg, b.branches)
-    return batchnorm_infer(conv2d(x, b.dw_conv), b.dw_bn)
+    return reparam_forward(x, b.reparam_cfg, b.branches)
 
 
 def block_forward(x: Tensor4, b: BlockSpec) -> Tensor4:
@@ -176,10 +168,7 @@ def merge_block(b: BlockSpec) -> BlockSpec:
     """Deploy twin of a train-structure block; the input block is untouched."""
     if b.merged:
         raise StateError("block is already merged")
-    if b.kind == LARK:
-        fused_dw = merge_dilated_reparam(b.reparam_cfg, b.branches)
-    else:
-        fused_dw = fuse_bn(b.dw_conv, b.dw_bn)
+    fused_dw = merge_dilated_reparam(b.reparam_cfg, b.branches)
     ffn = replace(b.ffn, pw2=fuse_bn(b.ffn.pw2, b.post_ffn_bn))
     return BlockSpec(
         kind=b.kind,

@@ -200,13 +200,14 @@ def cmd_params(args) -> int:
 
 def _read_input_tensor(path: str) -> np.ndarray:
     p = Path(path)
-    if not p.exists():
-        raise FormatError(f"input file {path} does not exist")
+    if not p.is_file():
+        raise FormatError(f"input file {path} does not exist or is not a file")
     with open(p, "rb") as fh:
         head = fh.read(len(container.MAGIC))
-    if head == container.MAGIC:
-        return container.load_tensor(p)[1]
-    return dataio.read_raw_array(p)
+    arr = container.load_tensor(p)[1] if head == container.MAGIC else dataio.read_raw_array(p)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"input file {path} holds NaN or infinite values")
+    return arr
 
 
 def cmd_forward(args) -> int:

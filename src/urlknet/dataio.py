@@ -3,7 +3,8 @@
 A raw array file <name> is accompanied by <name>.json holding
 {"shape": [...], "dtype": "f32"|"f64"} (dtype defaults to "f32"). CSV files
 carry (B, L, D) time-series: each row is one time step with D columns and the
-file holds exactly B*L rows, batches stored consecutively.
+file holds exactly B*L rows, batches stored consecutively. Unreadable files,
+malformed sidecars and non-finite CSV values raise FormatError.
 """
 
 from __future__ import annotations
@@ -30,10 +31,16 @@ def read_raw_array(path: str | Path) -> np.ndarray:
         shape = tuple(int(s) for s in meta["shape"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
         raise FormatError(f"bad sidecar {sidecar}: {e}") from None
-    dtype = _DTYPES.get(meta.get("dtype", "f32"))
+    if min(shape, default=0) < 0:
+        raise FormatError(f"bad sidecar {sidecar}: negative dimension in shape {shape}")
+    tag = meta.get("dtype", "f32")
+    dtype = _DTYPES.get(tag) if isinstance(tag, str) else None
     if dtype is None:
-        raise FormatError(f"sidecar dtype must be f32 or f64, got {meta.get('dtype')!r}")
-    raw = path.read_bytes()
+        raise FormatError(f"sidecar dtype must be f32 or f64, got {tag!r}")
+    try:
+        raw = path.read_bytes()
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e.strerror}") from None
     expected = int(np.prod(shape)) * dtype.itemsize
     if len(raw) != expected:
         raise FormatError(
@@ -58,14 +65,19 @@ def read_timeseries_csv(path: str | Path, batch: int = 1) -> np.ndarray:
     if batch < 1:
         raise FormatError(f"batch must be positive, got {batch}")
     rows = []
-    with open(path, newline="") as fh:
-        for line in csv.reader(fh):
-            if not line:
-                continue
-            try:
-                rows.append([float(v) for v in line])
-            except ValueError as e:
-                raise FormatError(f"{path}: non-numeric CSV value ({e})") from None
+    try:
+        with open(path, newline="") as fh:
+            for line in csv.reader(fh):
+                if not line:
+                    continue
+                try:
+                    rows.append([float(v) for v in line])
+                except ValueError as e:
+                    raise FormatError(f"{path}: non-numeric CSV value ({e})") from None
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise FormatError(f"{path} is not a text CSV file ({e})") from None
     if not rows:
         raise FormatError(f"{path} holds no data rows")
     widths = {len(r) for r in rows}
@@ -76,4 +88,6 @@ def read_timeseries_csv(path: str | Path, batch: int = 1) -> np.ndarray:
             f"{path} holds {len(rows)} rows, not divisible into {batch} batch entries"
         )
     arr = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{path} holds NaN or infinite values")
     return arr.reshape(batch, len(rows) // batch, arr.shape[1])

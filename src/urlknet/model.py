@@ -6,11 +6,11 @@ downsampling blocks (the stem halves twice). Stage 1 uses SmaK blocks, stages
 "9+18" lays out LarK,SmaK,SmaK repeated, "9+9" alternates LarK,SmaK.
 
 A freshly built model is in train-structure mode; merge_for_deploy returns its
-deploy twin (never mutating the original): every LarK depthwise stage becomes
-one fused KxK conv, every SmaK conv absorbs its BN, and each post-FFN BN folds
-into the FFN's second 1x1 conv. Parameter counts always describe the deploy
-form and include the classifier head; BN running statistics are buffers, not
-parameters, and are excluded.
+deploy twin (never mutating the original): every depthwise stage, the LarK
+branches or the one SmaK branch, becomes one fused KxK conv, and each post-FFN
+BN folds into the FFN's second 1x1 conv. Parameter counts always describe the
+deploy form and include the classifier head; BN running statistics are
+buffers, not parameters, and are excluded.
 
 _layout(cfg, merged) is the single source of tensor names, their order in
 the weight container, their shapes and their init. Building (draws in layout
@@ -38,13 +38,12 @@ from .blocks import (
     merge_block,
 )
 from .errors import ConfigError, FormatError, GeometryError, ShapeError, StateError
-from .reparam import DilatedBranch, DilatedReparamCfg, equivalent_kernel_size
+from .reparam import DilatedBranch, DilatedReparamCfg, default_reparam_cfg
 from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, global_avg_pool, linear
 
 TRAIN_MODE = "train-structure"
 MERGED_MODE = "merged"
 
-DEFAULT_LARK_BRANCHES = ((5, 1), (7, 2), (3, 3), (3, 4), (3, 5))
 BN_EPS = 1e-5
 INIT_STD = 0.02
 
@@ -57,16 +56,11 @@ class ArchConfig:
     width: int
     stage3_lark: int
     stage3_smak: int
-    lark_kernel: int = 13
-    lark_branches: tuple[tuple[int, int], ...] = DEFAULT_LARK_BRANCHES
     in_channels: int = 3
     num_classes: int = 1000
 
     def __post_init__(self):
         object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
-        object.__setattr__(
-            self, "lark_branches", tuple((int(k), int(r)) for k, r in self.lark_branches)
-        )
         if len(self.depths) != 4 or min(self.depths) < 1:
             raise ConfigError(f"depths must be four positive ints, got {self.depths}")
         if self.width % 4 != 0 or self.width < 8:
@@ -80,12 +74,6 @@ class ArchConfig:
                 f"invalid stage-3 layout split {self.stage3_lark}+{self.stage3_smak}: "
                 "SmaK count must be 0, equal to, or twice the LarK count"
             )
-        K = self.lark_kernel
-        if K % 2 == 0 or K < 3:
-            raise ConfigError(f"LarK kernel size must be odd and >= 3, got {K}")
-        for k, r in self.lark_branches:
-            if equivalent_kernel_size(k, r) > K:
-                raise ConfigError(f"branch (k={k}, r={r}) exceeds LarK kernel {K}")
         if self.in_channels < 1 or self.num_classes < 1:
             raise ConfigError("in_channels and num_classes must be positive")
 
@@ -107,13 +95,9 @@ class ArchConfig:
             return (LARK, SMAK) * self.stage3_lark
         return (LARK, SMAK, SMAK) * self.stage3_lark
 
-    def reparam_cfg(self, channels: int) -> DilatedReparamCfg:
-        return DilatedReparamCfg(
-            kernel_size=self.lark_kernel,
-            branches=((self.lark_kernel, 1), *self.lark_branches),
-            channels=channels,
-            groups=channels,
-        )
+    def reparam_cfg(self, kind: str, channels: int) -> DilatedReparamCfg:
+        """Depthwise stage of one block: stock 13x13 branches (LarK) or one 3x3 (SmaK)."""
+        return default_reparam_cfg(channels, kernel_size=13 if kind == LARK else 3)
 
 
 # (N1, N2, (lark, smak), N4, C); reference param counts in millions
@@ -210,17 +194,17 @@ def _layout(cfg: ArchConfig, merged: bool):
             yield from bn(f"transition{s}.bn", w)
         for i, kind in enumerate(cfg.stage_kinds(s)):
             p = f"stage{s}.block{i}"
+            rcfg = cfg.reparam_cfg(kind, w)
             if merged:
-                k = cfg.lark_kernel if kind == LARK else 3
-                yield f"{p}.dw.weight", (w, 1, k, k), "normal"
+                K = rcfg.kernel_size
+                yield f"{p}.dw.weight", (w, 1, K, K), "normal"
                 yield f"{p}.dw.bias", (w,), "zeros"
-            elif kind == LARK:
-                for j, (k, _) in enumerate(cfg.reparam_cfg(w).branches):
-                    yield f"{p}.dw.branch{j}.weight", (w, 1, k, k), "normal"
-                    yield from bn(f"{p}.dw.branch{j}.bn", w)
             else:
-                yield f"{p}.dw.weight", (w, 1, 3, 3), "normal"
-                yield from bn(f"{p}.dw.bn", w)
+                for j, (k, _) in enumerate(rcfg.branches):
+                    # SmaK containers name their single branch dw.weight / dw.bn.*
+                    q = f"{p}.dw" if kind == SMAK else f"{p}.dw.branch{j}"
+                    yield f"{q}.weight", (w, 1, k, k), "normal"
+                    yield from bn(f"{q}.bn", w)
             yield f"{p}.se.reduce.weight", (w // 4, w), "normal"
             yield f"{p}.se.reduce.bias", (w // 4,), "zeros"
             yield f"{p}.se.expand.weight", (w, w // 4), "normal"
@@ -252,24 +236,19 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
         return ConvLayer(weight, take() if bias else None, stride, padding, dilation, groups)
 
     def block(kind: str, c: int) -> BlockSpec:
-        rcfg = branches = dw_conv = dw_bn = None
+        rcfg = cfg.reparam_cfg(kind, c)
         if merged:
-            k = cfg.lark_kernel if kind == LARK else 3
-            dw_conv = conv(padding=k // 2, groups=c, bias=True)
-        elif kind == LARK:
-            rcfg = cfg.reparam_cfg(c)
-            branches = tuple(
+            dw = {"dw_conv": conv(padding=rcfg.kernel_size // 2, groups=c, bias=True)}
+        else:
+            dw = {"reparam_cfg": rcfg, "branches": tuple(
                 DilatedBranch(conv(padding=(k - 1) * r // 2, dilation=r, groups=c), bn())
                 for k, r in rcfg.branches
-            )
-        else:
-            dw_conv, dw_bn = conv(padding=1, groups=c), bn()
+            )}
         se = SeBlock(take(), take(), take(), take())
         post_dw_bn = bn()
         ffn = FfnBlock(conv(bias=True), take(), take(), conv(bias=True))
         return BlockSpec(
-            kind=kind, channels=c, se=se, post_dw_bn=post_dw_bn, ffn=ffn,
-            reparam_cfg=rcfg, branches=branches, dw_conv=dw_conv, dw_bn=dw_bn,
+            kind=kind, channels=c, se=se, post_dw_bn=post_dw_bn, ffn=ffn, **dw,
             post_ffn_bn=None if merged else bn(), merged=merged,
         )
 
@@ -302,14 +281,12 @@ def _arrays(model: ModelInstance):
             yield from conv(layer)
             yield from bn(p)
         for b in stage:
-            if b.branches is not None:
+            if b.merged:
+                yield from conv(b.dw_conv)
+            else:
                 for br in b.branches:
                     yield from conv(br.conv)
                     yield from bn(br.bn)
-            else:
-                yield from conv(b.dw_conv)
-                if b.dw_bn is not None:
-                    yield from bn(b.dw_bn)
             gate, mlp = b.se, b.ffn
             yield from (gate.reduce_weight, gate.reduce_bias, gate.expand_weight, gate.expand_bias)
             yield from bn(b.post_dw_bn)

@@ -157,14 +157,12 @@ class DilatedReparamCfg:
         return (p, *[i for i in range(len(self.branches)) if i != p])
 
 
-DEFAULT_BRANCHES_K13 = ((13, 1), (5, 1), (7, 2), (3, 3), (3, 4), (3, 5))
-
-
 def default_reparam_cfg(channels: int, groups: int | None = None, kernel_size: int = 13) -> DilatedReparamCfg:
     """Stock block configuration: principal KxK plus k=(5,7,3,3,3), r=(1,2,3,4,5).
 
     Defaults to depthwise (groups == channels). Branches whose equivalent size
-    would exceed a smaller K are dropped.
+    would exceed a smaller K are dropped, so K=3 leaves the principal branch
+    alone: the SmaK depthwise stage.
     """
     branches = [(kernel_size, 1)] + [
         (k, r) for k, r in ((5, 1), (7, 2), (3, 3), (3, 4), (3, 5))

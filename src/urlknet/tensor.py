@@ -80,9 +80,6 @@ class Tensor4:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def copy(self) -> "Tensor4":
-        return Tensor4(self.data.copy())
-
     def __add__(self, other: "Tensor4") -> "Tensor4":
         if not isinstance(other, Tensor4):
             return NotImplemented

@@ -37,9 +37,6 @@ class Check:
     name: str
     max_rel_err: float
 
-    def passes(self, tolerance: float) -> bool:
-        return self.max_rel_err <= tolerance
-
 
 def verify_reparam_merge(
     cfg: DilatedReparamCfg,

@@ -11,10 +11,12 @@ from urlknet import (
     SeBlock,
     StateError,
     Tensor4,
+    batchnorm_infer,
     block_forward,
     conv2d,
     downsample_forward,
     ffn_forward,
+    fuse_bn,
     gelu,
     grn,
     merge_block,
@@ -52,23 +54,18 @@ def random_bn(rng, c):
                     rng.standard_normal(c), rng.uniform(0.1, 2.0, c), eps=1e-5)
 
 
-def make_lark_block(rng, c, K=13):
+def make_lark_block(rng, c, K=13, kind=LARK):
     cfg = default_reparam_cfg(c, kernel_size=K)
     return BlockSpec(
-        kind=LARK, channels=c, se=make_se(rng, c), post_dw_bn=random_bn(rng, c),
+        kind=kind, channels=c, se=make_se(rng, c), post_dw_bn=random_bn(rng, c),
         ffn=make_ffn(rng, c), reparam_cfg=cfg,
         branches=random_branches(cfg, rng), post_ffn_bn=random_bn(rng, c),
     )
 
 
 def make_smak_block(rng, c):
-    return BlockSpec(
-        kind=SMAK, channels=c, se=make_se(rng, c), post_dw_bn=random_bn(rng, c),
-        ffn=make_ffn(rng, c),
-        dw_conv=ConvLayer(Tensor4(rng.standard_normal((c, 1, 3, 3))),
-                          padding=(1, 1), groups=c),
-        dw_bn=random_bn(rng, c), post_ffn_bn=random_bn(rng, c),
-    )
+    # a SmaK block is the one-branch reparam case: a single 3x3 conv->BN
+    return make_lark_block(rng, c, K=3, kind=SMAK)
 
 
 class TestSeBlock:
@@ -161,6 +158,26 @@ class TestBlockForward:
         x = Tensor4(rng.standard_normal((2, c, 19, 19)))
         err = relative_error(block_forward(x, merged).data, block_forward(x, block).data)
         assert err <= 1e-10
+
+    def test_smak_train_forward_is_conv_then_bn(self, rng):
+        c = 8
+        block = make_smak_block(rng, c)
+        assert block.reparam_cfg.branches == ((3, 1),)
+        (branch,) = block.branches
+        x = Tensor4(rng.standard_normal((2, c, 9, 9)))
+        dw = batchnorm_infer(conv2d(x, branch.conv), branch.bn)
+        y = x + batchnorm_infer(se_forward(dw, block.se), block.post_dw_bn)
+        want = y + batchnorm_infer(ffn_forward(y, block.ffn), block.post_ffn_bn)
+        np.testing.assert_array_equal(block_forward(x, block).data, want.data)
+
+    def test_smak_merge_is_fuse_bn(self, rng):
+        block = make_smak_block(rng, 8)
+        (branch,) = block.branches
+        want = fuse_bn(branch.conv, branch.bn)
+        got = merge_block(block).dw_conv
+        np.testing.assert_array_equal(got.weight.data, want.weight.data)
+        np.testing.assert_array_equal(got.bias, want.bias)
+        assert (got.padding, got.dilation, got.groups) == (want.padding, want.dilation, want.groups)
 
     def test_spatial_size_preserved(self, rng):
         block = make_lark_block(rng, 4, K=13)

@@ -252,3 +252,65 @@ class TestEmbed:
                                     "--height", "8", "--width", "4"])
         assert code == 0
         assert report["shape"] == [4, 1, 8, 4]
+
+
+
+def _bad_input(tmp_path, case):
+    """Write one malformed or non-finite input; return the embed argv reading it
+    and the text its error message must hold."""
+    raw = tmp_path / "x.raw"
+    csv_file = tmp_path / "ts.csv"
+    # 8 time steps x 2 features fill a 4x4 map when the data is valid
+    ts = ["--modality", "time-series", "--height", "4", "--width", "4"]
+    if case == "sidecar-dtype-list":
+        write_raw_array(raw, np.zeros((1, 4, 4)))
+        (tmp_path / "x.raw.json").write_text(json.dumps({"shape": [1, 4, 4], "dtype": ["f32"]}))
+        return ["--modality", "audio", "--input", str(raw)], "sidecar dtype"
+    if case == "sidecar-negative-shape":
+        write_raw_array(raw, np.zeros((1, 4, 4)))
+        (tmp_path / "x.raw.json").write_text(json.dumps({"shape": [-1, -4, 4]}))
+        return ["--modality", "audio", "--input", str(raw)], "negative dimension"
+    if case == "projection-data-missing":
+        write_raw_array(raw, np.zeros((1, 8, 2)))
+        (tmp_path / "p.raw.json").write_text(json.dumps({"shape": [2, 2]}))
+        return [*ts, "--input", str(raw), "--projection", str(tmp_path / "p.raw")], "cannot read"
+    if case == "csv-missing":
+        return [*ts, "--input", str(tmp_path / "missing.csv")], "cannot read"
+    if case == "csv-not-utf8":
+        csv_file.write_bytes(b"1,2\n\xff\xfe,3\n" * 4)
+        return [*ts, "--input", str(csv_file)], "not a text CSV"
+    if case == "csv-nan":
+        csv_file.write_text("1,2\nnan,3\n" * 4)
+        return [*ts, "--input", str(csv_file)], "NaN or infinite"
+    if case == "raw-inf":
+        write_raw_array(raw, np.full((1, 4, 4), np.inf))
+        return ["--modality", "audio", "--input", str(raw)], "NaN or infinite"
+    raise AssertionError(case)
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", [
+        "sidecar-dtype-list", "sidecar-negative-shape", "projection-data-missing",
+        "csv-missing", "csv-not-utf8", "csv-nan", "raw-inf",
+    ])
+    def test_embed_exits_2_without_traceback(self, capsys, tmp_path, case):
+        args, message = _bad_input(tmp_path, case)
+        code = main(["embed", *args, "--out", str(tmp_path / "e.urlk")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert message in captured.err
+        assert not (tmp_path / "e.urlk").exists()
+
+    def test_forward_rejects_all_nan_input(self, capsys, tmp_path):
+        weights = tmp_path / "a.urlk"
+        save_model(weights, build_named("A", seed=0))
+        x = tmp_path / "x.raw"
+        write_raw_array(x, np.full((1, 3, 64, 64), np.nan))
+        out = tmp_path / "logits.urlk"
+        code = main(["forward", "--model", "A", "--weights", str(weights),
+                     "--input", str(x), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "NaN or infinite" in captured.err
+        assert not out.exists()

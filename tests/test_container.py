@@ -19,6 +19,9 @@ from urlknet.model import ArchConfig, iter_state
 
 TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, stage3_smak=0,
                  num_classes=10)
+# stage 3 lays out LarK, SmaK, SmaK like S, so SmaK blocks sit past stage 1
+TOY3 = ArchConfig(depths=(1, 1, 3, 1), width=8, stage3_lark=1, stage3_smak=2,
+                  num_classes=10)
 
 
 def state_dict(model):
@@ -224,6 +227,10 @@ PINNED_SHA256 = {
     ("TOY", "train-structure", "f32"): "b3a283d1acde448fd6edb5ac5252e22d68a3de97b882fa0c4a78eb58be0a5f8d",
     ("TOY", "merged", "f64"): "afebed132e85d8f5d1bcab8d155d1ed4fbd267a74f4fd3e8943222ab2b3fa3f3",
     ("TOY", "merged", "f32"): "37d7d81dafe6ce6ce566c127da4539cf749a65085e4dfcdd1e8dc5e96d2b3a40",
+    ("TOY3", "train-structure", "f64"): "ef675e6daa726e0a6f9c7e35bb0809efdf74a9e03cc0ce379f5a3534d4b10756",
+    ("TOY3", "train-structure", "f32"): "a154b124c3965532b0ef50ef3787efa2e28f348a47782d93701847d8d233eee3",
+    ("TOY3", "merged", "f64"): "531d4598b81b5eb3835bdf08bc44a3591b29640d35f997091d55a9c9f51d8b19",
+    ("TOY3", "merged", "f32"): "1ea7305fed2adda132232b9e7b3636756e62306c5afc66ecbd2fc8573aa57ee2",
     ("A", "train-structure", "f64"): "ee64d861a6cdd5b8707a12a2d492384346bca3d014c33c0c1ffa0e7cb9e1128b",
     ("A", "train-structure", "f32"): "569b653245f0b1e8b3729c2837cd9cfa9d245120e7ec9e8946c5ff07bcebf479",
     ("A", "merged", "f64"): "ef6111f525b661a8f291a36665d05be8a4e60d87e837efebc3d1b510a7658b90",
@@ -232,9 +239,10 @@ PINNED_SHA256 = {
 
 
 class TestPinnedBytes:
-    @pytest.mark.parametrize("name", ["TOY", "A"])
+    @pytest.mark.parametrize("name", ["TOY", "TOY3", "A"])
     def test_save_model_bytes(self, tmp_path, name):
-        train = build_model(TOY, seed=0, name="custom") if name == "TOY" else build_named("A", seed=0)
+        toys = {"TOY": TOY, "TOY3": TOY3}
+        train = build_model(toys[name], seed=0, name="custom") if name in toys else build_named("A", seed=0)
         for mode, model in (("train-structure", train), ("merged", merge_for_deploy(train))):
             for tag, dtype in (("f64", np.float64), ("f32", np.float32)):
                 path = tmp_path / f"{name}-{mode}-{tag}.urlk"
