@@ -21,13 +21,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, ShapeError, StateError
-from .reparam import (
-    DilatedBranch,
-    DilatedReparamCfg,
-    fuse_bn,
-    merge_dilated_reparam,
-    reparam_forward,
-)
+from .reparam import DilatedBranch, fuse_bn, merge_dilated_reparam, reparam_forward
 from .tensor import (
     BnParams,
     ConvLayer,
@@ -119,9 +113,9 @@ def ffn_forward(x: Tensor4, ffn: FfnBlock) -> Tensor4:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """One LarK or SmaK block with all parameters and a mode flag.
+    """One LarK or SmaK block with all parameters.
 
-    Train structure: both kinds carry (reparam_cfg, branches); a SmaK block
+    Train structure: both kinds carry their depthwise branches; a SmaK block
     is the one-branch case, a single 3x3 conv->BN. Merged: both carry just
     dw_conv (with bias) and post_ffn_bn is None, already folded into ffn.pw2.
     """
@@ -131,33 +125,29 @@ class BlockSpec:
     se: SeBlock
     post_dw_bn: BnParams
     ffn: FfnBlock
-    reparam_cfg: DilatedReparamCfg | None = None
     branches: tuple[DilatedBranch, ...] | None = None
     dw_conv: ConvLayer | None = None
     post_ffn_bn: BnParams | None = None
-    merged: bool = False
 
     def __post_init__(self):
         if self.kind not in (LARK, SMAK):
             raise ConfigError(f"unknown block kind {self.kind!r}")
-        if self.merged:
-            if self.dw_conv is None or self.branches is not None or self.post_ffn_bn is not None:
-                raise StateError("merged block must carry a fused dw_conv and no branches or loose BNs")
-        elif self.reparam_cfg is None or self.branches is None or self.post_ffn_bn is None:
-            raise StateError("train-structure block needs reparam_cfg, branches and its post-FFN BN")
+        if self.merged != (self.branches is None) or self.merged != (self.post_ffn_bn is None):
+            raise StateError("a block carries either a fused dw_conv (merged) or its "
+                             "branches and post-FFN BN (train structure)")
 
-
-def _dw_forward(x: Tensor4, b: BlockSpec) -> Tensor4:
-    if b.merged:
-        return conv2d(x, b.dw_conv)
-    return reparam_forward(x, b.reparam_cfg, b.branches)
+    @property
+    def merged(self) -> bool:
+        """A block is merged when its depthwise stage is one fused conv."""
+        return self.dw_conv is not None
 
 
 def block_forward(x: Tensor4, b: BlockSpec) -> Tensor4:
     """y = x + BN(SE(DW(x))); out = y + BN(FFN(y)). Shape preserved."""
     if x.c != b.channels:
         raise ShapeError(f"input has {x.c} channels, block expects {b.channels}")
-    y = x + batchnorm_infer(se_forward(_dw_forward(x, b), b.se), b.post_dw_bn)
+    dw = conv2d(x, b.dw_conv) if b.merged else reparam_forward(x, b.branches)
+    y = x + batchnorm_infer(se_forward(dw, b.se), b.post_dw_bn)
     f = ffn_forward(y, b.ffn)
     if b.post_ffn_bn is not None:
         f = batchnorm_infer(f, b.post_ffn_bn)
@@ -168,7 +158,7 @@ def merge_block(b: BlockSpec) -> BlockSpec:
     """Deploy twin of a train-structure block; the input block is untouched."""
     if b.merged:
         raise StateError("block is already merged")
-    fused_dw = merge_dilated_reparam(b.reparam_cfg, b.branches)
+    fused_dw = merge_dilated_reparam(b.branches)
     ffn = replace(b.ffn, pw2=fuse_bn(b.ffn.pw2, b.post_ffn_bn))
     return BlockSpec(
         kind=b.kind,
@@ -177,7 +167,6 @@ def merge_block(b: BlockSpec) -> BlockSpec:
         post_dw_bn=b.post_dw_bn,
         ffn=ffn,
         dw_conv=fused_dw,
-        merged=True,
     )
 
 

@@ -201,7 +201,7 @@ def cmd_params(args) -> int:
 def _read_input_tensor(path: str) -> np.ndarray:
     p = Path(path)
     if not p.is_file():
-        raise FormatError(f"input file {path} does not exist or is not a file")
+        raise FormatError(f"cannot read {path}: it does not exist or is not a file")
     with open(p, "rb") as fh:
         head = fh.read(len(container.MAGIC))
     arr = container.load_tensor(p)[1] if head == container.MAGIC else dataio.read_raw_array(p)
@@ -288,7 +288,7 @@ def cmd_embed(args) -> int:
         if args.nodes < 1 or d % args.nodes:
             raise ConfigError(f"--nodes {args.nodes} must divide feature width {d}")
         if args.projection:
-            projection = dataio.read_raw_array(args.projection).astype(np.float64)
+            projection = _read_input_tensor(args.projection).astype(np.float64)
             latent = projection.shape[0]
             if args.latent and args.latent != latent:
                 raise ConfigError(

@@ -16,12 +16,14 @@ lossless: export -> import round-trips every tensor bit for bit.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .dataio import DTYPES, parse_shape
 from .errors import FormatError
 from .model import ModelInstance, build_from_state, iter_state
 from .tensor import Tensor4
@@ -29,8 +31,7 @@ from .tensor import Tensor4
 MAGIC = b"URLKWT01"
 FORMAT_VERSION = 1
 
-_DTYPE_TAGS = {np.dtype("<f4"): "f32", np.dtype("<f8"): "f64"}
-_TAG_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_DTYPE_TAGS = {dtype: tag for tag, dtype in DTYPES.items()}
 
 
 def write_container(
@@ -73,18 +74,29 @@ def write_container(
 
 
 def read_container(path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]]:
-    """Read (manifest, [(name, array), ...]); truncated or malformed files raise FormatError."""
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) + 4:
-        raise FormatError(f"{path}: file too short to be a weight container")
-    if blob[:len(MAGIC)] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:len(MAGIC)]!r}, expected {MAGIC!r}")
-    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
-    header_end = len(MAGIC) + 4 + mlen
-    if len(blob) < header_end:
-        raise FormatError(f"{path}: truncated manifest")
+    """Read (manifest, [(name, array), ...]); truncated or malformed files raise FormatError.
+
+    The payload is read once into one aligned buffer that the tensors view;
+    a tensor whose offset misaligns it for its dtype is copied.
+    """
     try:
-        manifest = json.loads(blob[len(MAGIC) + 4:header_end].decode("utf-8"))
+        fh = open(path, "rb")
+    except OSError as e:
+        raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(len(MAGIC) + 4)
+        if len(head) < len(MAGIC) + 4:
+            raise FormatError(f"{path}: file too short to be a weight container")
+        if head[:len(MAGIC)] != MAGIC:
+            raise FormatError(f"{path}: bad magic {head[:len(MAGIC)]!r}, expected {MAGIC!r}")
+        (mlen,) = struct.unpack_from("<I", head, len(MAGIC))
+        if len(head) + mlen > size:
+            raise FormatError(f"{path}: truncated manifest")
+        text = fh.read(mlen)
+        payload = np.fromfile(fh, dtype=np.uint8)
+    try:
+        manifest = json.loads(text.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise FormatError(f"{path}: manifest is not valid JSON ({e})") from None
     if not isinstance(manifest, dict):
@@ -99,7 +111,6 @@ def read_container(path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]
     entries = manifest.get("tensors", [])
     if not isinstance(entries, list):
         raise FormatError(f"{path}: manifest tensors must be a list")
-    payload = blob[header_end:]
     tensors = []
     seen = set()
     offset = 0
@@ -108,38 +119,37 @@ def read_container(path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]
             raise FormatError(f"{path}: tensor entry must be a JSON object, got {entry!r}")
         try:
             name = entry["name"]
-            shape = tuple(int(s) for s in entry["shape"])
-            dtype = _TAG_DTYPES[entry["dtype"]]
-            byte_offset = int(entry["byte_offset"])
-            byte_length = int(entry["byte_length"])
-        except (KeyError, TypeError, ValueError) as e:
+            dtype = DTYPES[entry["dtype"]]
+            shape_value, byte_offset, byte_length = (
+                entry["shape"], entry["byte_offset"], entry["byte_length"])
+        except (KeyError, TypeError) as e:
             raise FormatError(f"{path}: malformed tensor entry ({e})") from None
         if not isinstance(name, str):
             raise FormatError(f"{path}: tensor name must be a string, got {name!r}")
         if name in seen:
             raise FormatError(f"{path}: duplicate tensor name {name!r}")
         seen.add(name)
-        if not isinstance(entry["shape"], list) or any(d < 0 for d in shape):
-            raise FormatError(f"{path}: tensor {name!r} has malformed shape {entry['shape']!r}")
+        shape, count = parse_shape(shape_value, f"{path}: tensor {name!r}")
+        if type(byte_offset) is not int or type(byte_length) is not int:
+            raise FormatError(f"{path}: tensor {name!r} byte_offset and byte_length must be integers")
         if byte_offset != offset:
             raise FormatError(
                 f"{path}: tensor {name!r} at offset {byte_offset}, expected {offset} "
                 "(tensors must be contiguous in manifest order)"
             )
-        expected = int(np.prod(shape)) * dtype.itemsize
+        expected = count * dtype.itemsize
         if byte_length != expected:
             raise FormatError(
                 f"{path}: tensor {name!r} declares {byte_length} bytes, shape needs {expected}"
             )
-        if byte_offset + byte_length > len(payload):
+        if byte_offset + byte_length > payload.size:
             raise FormatError(f"{path}: truncated payload at tensor {name!r}")
-        arr = np.frombuffer(payload, dtype=dtype, count=int(np.prod(shape)),
-                            offset=byte_offset).reshape(shape)
-        tensors.append((name, arr.astype(dtype.newbyteorder("="), copy=False)))
+        arr = payload[byte_offset:byte_offset + byte_length].view(dtype).reshape(shape)
+        tensors.append((name, np.require(arr, dtype.newbyteorder("="), "A")))
         offset += byte_length
-    if offset != len(payload):
+    if offset != payload.size:
         raise FormatError(
-            f"{path}: payload holds {len(payload)} bytes but manifest accounts for {offset}"
+            f"{path}: payload holds {payload.size} bytes but manifest accounts for {offset}"
         )
     return manifest, tensors
 

@@ -4,20 +4,36 @@ A raw array file <name> is accompanied by <name>.json holding
 {"shape": [...], "dtype": "f32"|"f64"} (dtype defaults to "f32"). CSV files
 carry (B, L, D) time-series: each row is one time step with D columns and the
 file holds exactly B*L rows, batches stored consecutively. Unreadable files,
-malformed sidecars and non-finite CSV values raise FormatError.
+malformed sidecars and non-finite CSV values raise FormatError. The shape
+parser and dtype tags are shared with the weight container's manifest reader.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import FormatError
 
-_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+# the most dimensions every supported numpy (>= 1.24) can hold
+MAX_NDIM = 32
+
+
+def parse_shape(value, where: str) -> tuple[tuple[int, ...], int]:
+    """(shape, element count) of a JSON shape, counted in Python ints so it cannot wrap.
+
+    Anything but a list of at most MAX_NDIM non-negative, non-bool ints raises FormatError.
+    """
+    if not (isinstance(value, list) and len(value) <= MAX_NDIM
+            and all(type(d) is int and d >= 0 for d in value)):
+        raise FormatError(f"{where} has malformed shape {value!r}: need a list of at most "
+                          f"{MAX_NDIM} ints, with no bool and no negative dimension")
+    return tuple(value), math.prod(value)
 
 
 def read_raw_array(path: str | Path) -> np.ndarray:
@@ -28,20 +44,19 @@ def read_raw_array(path: str | Path) -> np.ndarray:
         raise FormatError(f"missing shape sidecar {sidecar}")
     try:
         meta = json.loads(sidecar.read_text())
-        shape = tuple(int(s) for s in meta["shape"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        shape_value = meta["shape"]
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise FormatError(f"bad sidecar {sidecar}: {e}") from None
-    if min(shape, default=0) < 0:
-        raise FormatError(f"bad sidecar {sidecar}: negative dimension in shape {shape}")
+    shape, count = parse_shape(shape_value, f"sidecar {sidecar}")
     tag = meta.get("dtype", "f32")
-    dtype = _DTYPES.get(tag) if isinstance(tag, str) else None
+    dtype = DTYPES.get(tag) if isinstance(tag, str) else None
     if dtype is None:
         raise FormatError(f"sidecar dtype must be f32 or f64, got {tag!r}")
     try:
         raw = path.read_bytes()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}") from None
-    expected = int(np.prod(shape)) * dtype.itemsize
+    expected = count * dtype.itemsize
     if len(raw) != expected:
         raise FormatError(
             f"{path} holds {len(raw)} bytes but shape {shape} needs {expected}"
@@ -52,9 +67,9 @@ def read_raw_array(path: str | Path) -> np.ndarray:
 def write_raw_array(path: str | Path, array: np.ndarray, dtype: str = "f32") -> None:
     """Write a raw array plus its JSON sidecar (the inverse of read_raw_array)."""
     path = Path(path)
-    if dtype not in _DTYPES:
+    if dtype not in DTYPES:
         raise FormatError(f"dtype must be f32 or f64, got {dtype!r}")
-    arr = np.ascontiguousarray(array, dtype=_DTYPES[dtype])
+    arr = np.ascontiguousarray(array, dtype=DTYPES[dtype])
     path.write_bytes(arr.tobytes())
     sidecar = path.with_name(path.name + ".json")
     sidecar.write_text(json.dumps({"shape": list(arr.shape), "dtype": dtype}))

@@ -146,7 +146,15 @@ class ModelInstance:
     head_bn: BnParams
     head_weight: np.ndarray
     head_bias: np.ndarray
-    merged: bool = False
+
+    def __post_init__(self):
+        if len({b.merged for stage in self.stages for b in stage}) != 1:
+            raise StateError("a model's blocks must be all merged or all train-structure")
+
+    @property
+    def merged(self) -> bool:
+        """Read from the blocks, which __post_init__ holds to one mode."""
+        return self.stages[0][0].merged
 
     @property
     def mode(self) -> str:
@@ -240,7 +248,7 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
         if merged:
             dw = {"dw_conv": conv(padding=rcfg.kernel_size // 2, groups=c, bias=True)}
         else:
-            dw = {"reparam_cfg": rcfg, "branches": tuple(
+            dw = {"branches": tuple(
                 DilatedBranch(conv(padding=(k - 1) * r // 2, dilation=r, groups=c), bn())
                 for k, r in rcfg.branches
             )}
@@ -249,7 +257,7 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
         ffn = FfnBlock(conv(bias=True), take(), take(), conv(bias=True))
         return BlockSpec(
             kind=kind, channels=c, se=se, post_dw_bn=post_dw_bn, ffn=ffn, **dw,
-            post_ffn_bn=None if merged else bn(), merged=merged,
+            post_ffn_bn=None if merged else bn(),
         )
 
     stem_convs, stem_bns = zip(*[(conv(2, 1), bn()) for _ in range(2)])
@@ -262,7 +270,7 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
     return ModelInstance(
         name=name, config=cfg, stem=DownsampleBlock("stem", stem_convs, stem_bns),
         stages=tuple(stages), transitions=tuple(transitions), head_bn=head_bn,
-        head_weight=take(), head_bias=take(), merged=merged,
+        head_weight=take(), head_bias=take(),
     )
 
 
@@ -398,21 +406,18 @@ def merge_for_deploy(model: ModelInstance) -> ModelInstance:
     """
     if model.merged:
         raise StateError("model is already merged")
-    return replace(
-        model,
-        stages=tuple(tuple(merge_block(b) for b in stage) for stage in model.stages),
-        merged=True,
-    )
+    stages = tuple(tuple(merge_block(b) for b in stage) for stage in model.stages)
+    return replace(model, stages=stages)
 
 
 def model_astype(model: ModelInstance, dtype) -> ModelInstance:
     """Convert every parameter array to the given element width (f32/f64)."""
     dtype = np.dtype(dtype)
-    arrays = {
-        name: arr if init == "eps" else arr.astype(dtype.type, copy=False)
-        for name, init, arr in _tensors(model)
-    }
-    return build_from_state(model.name, model.mode, arrays, config=model.config)
+    arrays = [
+        arr if init == "eps" else arr.astype(dtype.type, copy=False)
+        for _, init, arr in _tensors(model)
+    ]
+    return _assemble(model.name, model.config, model.merged, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +461,7 @@ def iter_state(model: ModelInstance):
         yield name, arr
 
 
-def build_from_state(
-    name: str,
-    mode: str,
-    arrays: dict,
-    config: ArchConfig | None = None,
-) -> ModelInstance:
+def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
     """Reconstruct a ModelInstance from named tensors (the container's contents).
 
     The architecture comes from the instance name; input channels and class
@@ -471,18 +471,17 @@ def build_from_state(
     if mode not in (TRAIN_MODE, MERGED_MODE):
         raise FormatError(f"unknown mode {mode!r}")
     merged = mode == MERGED_MODE
-    if config is None:
-        if name not in _INSTANCE_ROWS:
-            raise FormatError(f"container names unknown model instance {name!r}")
-        # names do not depend on in_channels or num_classes: the first tensor
-        # (stem conv) carries in_channels as dim 1, the last (head bias)
-        # carries num_classes as dim 0
-        (first, *_), *_, (last, *_) = _layout(arch_config(name), merged)
-        try:
-            in_channels, num_classes = arrays[first].shape[1], arrays[last].shape[0]
-        except (KeyError, IndexError):
-            raise FormatError(f"container lacks a well-formed {first} or {last}") from None
-        config = arch_config(name, in_channels=in_channels, num_classes=num_classes)
+    if name not in _INSTANCE_ROWS:
+        raise FormatError(f"container names unknown model instance {name!r}")
+    # names do not depend on in_channels or num_classes: the first tensor
+    # (stem conv) carries in_channels as dim 1, the last (head bias) carries
+    # num_classes as dim 0
+    (first, *_), *_, (last, *_) = _layout(arch_config(name), merged)
+    try:
+        in_channels, num_classes = arrays[first].shape[1], arrays[last].shape[0]
+    except (KeyError, IndexError):
+        raise FormatError(f"container lacks a well-formed {first} or {last}") from None
+    config = arch_config(name, in_channels=in_channels, num_classes=num_classes)
     layout = list(_layout(config, merged))
     for tname, shape, _ in layout:
         if tname not in arrays:

@@ -38,12 +38,8 @@ def equivalent_kernel_size(k: int, r: int) -> int:
 
 
 def dilate_kernel(weight: Tensor4, r: int) -> Tensor4:
-    """Expand a (c_out, c_in/g, k, k) kernel to its non-dilated equivalent."""
-    if r < 1:
-        raise ConfigError(f"dilation must be >= 1, got {r}")
-    if r == 1:
-        return weight
-    return conv_transpose2d_kernel(weight, r)
+    """Expand a (c_out, c_in/g, k, k) kernel to its non-dilated equivalent (r >= 1)."""
+    return weight if r == 1 else conv_transpose2d_kernel(weight, r)
 
 
 def fuse_bn(conv: ConvLayer, bn: BnParams) -> ConvLayer:
@@ -116,7 +112,9 @@ class DilatedReparamCfg:
     The list must contain exactly one principal (K, 1) entry; every entry must
     satisfy (k-1)*r + 1 <= K. The stock configuration for K=13 pairs the
     principal branch with k=(5,7,3,3,3) at r=(1,2,3,4,5), whose equivalent
-    kernel sizes are (5,13,7,9,11).
+    kernel sizes are (5,13,7,9,11). It is the weight-free spec that layout,
+    assembly and random init read; code holding branches derives it from them
+    with from_branches.
     """
 
     kernel_size: int
@@ -129,14 +127,12 @@ class DilatedReparamCfg:
         if K % 2 == 0 or K < 3:
             raise ConfigError(f"large kernel size must be odd and >= 3, got {K}")
         object.__setattr__(self, "branches", tuple((int(k), int(r)) for k, r in self.branches))
-        principals = 0
         for k, r in self.branches:
             if equivalent_kernel_size(k, r) > K:
                 raise ConfigError(
                     f"branch (k={k}, r={r}) has equivalent size {(k - 1) * r + 1} > K={K}"
                 )
-            if k == K and r == 1:
-                principals += 1
+        principals = self.branches.count((K, 1))
         if principals != 1:
             raise ConfigError(
                 f"expected exactly one principal (K={K}, r=1) branch, found {principals}"
@@ -146,14 +142,24 @@ class DilatedReparamCfg:
                 f"channels={self.channels} must be a positive multiple of groups={self.groups}"
             )
 
-    @property
-    def principal_index(self) -> int:
-        K = self.kernel_size
-        return next(i for i, (k, r) in enumerate(self.branches) if k == K and r == 1)
+    @classmethod
+    def from_branches(cls, branches: Sequence[DilatedBranch]) -> DilatedReparamCfg:
+        """The spec a branch tuple describes, read from the branches' own geometry.
+
+        K is the principal's (largest) kernel size; every conv must map the
+        same c channels to c with the same groups.
+        """
+        groups = {b.conv.groups for b in branches}
+        channels = {n for b in branches for n in (b.conv.in_channels, b.conv.out_channels)}
+        if len(groups) != 1 or len(channels) != 1:
+            raise ConfigError(f"branches must agree on channels and groups, got groups "
+                              f"{sorted(groups)} and channels {sorted(channels)}")
+        return cls(max(b.k for b in branches), tuple((b.k, b.r) for b in branches),
+                   channels.pop(), groups.pop())
 
     def merge_order(self) -> tuple[int, ...]:
         """Branch indices with the principal branch first, then declared order."""
-        p = self.principal_index
+        p = self.branches.index((self.kernel_size, 1))
         return (p, *[i for i in range(len(self.branches)) if i != p])
 
 
@@ -176,32 +182,13 @@ def default_reparam_cfg(channels: int, groups: int | None = None, kernel_size: i
     )
 
 
-def _check_branches(cfg: DilatedReparamCfg, branches: Sequence[DilatedBranch]) -> None:
-    if len(branches) != len(cfg.branches):
-        raise ConfigError(
-            f"config lists {len(cfg.branches)} branches but {len(branches)} were given"
-        )
-    for b, (k, r) in zip(branches, cfg.branches):
-        if (b.k, b.r) != (k, r):
-            raise ConfigError(f"branch (k={b.k}, r={b.r}) does not match config entry ({k}, {r})")
-        if b.conv.groups != cfg.groups:
-            raise ConfigError(
-                f"mixed groups: branch has {b.conv.groups}, config says {cfg.groups}"
-            )
-        if b.conv.in_channels != cfg.channels or b.conv.out_channels != cfg.channels:
-            raise ConfigError(
-                f"branch channels {b.conv.in_channels}->{b.conv.out_channels} "
-                f"do not match config channels {cfg.channels}"
-            )
-
-
-def reparam_forward(x: Tensor4, cfg: DilatedReparamCfg, branches: Sequence[DilatedBranch]) -> Tensor4:
+def reparam_forward(x: Tensor4, branches: Sequence[DilatedBranch]) -> Tensor4:
     """Training-structure forward: sum of conv->BN over all branches.
 
     Branches are summed principal-first, then in declared order, matching the
     summation order of merge_dilated_reparam bit for bit.
     """
-    _check_branches(cfg, branches)
+    cfg = DilatedReparamCfg.from_branches(branches)
     out = None
     for i in cfg.merge_order():
         b = branches[i]
@@ -210,7 +197,7 @@ def reparam_forward(x: Tensor4, cfg: DilatedReparamCfg, branches: Sequence[Dilat
     return out
 
 
-def merge_dilated_reparam(cfg: DilatedReparamCfg, branches: Sequence[DilatedBranch]) -> ConvLayer:
+def merge_dilated_reparam(branches: Sequence[DilatedBranch]) -> ConvLayer:
     """Collapse a multi-branch block into one non-dilated KxK conv with bias.
 
     Per branch: fold its BN, expand the kernel by zero insertion, then pad
@@ -218,7 +205,7 @@ def merge_dilated_reparam(cfg: DilatedReparamCfg, branches: Sequence[DilatedBran
     summed principal-first, then in declared order. The result reproduces the
     branch-sum forward for every input.
     """
-    _check_branches(cfg, branches)
+    cfg = DilatedReparamCfg.from_branches(branches)
     K = cfg.kernel_size
     dtype = branches[0].conv.weight.dtype
     kernel = np.zeros((cfg.channels, cfg.channels // cfg.groups, K, K), dtype=dtype)
@@ -227,10 +214,7 @@ def merge_dilated_reparam(cfg: DilatedReparamCfg, branches: Sequence[DilatedBran
         fused = fuse_bn(branches[i].conv, branches[i].bn)
         expanded = dilate_kernel(fused.weight, branches[i].r)
         pad = (K - expanded.shape[2]) // 2
-        if pad:
-            kernel[:, :, pad:K - pad, pad:K - pad] += expanded.data
-        else:
-            kernel += expanded.data
+        kernel[:, :, pad:K - pad, pad:K - pad] += expanded.data
         bias += fused.bias
     return ConvLayer(
         weight=Tensor4(kernel),

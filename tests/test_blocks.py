@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,8 +60,8 @@ def make_lark_block(rng, c, K=13, kind=LARK):
     cfg = default_reparam_cfg(c, kernel_size=K)
     return BlockSpec(
         kind=kind, channels=c, se=make_se(rng, c), post_dw_bn=random_bn(rng, c),
-        ffn=make_ffn(rng, c), reparam_cfg=cfg,
-        branches=random_branches(cfg, rng), post_ffn_bn=random_bn(rng, c),
+        ffn=make_ffn(rng, c), branches=random_branches(cfg, rng),
+        post_ffn_bn=random_bn(rng, c),
     )
 
 
@@ -144,7 +146,7 @@ class TestBlockForward:
         )
         block = BlockSpec(
             kind=LARK, channels=c, se=make_se(rng, c), post_dw_bn=zero_affine,
-            ffn=make_ffn(rng, c), reparam_cfg=cfg, branches=branches,
+            ffn=make_ffn(rng, c), branches=branches,
             post_ffn_bn=zero_affine,
         )
         x = Tensor4(rng.standard_normal((2, c, 6, 6)))
@@ -162,8 +164,8 @@ class TestBlockForward:
     def test_smak_train_forward_is_conv_then_bn(self, rng):
         c = 8
         block = make_smak_block(rng, c)
-        assert block.reparam_cfg.branches == ((3, 1),)
         (branch,) = block.branches
+        assert (branch.k, branch.r) == (3, 1)
         x = Tensor4(rng.standard_normal((2, c, 9, 9)))
         dw = batchnorm_infer(conv2d(x, branch.conv), branch.bn)
         y = x + batchnorm_infer(se_forward(dw, block.se), block.post_dw_bn)
@@ -197,10 +199,10 @@ class TestBlockForward:
         from urlknet import merge_dilated_reparam, reparam_forward
         x1 = Tensor4(rng.standard_normal((1, c, 7, 7)))
         x2 = Tensor4(rng.standard_normal((1, c, 7, 7)))
-        y1 = reparam_forward(x1, cfg, branches).data
-        y2 = reparam_forward(x2, cfg, branches).data
+        y1 = reparam_forward(x1, branches).data
+        y2 = reparam_forward(x2, branches).data
         np.testing.assert_allclose(y1, y2, rtol=1e-12)          # constant in the input
-        merged = merge_dilated_reparam(cfg, branches)
+        merged = merge_dilated_reparam(branches)
         assert np.all(merged.weight.data == 0)
         np.testing.assert_allclose(conv2d(x1, merged).data, y1, rtol=1e-10, atol=1e-12)
 
@@ -211,9 +213,16 @@ class TestBlockForward:
             merge_block(merged)
 
     def test_merged_flag_requires_fused_conv(self, rng):
+        # merged-ness is read from dw_conv, never stored
+        block = make_smak_block(rng, 4)
+        merged = merge_block(block)
+        assert merged.merged and not block.merged
+        with pytest.raises(AttributeError):
+            merged.merged = False
         with pytest.raises(StateError):
-            BlockSpec(kind=SMAK, channels=4, se=make_se(rng, 4),
-                      post_dw_bn=random_bn(rng, 4), ffn=make_ffn(rng, 4), merged=True)
+            replace(merged, dw_conv=None)               # no depthwise stage at all
+        with pytest.raises(StateError):
+            replace(merged, branches=block.branches)    # fused conv and branches
 
 
 class TestDownsample:

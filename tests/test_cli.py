@@ -158,6 +158,8 @@ class TestWeightsCommands:
         bad.write_bytes(b"garbage file")
         code, _ = run(capsys, ["import", "--weights", str(bad)])
         assert code == 2
+        code, _ = run(capsys, ["import", "--weights", str(tmp_path / "missing.urlk")])
+        assert code == 2
 
     @pytest.mark.parametrize("case", ["list", "tensors-int", "duplicate"])
     def test_import_rejects_malformed_manifest(self, capsys, tmp_path, case):
@@ -270,6 +272,27 @@ def _bad_input(tmp_path, case):
         write_raw_array(raw, np.zeros((1, 4, 4)))
         (tmp_path / "x.raw.json").write_text(json.dumps({"shape": [-1, -4, 4]}))
         return ["--modality", "audio", "--input", str(raw)], "negative dimension"
+    if case in ("sidecar-float-shape", "sidecar-bool-shape"):
+        # int() read these as (1, 2, 3) and (1, 4, 4), which the data fills
+        write_raw_array(raw, np.zeros((1, 4, 4)))
+        shape = [1, 2.9, 3] if case == "sidecar-float-shape" else [True, 4, 4]
+        (tmp_path / "x.raw.json").write_text(json.dumps({"shape": shape}))
+        return ["--modality", "audio", "--input", str(raw)], "malformed shape"
+    if case == "sidecar-overflow-shape":
+        # 2**64 elements wrapped to 0 in int64, which the empty file matched
+        raw.write_bytes(b"")
+        (tmp_path / "x.raw.json").write_text(json.dumps({"shape": [2**32, 2**32, 1]}))
+        return ["--modality", "audio", "--input", str(raw)], "needs"
+    if case == "manifest-overflow-shape":
+        text = json.dumps({"format_version": 1, "model_name": "", "mode": "data",
+                           "tensors": [{"name": "x", "shape": [2**32, 2**32], "dtype": "f64",
+                                        "byte_offset": 0, "byte_length": 0}]}).encode()
+        raw.write_bytes(MAGIC + struct.pack("<I", len(text)) + text)
+        return ["--modality", "audio", "--input", str(raw)], "shape needs"
+    if case == "projection-nan":
+        write_raw_array(raw, np.zeros((1, 8, 2)))
+        write_raw_array(tmp_path / "p.raw", np.full((2, 2), np.nan))
+        return [*ts, "--input", str(raw), "--projection", str(tmp_path / "p.raw")], "NaN or infinite"
     if case == "projection-data-missing":
         write_raw_array(raw, np.zeros((1, 8, 2)))
         (tmp_path / "p.raw.json").write_text(json.dumps({"shape": [2, 2]}))
@@ -290,8 +313,10 @@ def _bad_input(tmp_path, case):
 
 class TestBadInputs:
     @pytest.mark.parametrize("case", [
-        "sidecar-dtype-list", "sidecar-negative-shape", "projection-data-missing",
-        "csv-missing", "csv-not-utf8", "csv-nan", "raw-inf",
+        "sidecar-dtype-list", "sidecar-negative-shape", "sidecar-float-shape",
+        "sidecar-bool-shape", "sidecar-overflow-shape", "manifest-overflow-shape",
+        "projection-nan", "projection-data-missing", "csv-missing", "csv-not-utf8", "csv-nan",
+        "raw-inf",
     ])
     def test_embed_exits_2_without_traceback(self, capsys, tmp_path, case):
         args, message = _bad_input(tmp_path, case)

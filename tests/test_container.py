@@ -24,6 +24,12 @@ TOY3 = ArchConfig(depths=(1, 1, 3, 1), width=8, stage3_lark=1, stage3_smak=2,
                   num_classes=10)
 
 
+def root_buffer(arr):
+    while arr.base is not None:
+        arr = arr.base
+    return arr
+
+
 def state_dict(model):
     return {name: arr for name, arr in iter_state(model)}
 
@@ -51,6 +57,19 @@ class TestRoundTrip:
         for (n1, a1), (n2, a2) in zip(iter_state(model), iter_state(loaded)):
             assert n1 == n2 and a1.dtype == a2.dtype
             np.testing.assert_array_equal(a1, a2)
+        # every tensor is aligned and a view of the one buffer the payload was read into
+        _, tensors = read_container(path)
+        assert all(arr.flags.aligned for _, arr in tensors)
+        assert len({id(root_buffer(arr)) for _, arr in tensors}) == 1
+
+    def test_misaligned_tensor_is_copied_aligned(self, tmp_path):
+        # the f64 tensor starts 12 bytes into the payload
+        path = tmp_path / "mixed.urlk"
+        small, wide = np.arange(3, dtype=np.float32), np.arange(2, dtype=np.float64)
+        write_container(path, [("small", small), ("wide", wide)])
+        _, tensors = read_container(path)
+        assert [arr.flags.aligned for _, arr in tensors] == [True, True]
+        np.testing.assert_array_equal(tensors[1][1], wide)
 
     def test_forward_after_roundtrip_is_bitwise_equal(self, tmp_path):
         model = build_named("A", seed=1)
@@ -198,7 +217,10 @@ class TestMalformedManifest:
         with pytest.raises(FormatError, match="must be a string"):
             read_container(path)
 
-    @pytest.mark.parametrize("shape", [[-2, -4], "8"], ids=["negative", "string"])
+    # 8 f64 values fill the 64-byte payload, so int() would have read the
+    # float and bool shapes as (2, 4) and (1, 8)
+    @pytest.mark.parametrize("shape", [[-2, -4], "8", [2, 4.9], [True, 8], [1] * 64 + [8]],
+                             ids=["negative", "string", "float", "bool", "65-dims"])
     def test_malformed_shape(self, tmp_path, shape):
         path = tmp_path / "shape.urlk"
         write_raw_manifest(path, {"format_version": 1, "model_name": "", "mode": "data",
@@ -206,6 +228,26 @@ class TestMalformedManifest:
                                                "byte_offset": 0, "byte_length": 64}]},
                            b"\x00" * 64)
         with pytest.raises(FormatError, match="malformed shape"):
+            read_container(path)
+
+    def test_overflowing_shape(self, tmp_path):
+        # 2**64 elements wrap to 0 in int64, which matched byte_length 0
+        path = tmp_path / "huge.urlk"
+        write_raw_manifest(path, {"format_version": 1, "model_name": "", "mode": "data",
+                                  "tensors": [{"name": "x", "shape": [2**32, 2**32], "dtype": "f64",
+                                               "byte_offset": 0, "byte_length": 0}]})
+        with pytest.raises(FormatError, match="shape needs"):
+            read_container(path)
+
+    @pytest.mark.parametrize("offset,length", [(float("inf"), 8), (0, "8")],
+                             ids=["infinite-offset", "string-length"])
+    def test_non_integer_byte_fields(self, tmp_path, offset, length):
+        path = tmp_path / "fields.urlk"
+        write_raw_manifest(path, {"format_version": 1, "model_name": "", "mode": "data",
+                                  "tensors": [{"name": "x", "shape": [1], "dtype": "f64",
+                                               "byte_offset": offset, "byte_length": length}]},
+                           b"\x00" * 8)
+        with pytest.raises(FormatError, match="must be integers"):
             read_container(path)
 
     def test_duplicate_tensor_name(self, tmp_path):

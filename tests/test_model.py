@@ -180,6 +180,14 @@ class TestMerge:
         with pytest.raises(StateError):
             merge_for_deploy(model_a_merged)
 
+    def test_mixed_mode_model_rejected(self, model_a, model_a_merged):
+        # merged-ness is read from the blocks, so they must agree
+        from dataclasses import replace as dc_replace
+        assert model_a_merged.merged and model_a_merged.mode == "merged"
+        mixed = (model_a_merged.stages[0], *model_a.stages[1:])
+        with pytest.raises(StateError, match="all merged or all train-structure"):
+            dc_replace(model_a, stages=mixed)
+
     def test_merge_does_not_mutate_original(self, model_a):
         assert not model_a.merged
         assert model_a.stages[1][0].branches is not None

@@ -1,0 +1,92 @@
+"""Property tests: a damaged container or raw file loads or raises FormatError.
+
+Each example truncates a valid file or replaces one of its bytes. The readers
+must either return or raise FormatError, never another exception.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from urlknet import FormatError
+from urlknet.container import read_container, write_container
+from urlknet.dataio import read_raw_array, write_raw_array
+
+BOUNDED = settings(max_examples=200, deadline=None, database=None)
+
+
+def damage(data, blob: bytes) -> bytes:
+    """A random truncation or single-byte replacement of blob."""
+    if data.draw(st.booleans(), label="truncate"):
+        return blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+    i = data.draw(st.integers(0, len(blob) - 1), label="index")
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[i]), label="byte")
+    return blob[:i] + bytes([byte]) + blob[i + 1:]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged")
+
+
+@pytest.fixture(scope="module")
+def container_blob(workdir):
+    # small tensors keep the manifest, where parsing can go wrong, most of the file
+    rng = np.random.default_rng(0)
+    path = workdir / "valid.urlk"
+    write_container(path, [
+        ("a.weight", rng.standard_normal((3, 5)).astype(np.float32)),
+        ("a.eps", np.array([1e-5])),
+        ("empty", np.zeros((0, 4), dtype=np.float32)),
+    ], model_name="A", mode="merged")
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def raw_blobs(workdir):
+    path = workdir / "valid.raw"
+    write_raw_array(path, np.arange(6.0).reshape(1, 2, 3), dtype="f64")
+    return path.read_bytes(), (workdir / "valid.raw.json").read_bytes()
+
+
+@BOUNDED
+@given(data=st.data())
+def test_damaged_container_loads_or_raises_format_error(workdir, container_blob, data):
+    path = workdir / "c.urlk"
+    path.write_bytes(damage(data, container_blob))
+    try:
+        read_container(path)
+    except FormatError:
+        pass
+
+
+@BOUNDED
+@given(data=st.data())
+def test_damaged_raw_file_loads_or_raises_format_error(workdir, raw_blobs, data):
+    path = workdir / "x.raw"
+    values, sidecar = raw_blobs
+    if data.draw(st.booleans(), label="damage sidecar"):
+        sidecar = damage(data, sidecar)
+    else:
+        values = damage(data, values)
+    path.write_bytes(values)
+    (workdir / "x.raw.json").write_bytes(sidecar)
+    try:
+        read_raw_array(path)
+    except FormatError:
+        pass
+
+
+def test_valid_files_load(workdir, container_blob, raw_blobs):
+    # the undamaged originals read back, so the properties above are not vacuous
+    (workdir / "ok.urlk").write_bytes(container_blob)
+    _, tensors = read_container(workdir / "ok.urlk")
+    assert [name for name, _ in tensors] == ["a.weight", "a.eps", "empty"]
+    values, sidecar = raw_blobs
+    (workdir / "ok.raw").write_bytes(values)
+    (workdir / "ok.raw.json").write_bytes(sidecar)
+    assert json.loads(sidecar)["shape"] == [1, 2, 3]
+    np.testing.assert_array_equal(read_raw_array(workdir / "ok.raw"),
+                                  np.arange(6.0).reshape(1, 2, 3))

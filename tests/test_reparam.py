@@ -128,6 +128,12 @@ class TestFuseBn:
             fuse_bn(conv, bn)
 
 
+def one_branch(rng, k, r, c=2, groups=2):
+    conv = ConvLayer(Tensor4(rng.standard_normal((c, c // groups, k, k))),
+                     padding=((k - 1) * r // 2,) * 2, dilation=(r, r), groups=groups)
+    return DilatedBranch(conv, BnParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c)))
+
+
 class TestDilatedReparamCfg:
     def test_default_cfg_branches(self):
         cfg = default_reparam_cfg(8)
@@ -150,13 +156,12 @@ class TestDilatedReparamCfg:
 
 class TestMerge:
     def test_single_principal_branch_keeps_kernel(self, rng):
-        cfg = DilatedReparamCfg(kernel_size=5, branches=((5, 1),), channels=3, groups=3)
         w = rng.standard_normal((3, 1, 5, 5))
         branch = DilatedBranch(
             conv=ConvLayer(Tensor4(w), padding=(2, 2), groups=3),
             bn=BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=1e-15),
         )
-        merged = merge_dilated_reparam(cfg, [branch])
+        merged = merge_dilated_reparam([branch])
         np.testing.assert_allclose(merged.weight.data, w, rtol=1e-12)
         assert merged.padding == (2, 2)
 
@@ -167,16 +172,16 @@ class TestMerge:
             channels=4, groups=4,
         )
         branches = random_branches(cfg, rng)
-        merged = merge_dilated_reparam(cfg, branches)
+        merged = merge_dilated_reparam(branches)
         assert merged.weight.shape == (4, 1, 9, 9)
         assert merged.dilation == (1, 1)
-        err = verify_reparam_merge(cfg, branches, rng, trials=2)
+        err = verify_reparam_merge(branches, rng, trials=2)
         assert err <= 1e-10
 
     def test_default_k13_depthwise_block(self, rng):
         cfg = default_reparam_cfg(6)
         branches = random_branches(cfg, rng)
-        assert verify_reparam_merge(cfg, branches, rng, trials=3) <= 1e-10
+        assert verify_reparam_merge(branches, rng, trials=3) <= 1e-10
 
     @pytest.mark.parametrize("groups_kind", ["depthwise", "grouped", "dense"])
     def test_merge_across_group_kinds(self, rng, groups_kind):
@@ -185,13 +190,11 @@ class TestMerge:
         cfg = DilatedReparamCfg(kernel_size=11, branches=((11, 1), (5, 2), (3, 3)),
                                 channels=channels, groups=groups)
         branches = random_branches(cfg, rng)
-        assert verify_reparam_merge(cfg, branches, rng, trials=2) <= 1e-10
+        assert verify_reparam_merge(branches, rng, trials=2) <= 1e-10
 
     def test_central_window_alignment(self, rng):
         # zero the principal: the merged kernel restricted to the equivalent-size
         # window must equal the small branch's expanded kernel
-        cfg = DilatedReparamCfg(kernel_size=13, branches=((13, 1), (3, 3)),
-                                channels=2, groups=2)
         wp = np.zeros((2, 1, 13, 13))
         ws = rng.standard_normal((2, 1, 3, 3))
         identity = BnParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), eps=1e-15)
@@ -199,7 +202,7 @@ class TestMerge:
             DilatedBranch(ConvLayer(Tensor4(wp), padding=(6, 6), groups=2), identity),
             DilatedBranch(ConvLayer(Tensor4(ws), padding=(3, 3), dilation=(3, 3), groups=2), identity),
         )
-        merged = merge_dilated_reparam(cfg, branches).weight.data
+        merged = merge_dilated_reparam(branches).weight.data
         expanded = dilate_kernel(Tensor4(ws), 3).data
         pad = (13 - 7) // 2
         np.testing.assert_allclose(merged[:, :, pad:13 - pad, pad:13 - pad], expanded, rtol=1e-12)
@@ -217,9 +220,8 @@ class TestMerge:
         key = lambda b: (b.k, b.r)
         canon_a = sorted(branches, key=key)
         canon_b = sorted(shuffled, key=key)
-        cfg_canon = DilatedReparamCfg(13, tuple((b.k, b.r) for b in canon_a), channels=4, groups=4)
-        ka = merge_dilated_reparam(cfg_canon, canon_a)
-        kb = merge_dilated_reparam(cfg_canon, canon_b)
+        ka = merge_dilated_reparam(canon_a)
+        kb = merge_dilated_reparam(canon_b)
         np.testing.assert_array_equal(ka.weight.data, kb.weight.data)
         np.testing.assert_array_equal(ka.bias, kb.bias)
 
@@ -231,8 +233,30 @@ class TestMerge:
                            padding=(2, 2), dilation=(2, 2), groups=2),
             bn=branches[1].bn,
         )
+        with pytest.raises(ConfigError, match="agree on channels and groups"):
+            merge_dilated_reparam([branches[0], bad])
+        with pytest.raises(ConfigError, match="agree on channels and groups"):
+            reparam_forward(Tensor4(rng.standard_normal((1, 4, 9, 9))), [branches[0], bad])
+
+    def test_cfg_read_from_branches(self, rng):
+        cfg = DilatedReparamCfg(kernel_size=9, branches=((3, 2), (9, 1), (5, 1)),
+                                channels=4, groups=2)
+        assert DilatedReparamCfg.from_branches(random_branches(cfg, rng)) == cfg
+
+    def test_branch_channel_mismatch_rejected(self, rng):
+        with pytest.raises(ConfigError, match="agree on channels"):
+            merge_dilated_reparam([one_branch(rng, 9, 1, c=4), one_branch(rng, 3, 2, c=2)])
+        # 2 -> 4 channels: every branch must also map c to the same c
+        wide = ConvLayer(Tensor4(rng.standard_normal((4, 1, 9, 9))), padding=(4, 4), groups=2)
+        with pytest.raises(ConfigError, match="agree on channels"):
+            merge_dilated_reparam([DilatedBranch(wide, one_branch(rng, 9, 1, c=4).bn)])
+
+    @pytest.mark.parametrize("ks", [[(3, 2)], [(9, 1), (9, 1)], [(5, 1), (3, 3)]],
+                             ids=["dilated-alone", "two-principals", "too-wide"])
+    def test_branch_geometry_checked(self, rng, ks):
+        # each branch is valid alone; the tuple is not a valid block
         with pytest.raises(ConfigError):
-            merge_dilated_reparam(cfg, [branches[0], bad])
+            merge_dilated_reparam([one_branch(rng, k, r) for k, r in ks])
 
     def test_reparam_forward_matches_manual_sum(self, rng):
         cfg = DilatedReparamCfg(kernel_size=9, branches=((9, 1), (3, 2), (3, 4)),
@@ -243,18 +267,18 @@ class TestMerge:
             (batchnorm_infer(conv2d(x, b.conv), b.bn).data for b in branches),
             start=np.zeros((2, 3, 15, 15)),
         )
-        got = reparam_forward(x, cfg, branches).data
+        got = reparam_forward(x, branches).data
         np.testing.assert_allclose(got, manual, rtol=1e-12, atol=1e-12)
 
     def test_merged_conv_matches_naive_oracle(self, rng):
         # end to end: merged kernel driven through the independent naive conv
         cfg = DilatedReparamCfg(kernel_size=9, branches=((9, 1), (3, 3)), channels=2, groups=2)
         branches = random_branches(cfg, rng)
-        merged = merge_dilated_reparam(cfg, branches)
+        merged = merge_dilated_reparam(branches)
         x = rng.standard_normal((1, 2, 12, 12))
         want = conv2d_naive(x, merged.weight.data, merged.bias,
                             padding=merged.padding, groups=2)
         got = conv2d(Tensor4(x), merged).data
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        reference = reparam_forward(Tensor4(x), cfg, branches).data
+        reference = reparam_forward(Tensor4(x), branches).data
         assert relative_error(got, reference) <= 1e-10
