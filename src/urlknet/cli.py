@@ -15,6 +15,7 @@ if _cap and _cap != "0":
 
 import argparse          # noqa: E402
 import json              # noqa: E402
+import resource          # noqa: E402
 import sys               # noqa: E402
 import time              # noqa: E402
 from pathlib import Path # noqa: E402
@@ -141,6 +142,11 @@ def _bench_once(model, args, label: str) -> dict:
         "timed_runs": args.runs,
         "per_run_ms": per_run_ms,
         "median_ms": median_ms,
+        "min_ms": min(per_run_ms),
+        "p10_ms": float(np.percentile(per_run_ms, 10)),
+        "p90_ms": float(np.percentile(per_run_ms, 90)),
+        # peak resident set of this process so far (Linux reports KiB)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "throughput_ips": args.batch * 1000.0 / median_ms,
         # seed-determined; lets callers confirm two runs computed identical outputs
         "logits_checksum": float(logits.sum()),

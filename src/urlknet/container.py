@@ -101,10 +101,9 @@ def read_container(path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]
         raise FormatError(f"{path}: manifest is not valid JSON ({e})") from None
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported format_version {manifest.get('format_version')!r}"
-        )
+    version = manifest.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported format_version {version!r}")
     for key in ("model_name", "mode"):
         if not isinstance(manifest.get(key, ""), str):
             raise FormatError(f"{path}: manifest {key} must be a string")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -52,16 +53,17 @@ def read_raw_array(path: str | Path) -> np.ndarray:
     dtype = DTYPES.get(tag) if isinstance(tag, str) else None
     if dtype is None:
         raise FormatError(f"sidecar dtype must be f32 or f64, got {tag!r}")
+    expected = count * dtype.itemsize
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != expected:
+                raise FormatError(f"{path} holds {size} bytes but shape {shape} needs {expected}")
+            arr = np.fromfile(fh, dtype=dtype)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}") from None
-    expected = count * dtype.itemsize
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path} holds {len(raw)} bytes but shape {shape} needs {expected}"
-        )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).astype(dtype.newbyteorder("="))
+    # the file is read once; the cast copies only on a big-endian host
+    return arr.reshape(shape).astype(dtype.newbyteorder("="), copy=False)
 
 
 def write_raw_array(path: str | Path, array: np.ndarray, dtype: str = "f32") -> None:

@@ -6,13 +6,23 @@ their inputs and identical inputs produce bit-identical outputs.
 
 Convolution comes in three internal flavours picked automatically:
 
-* depthwise            — kernel-tap accumulation, vectorized over channels,
-                         accumulating taps in ascending (row, col) order
+* depthwise            — one of two forms, picked from the map and kernel sizes:
+    - small map (h*w <= kh*kw and oh*ow <= kh*kw): each channel is a dense
+      (oh*ow, h*w) matrix whose entries are the kernel taps that link an
+      output site to an input site (0 where none does), applied to each
+      sample by one matrix-vector product per channel. It does no more
+      multiply-adds per output than the tap sum, and its transient matrix
+      holds c*(oh*ow)*(h*w) <= c*(kh*kw)**2 elements.
+    - larger map: kernel-tap accumulation over a strided window view,
+      vectorized over channels
 * pointwise (1x1, s=1) — a single matmul per batch
 * general              — im2col + one BLAS matmul per channel group
 
-All three satisfy the same contract: the value at each output site equals
-the direct sliding-window sum over dilated taps, plus bias.
+All satisfy the same contract: the value at each output site equals the
+direct sliding-window sum over dilated taps, plus bias, up to the rounding of
+the summation order. A batched call is bit-identical to concatenated
+single-sample calls; the small-map form runs one sample at a time for this,
+because one matmul over the whole batch is not batch-invariant.
 """
 
 from __future__ import annotations
@@ -212,8 +222,29 @@ def _pad_input(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return out
 
 
+def _tap_index(out_size, in_size, stride, pad, dilation, k):
+    """(out_size, in_size) table: the tap by which output o reads input site i, or k for none."""
+    t, rem = np.divmod(np.arange(in_size)[None, :] - np.arange(out_size)[:, None] * stride + pad,
+                       dilation)
+    return np.where((rem == 0) & (t >= 0) & (t < k), t, k)
+
+
 def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
+    n, c, h, w = x.shape
     kh, kw = weight.shape[2], weight.shape[3]
+    if max(h * w, oh * ow) <= kh * kw:
+        # small map: each channel is one dense (oh*ow, h*w) matrix of kernel taps,
+        # gathered from the weight with a zero tap appended for sites no tap reaches
+        wz = np.zeros((c, kh + 1, kw + 1), dtype=x.dtype)
+        wz[:, :kh, :kw] = weight[:, 0]
+        taps = (_tap_index(oh, h, sh, ph, dh, kh)[:, None, :, None] * (kw + 1)
+                + _tap_index(ow, w, sw, pw, dw, kw)[None, :, None, :])
+        # np.take keeps m C-contiguous, which matmul needs to stay on BLAS
+        m = np.take(wz.reshape(c, -1), taps, axis=1).reshape(c, oh * ow, h * w)
+        out = np.empty((n, c, oh * ow, 1), dtype=x.dtype)
+        for i in range(n):  # sample by sample, so a batch is bit-equal to single calls
+            np.matmul(m, x[i].reshape(c, h * w, 1), out=out[i])
+        return out.reshape(n, c, oh, ow)
     xp = _pad_input(x, ph, pw)
     eff_h = (kh - 1) * dh + 1
     eff_w = (kw - 1) * dw + 1

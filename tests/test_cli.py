@@ -81,6 +81,16 @@ class TestParams:
         assert code == 2
 
 
+def assert_spread_fields(report):
+    runs = sorted(report["per_run_ms"])
+    assert report["min_ms"] == runs[0]
+    assert report["p10_ms"] == pytest.approx(float(np.percentile(runs, 10)))
+    assert report["p90_ms"] == pytest.approx(float(np.percentile(runs, 90)))
+    assert runs[0] <= report["p10_ms"] <= report["median_ms"] <= report["p90_ms"] <= runs[-1]
+    # the process holds at least the interpreter and numpy
+    assert 10.0 < report["peak_rss_mb"] < 8192.0
+
+
 class TestBench:
     def test_report_schema_and_invariant(self, capsys):
         code, report = run(capsys, ["bench", "--model", "A", "--batch", "2",
@@ -92,6 +102,7 @@ class TestBench:
         assert len(report["per_run_ms"]) == 5
         expected = report["batch"] * 1000.0 / report["median_ms"]
         assert report["throughput_ips"] == pytest.approx(expected)
+        assert_spread_fields(report)
 
     def test_too_few_runs(self, capsys):
         code, _ = run(capsys, ["bench", "--model", "A", "--runs", "3"])
@@ -103,6 +114,8 @@ class TestBench:
         assert code == 0
         assert "train_structure" in report and "merged" in report
         assert report["speedup"] > 0
+        for mode in ("train_structure", "merged"):
+            assert_spread_fields(report[mode])
 
     def test_same_seed_same_outputs(self, capsys):
         argv = ["bench", "--model", "A", "--batch", "1", "--res", "32", "--runs", "5",
@@ -161,10 +174,10 @@ class TestWeightsCommands:
         code, _ = run(capsys, ["import", "--weights", str(tmp_path / "missing.urlk")])
         assert code == 2
 
-    @pytest.mark.parametrize("case", ["list", "tensors-int", "duplicate"])
+    @pytest.mark.parametrize("case", ["list", "tensors-int", "duplicate", "version-true"])
     def test_import_rejects_malformed_manifest(self, capsys, tmp_path, case):
         bad = tmp_path / "bad.urlk"
-        if case == "duplicate":
+        if case in ("duplicate", "version-true"):
             save_model(bad, build_named("A", seed=0))
             blob = bad.read_bytes()
             (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
@@ -172,8 +185,12 @@ class TestWeightsCommands:
             payload = blob[len(MAGIC) + 4 + mlen:]
             first = manifest["tensors"][0]
             assert first["name"] == "stem.conv1.weight"
-            manifest["tensors"].append({**first, "byte_offset": len(payload)})
-            payload += payload[:first["byte_length"]]
+            if case == "duplicate":
+                manifest["tensors"].append({**first, "byte_offset": len(payload)})
+                payload += payload[:first["byte_length"]]
+            else:
+                # a bool is not the integer format version, though true == 1 in Python
+                manifest["format_version"] = True
         else:
             manifest = [] if case == "list" else {"format_version": 1, "tensors": 5}
             payload = b""

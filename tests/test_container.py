@@ -250,6 +250,16 @@ class TestMalformedManifest:
         with pytest.raises(FormatError, match="must be integers"):
             read_container(path)
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None], ids=["true", "float", "string", "missing"])
+    def test_format_version_must_be_the_integer_1(self, tmp_path, version):
+        path = tmp_path / "version.urlk"
+        manifest = {"model_name": "", "mode": "data", "tensors": []}
+        if version is not None:
+            manifest["format_version"] = version
+        write_raw_manifest(path, manifest)
+        with pytest.raises(FormatError, match="format_version"):
+            read_container(path)
+
     def test_duplicate_tensor_name(self, tmp_path):
         model = build_model(TOY, seed=0, name="custom")
         tensors = list(iter_state(model))

@@ -60,6 +60,45 @@ class TestConv2d:
         want = conv2d_naive(x, w, padding=(3, 3), dilation=(3, 3), groups=4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    # depthwise on small maps: (h, w, k, stride, dilation), padding "same" for stride 1
+    @pytest.mark.parametrize("h,w,k,s,r", [
+        (5, 5, 13, 1, 1),     # h < K
+        (3, 5, 13, 1, 1),     # h != w
+        (1, 7, 13, 1, 1),
+        (4, 5, 5, 1, 2),      # the dilated train branches
+        (4, 4, 7, 1, 2),
+        (3, 3, 3, 1, 3),
+        (2, 3, 3, 1, 4),
+        (3, 2, 3, 1, 5),
+        (6, 6, 13, 2, 1),     # stride 2
+        (5, 7, 3, 2, 1),
+        (13, 13, 13, 1, 1),   # h*w == k*k: the dense form
+        (3, 3, 3, 1, 1),
+        (10, 17, 13, 1, 1),   # h*w == k*k + 1: the window form
+        (2, 5, 3, 1, 1),
+        (5, 6, 7, (1, 2), (2, 1)),   # per-axis stride and dilation
+    ])
+    def test_depthwise_small_map_matches_naive(self, rng, h, w, k, s, r):
+        c = 3
+        s, r = np.broadcast_to(s, 2).tolist(), np.broadcast_to(r, 2).tolist()
+        pad = [ri * (k - 1) // 2 for ri in r]
+        x = rng.standard_normal((2, c, h, w))
+        wt = rng.standard_normal((c, 1, k, k))
+        b = rng.standard_normal(c)
+        layer = ConvLayer(Tensor4(wt), bias=b, stride=s, padding=pad, dilation=r, groups=c)
+        got = conv2d(Tensor4(x), layer).data
+        want = conv2d_naive(x, wt, b, s, pad, r, c)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("h,k,r", [(8, 13, 1), (4, 7, 2), (2, 13, 1)])
+    def test_depthwise_small_map_batch_invariant_f32(self, rng, h, k, r):
+        x = rng.standard_normal((8, 16, h, h)).astype(np.float32)
+        wt = rng.standard_normal((16, 1, k, k)).astype(np.float32)
+        layer = ConvLayer(Tensor4(wt), padding=r * (k - 1) // 2, dilation=r, groups=16)
+        batched = conv2d(Tensor4(x), layer).data
+        singles = [conv2d(Tensor4(x[i:i + 1]), layer).data for i in range(8)]
+        np.testing.assert_array_equal(batched, np.concatenate(singles))
+
     @pytest.mark.parametrize("stride,padding,dilation,groups,cin,cout", [
         ((1, 1), (0, 0), (1, 1), 1, 3, 5),
         ((2, 1), (1, 2), (1, 1), 1, 2, 4),
