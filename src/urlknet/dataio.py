@@ -59,9 +59,12 @@ def read_raw_array(path: str | Path) -> np.ndarray:
             size = os.fstat(fh.fileno()).st_size
             if size != expected:
                 raise FormatError(f"{path} holds {size} bytes but shape {shape} needs {expected}")
-            arr = np.fromfile(fh, dtype=dtype)
+            arr = np.fromfile(fh, dtype=dtype, count=count)
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}") from None
+    if arr.size != count:  # the file shrank after the size check
+        raise FormatError(f"{path} holds {arr.size * dtype.itemsize} bytes but shape {shape} "
+                          f"needs {expected}")
     # the file is read once; the cast copies only on a big-endian host
     return arr.reshape(shape).astype(dtype.newbyteorder("="), copy=False)
 

@@ -7,12 +7,16 @@ their inputs and identical inputs produce bit-identical outputs.
 Convolution comes in three internal flavours picked automatically:
 
 * depthwise            — one of two forms, picked from the map and kernel sizes:
-    - small map (h*w <= kh*kw and oh*ow <= kh*kw): each channel is a dense
-      (oh*ow, h*w) matrix whose entries are the kernel taps that link an
-      output site to an input site (0 where none does), applied to each
+    - small map (h*w and oh*ow both <= min(kh*kw, 64)): each channel is a
+      dense (oh*ow, h*w) matrix whose entries are the kernel taps that link
+      an output site to an input site (0 where none does), applied to each
       sample by one matrix-vector product per channel. It does no more
       multiply-adds per output than the tap sum, and its transient matrix
-      holds c*(oh*ow)*(h*w) <= c*(kh*kw)**2 elements.
+      holds c*(oh*ow)*(h*w) <= c*min(kh*kw, 64)**2 elements. The 64-site cap
+      is measured: the matrix is rebuilt and streamed on every call, so at
+      batch 1 under 13x13 the tap sum won from 9x9 maps (float64) or 11x11
+      maps (float32) up at 768+ channels, while the dense form won on every
+      8x8-or-smaller shape tried.
     - larger map: kernel-tap accumulation over a strided window view,
       vectorized over channels
 * pointwise (1x1, s=1) — a single matmul per batch
@@ -229,10 +233,14 @@ def _tap_index(out_size, in_size, stride, pad, dilation, k):
     return np.where((rem == 0) & (t >= 0) & (t < k), t, k)
 
 
+# largest map (in sites) given the dense depthwise form; see the module docstring
+_DENSE_MAX_SITES = 64
+
+
 def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
     n, c, h, w = x.shape
     kh, kw = weight.shape[2], weight.shape[3]
-    if max(h * w, oh * ow) <= kh * kw:
+    if max(h * w, oh * ow) <= min(kh * kw, _DENSE_MAX_SITES):
         # small map: each channel is one dense (oh*ow, h*w) matrix of kernel taps,
         # gathered from the weight with a zero tap appended for sites no tap reaches
         wz = np.zeros((c, kh + 1, kw + 1), dtype=x.dtype)

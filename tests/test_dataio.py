@@ -1,8 +1,12 @@
+import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 from urlknet.dataio import read_raw_array, write_raw_array
+from urlknet.errors import FormatError
 
 
 def test_raw_file_is_held_once(tmp_path):
@@ -18,3 +22,13 @@ def test_raw_file_is_held_once(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(got, values)
     assert peak < 1.5 * payload, f"peak {peak} bytes for a {payload}-byte payload"
+
+
+def test_raw_file_shrunk_after_size_check(tmp_path, monkeypatch):
+    path = tmp_path / "x.raw"
+    write_raw_array(path, np.ones((4, 4), dtype=np.float32))
+    path.write_bytes(path.read_bytes()[:40])
+    # the size check sees the full 64 bytes; the read then finds only 40
+    monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=64))
+    with pytest.raises(FormatError, match="holds 40 bytes"):
+        read_raw_array(path)

@@ -18,6 +18,7 @@ from urlknet import (
     relu,
     sigmoid,
 )
+from urlknet import tensor
 from oracles import batchnorm_naive, conv2d_naive, grn_naive
 
 
@@ -72,10 +73,12 @@ class TestConv2d:
         (3, 2, 3, 1, 5),
         (6, 6, 13, 2, 1),     # stride 2
         (5, 7, 3, 2, 1),
-        (13, 13, 13, 1, 1),   # h*w == k*k: the dense form
-        (3, 3, 3, 1, 1),
+        (13, 13, 13, 1, 1),   # h*w == k*k, over the 64-site cap: the window form
+        (3, 3, 3, 1, 1),      # h*w == k*k: the dense form
         (10, 17, 13, 1, 1),   # h*w == k*k + 1: the window form
         (2, 5, 3, 1, 1),
+        (8, 8, 13, 1, 1),     # h*w == 64, the cap: the dense form
+        (5, 13, 13, 1, 1),    # h*w == 65: the window form
         (5, 6, 7, (1, 2), (2, 1)),   # per-axis stride and dilation
     ])
     def test_depthwise_small_map_matches_naive(self, rng, h, w, k, s, r):
@@ -89,6 +92,18 @@ class TestConv2d:
         got = conv2d(Tensor4(x), layer).data
         want = conv2d_naive(x, wt, b, s, pad, r, c)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    # which form runs: the window form pads its input, the dense form never does
+    @pytest.mark.parametrize("h,w,k,window", [
+        (8, 8, 13, False), (5, 13, 13, True), (9, 9, 13, True),
+        (3, 3, 3, False), (2, 5, 3, True), (7, 7, 7, False),
+    ])
+    def test_depthwise_form_rule(self, rng, monkeypatch, h, w, k, window):
+        calls, pad = [], tensor._pad_input
+        monkeypatch.setattr(tensor, "_pad_input", lambda *a: calls.append(a) or pad(*a))
+        layer = ConvLayer(Tensor4(rng.standard_normal((2, 1, k, k))), padding=k // 2, groups=2)
+        conv2d(Tensor4(rng.standard_normal((1, 2, h, w))), layer)
+        assert bool(calls) == window
 
     @pytest.mark.parametrize("h,k,r", [(8, 13, 1), (4, 7, 2), (2, 13, 1)])
     def test_depthwise_small_map_batch_invariant_f32(self, rng, h, k, r):
