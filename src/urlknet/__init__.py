@@ -1,12 +1,16 @@
 """CPU inference engine and kernel algebra for large-kernel conv models.
 
-The package is organized around six concerns:
+The package is organized around ten modules:
 
 * tensor    — Tensor4/ConvLayer/BnParams and the numeric primitives
 * reparam   — dilated-kernel expansion, BN folding, multi-branch merging
 * blocks    — SE, FFN+GRN, LarK/SmaK blocks, downsampling
 * model     — named architecture instances, forward, deploy merge, param audit
 * modality  — time-series / audio / point-cloud / video embedding maps
+* container — the URLKWT01 weight container: save/load models and tensors
+* dataio    — raw arrays with a JSON sidecar, and time-series CSV
+* verify    — merge-equivalence suites and the relative-error metric
+* errors    — the UrlkError hierarchy every module raises
 * cli       — the `urlk` command-line harness
 """
 

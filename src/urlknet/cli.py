@@ -234,6 +234,7 @@ def cmd_forward(args) -> int:
         "mode": model.mode,
         "input_shape": list(arr.shape),
         "logits_shape": list(logits.shape),
+        "nonfinite_logits": int(np.count_nonzero(~np.isfinite(logits))),
         "output": args.output,
     })
     return EXIT_OK

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,33 +82,37 @@ def write_raw_array(path: str | Path, array: np.ndarray, dtype: str = "f32") -> 
 
 
 def read_timeseries_csv(path: str | Path, batch: int = 1) -> np.ndarray:
-    """Load (B, L, D) from CSV: rows are time steps, file holds B*L rows."""
+    """Load (B, L, D) from CSV: rows are time steps, file holds B*L rows.
+
+    The values are parsed straight into one float64 array; blank lines are skipped.
+    """
     if batch < 1:
         raise FormatError(f"batch must be positive, got {batch}")
-    rows = []
     try:
-        with open(path, newline="") as fh:
-            for line in csv.reader(fh):
-                if not line:
-                    continue
-                try:
-                    rows.append([float(v) for v in line])
-                except ValueError as e:
-                    raise FormatError(f"{path}: non-numeric CSV value ({e})") from None
+        with open(path, newline="") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                arr = np.loadtxt(fh, dtype=np.float64, delimiter=",", comments=None,
+                                 quotechar='"', ndmin=2)
+            except UnicodeDecodeError:
+                raise
+            except ValueError as e:  # a ragged row or a non-numeric field: re-read to say which
+                fh.seek(0)
+                widths = {len(row) for row in csv.reader(fh) if row}
+                if len(widths) > 1:
+                    raise FormatError(f"{path}: rows have inconsistent widths {sorted(widths)}"
+                                      ) from None
+                raise FormatError(f"{path}: non-numeric CSV value ({e})") from None
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e.strerror}") from None
     except (UnicodeDecodeError, csv.Error) as e:
         raise FormatError(f"{path} is not a text CSV file ({e})") from None
-    if not rows:
+    if arr.size == 0:
         raise FormatError(f"{path} holds no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise FormatError(f"{path}: rows have inconsistent widths {sorted(widths)}")
-    if len(rows) % batch != 0:
+    if len(arr) % batch != 0:
         raise FormatError(
-            f"{path} holds {len(rows)} rows, not divisible into {batch} batch entries"
+            f"{path} holds {len(arr)} rows, not divisible into {batch} batch entries"
         )
-    arr = np.asarray(rows, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise FormatError(f"{path} holds NaN or infinite values")
-    return arr.reshape(batch, len(rows) // batch, arr.shape[1])
+    return arr.reshape(batch, len(arr) // batch, arr.shape[1])

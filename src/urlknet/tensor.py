@@ -4,9 +4,11 @@ The reference numeric type is float64; float32 storage exists for the
 benchmarking paths. All operations are pure functions: they never mutate
 their inputs and identical inputs produce bit-identical outputs.
 
-Convolution comes in three internal flavours picked automatically:
+Convolution comes in two forms. Where they read the input as tap windows,
+both read it through one view, `_windows`: the padded input as an
+(n, c, oh, ow, kh, kw) strided view.
 
-* depthwise            — one of two forms, picked from the map and kernel sizes:
+* depthwise — one of two forms, picked from the map and kernel sizes:
     - small map (h*w and oh*ow both <= min(kh*kw, 64)): each channel is a
       dense (oh*ow, h*w) matrix whose entries are the kernel taps that link
       an output site to an input site (0 where none does), applied to each
@@ -17,16 +19,18 @@ Convolution comes in three internal flavours picked automatically:
       batch 1 under 13x13 the tap sum won from 9x9 maps (float64) or 11x11
       maps (float32) up at 768+ channels, while the dense form won on every
       8x8-or-smaller shape tried.
-    - larger map: kernel-tap accumulation over a strided window view,
+    - larger map: kernel-tap accumulation (one einsum) over the window view,
       vectorized over channels
-* pointwise (1x1, s=1) — a single matmul per batch
-* general              — im2col + one BLAS matmul per channel group
+* every other conv — one BLAS matmul of the (g, c_out/g, c_in/g*kh*kw)
+  weight against the window view laid out as (n, g, c_in/g*kh*kw, oh*ow);
+  a 1x1, stride-1, unpadded kernel lays out as a view of the input
 
 All satisfy the same contract: the value at each output site equals the
 direct sliding-window sum over dilated taps, plus bias, up to the rounding of
 the summation order. A batched call is bit-identical to concatenated
-single-sample calls; the small-map form runs one sample at a time for this,
-because one matmul over the whole batch is not batch-invariant.
+single-sample calls: every matmul runs one product per sample (the small-map
+form loops over samples for this), because folding the batch into one
+product's columns is not batch-invariant.
 """
 
 from __future__ import annotations
@@ -237,6 +241,17 @@ def _tap_index(out_size, in_size, stride, pad, dilation, k):
 _DENSE_MAX_SITES = 64
 
 
+def _windows(x, kh, kw, sh, sw, ph, pw, dh, dw):
+    """(n, c, oh, ow, kh, kw) read-only view of the padded input: the taps of each output site."""
+    xp = _pad_input(x, ph, pw)
+    n, c, h, w = xp.shape
+    _, _, rs, cs = xp.strides
+    # stride steps the window origin, dilation steps the taps inside the window
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, c, conv_output_size(h, kh, sh, 0, dh), conv_output_size(w, kw, sw, 0, dw), kh, kw),
+        xp.strides[:2] + (rs * sh, cs * sw, rs * dh, cs * dw), writeable=False)
+
+
 def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
     n, c, h, w = x.shape
     kh, kw = weight.shape[2], weight.shape[3]
@@ -253,26 +268,8 @@ def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
         for i in range(n):  # sample by sample, so a batch is bit-equal to single calls
             np.matmul(m, x[i].reshape(c, h * w, 1), out=out[i])
         return out.reshape(n, c, oh, ow)
-    xp = _pad_input(x, ph, pw)
-    eff_h = (kh - 1) * dh + 1
-    eff_w = (kw - 1) * dw + 1
-    # one (kh, kw) tap window per output site, as a strided view: stride picks
-    # the window origin, dilation subsamples taps inside the window
-    win = np.lib.stride_tricks.sliding_window_view(xp, (eff_h, eff_w), axis=(2, 3))
-    win = win[:, :, ::sh, ::sw, ::dh, ::dw]
+    win = _windows(x, kh, kw, sh, sw, ph, pw, dh, dw)
     return np.einsum("nchwij,cij->nchw", win, weight[:, 0], optimize=False)
-
-
-def _im2col(x, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow):
-    n, c, _, _ = x.shape
-    xp = _pad_input(x, ph, pw)
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        rows = slice(i * dh, i * dh + (oh - 1) * sh + 1, sh)
-        for j in range(kw):
-            cs = slice(j * dw, j * dw + (ow - 1) * sw + 1, sw)
-            cols[:, :, i, j] = xp[:, :, rows, cs]
-    return cols.reshape(n, c * kh * kw, oh * ow)
 
 
 def conv2d(input: Tensor4, layer: ConvLayer) -> Tensor4:
@@ -306,22 +303,12 @@ def conv2d(input: Tensor4, layer: ConvLayer) -> Tensor4:
 
     if layer.is_depthwise:
         out = _conv2d_depthwise(x, w, sh, sw, ph, pw, dh, dw, oh, ow)
-    elif kh == 1 and kw == 1 and (sh, sw) == (1, 1) and (ph, pw) == (0, 0) and g == 1:
-        out = np.matmul(w.reshape(c_out, cin_g), x.reshape(input.n, input.c, oh * ow))
-        out = out.reshape(input.n, c_out, oh, ow)
     else:
-        cols = _im2col(x, kh, kw, sh, sw, ph, pw, dh, dw, oh, ow)
-        if g == 1:
-            out = np.matmul(w.reshape(c_out, cin_g * kh * kw), cols)
-        else:
-            cog = c_out // g
-            ck = cin_g * kh * kw
-            out = np.empty((input.n, c_out, oh * ow), dtype=x.dtype)
-            for gi in range(g):
-                out[:, gi * cog:(gi + 1) * cog] = np.matmul(
-                    w[gi * cog:(gi + 1) * cog].reshape(cog, ck),
-                    cols[:, gi * ck:(gi + 1) * ck],
-                )
+        # one (c_out/g, ck) @ (ck, oh*ow) product per sample and group; for a 1x1,
+        # stride-1, unpadded kernel the reshape is a view of x and copies nothing
+        ck = cin_g * kh * kw
+        cols = _windows(x, kh, kw, sh, sw, ph, pw, dh, dw).transpose(0, 1, 4, 5, 2, 3)
+        out = np.matmul(w.reshape(g, c_out // g, ck), cols.reshape(input.n, g, ck, oh * ow))
         out = out.reshape(input.n, c_out, oh, ow)
 
     if layer.bias is not None:

@@ -1,10 +1,11 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from urlknet import Tensor4, build_named, forward
+from urlknet import Tensor4, build_named, forward, model_astype
 from urlknet.cli import main
 from urlknet.container import MAGIC, load_tensor, save_model
 from urlknet.dataio import write_raw_array
@@ -153,9 +154,26 @@ class TestWeightsCommands:
                                  "--input", str(xfile), "--output", str(out)])
         assert code == 0
         assert rep["logits_shape"] == [1, 1000]
+        assert rep["nonfinite_logits"] == 0
         _, logits = load_tensor(out)
         reference = forward(build_named("A", seed=0), Tensor4(x))
         np.testing.assert_array_equal(logits, reference)
+
+    def test_forward_counts_nonfinite_logits(self, capsys, tmp_path):
+        # head weights near the f32 maximum overflow the logits; the run still succeeds
+        model = model_astype(build_named("A", seed=0), np.float32)
+        weights = tmp_path / "a.urlk"
+        big = np.finfo(np.float32).max
+        save_model(weights, replace(model, head_weight=np.full_like(model.head_weight, big),
+                                    head_bias=np.full_like(model.head_bias, big)))
+        x = tmp_path / "x.raw"
+        write_raw_array(x, np.random.default_rng(0).standard_normal((2, 3, 64, 64)))
+        out = tmp_path / "logits.urlk"
+        code, rep = run(capsys, ["forward", "--model", "A", "--weights", str(weights),
+                                 "--input", str(x), "--output", str(out)])
+        assert code == 0
+        _, logits = load_tensor(out)
+        assert rep["nonfinite_logits"] == np.count_nonzero(~np.isfinite(logits)) > 0
 
     def test_forward_model_name_mismatch(self, capsys, tmp_path):
         weights = tmp_path / "f.urlk"

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from urlknet.dataio import read_raw_array, write_raw_array
+from urlknet.dataio import read_raw_array, read_timeseries_csv, write_raw_array
 from urlknet.errors import FormatError
 
 
@@ -22,6 +22,20 @@ def test_raw_file_is_held_once(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(got, values)
     assert peak < 1.5 * payload, f"peak {peak} bytes for a {payload}-byte payload"
+
+
+def test_csv_is_parsed_into_one_array(tmp_path):
+    path = tmp_path / "ts.csv"
+    values = np.random.default_rng(0).standard_normal((20000, 8))
+    np.savetxt(path, values, delimiter=",", fmt="%.17g")
+    tracemalloc.start()
+    try:
+        got = read_timeseries_csv(path, batch=4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(got, values.reshape(4, 5000, 8))
+    assert peak < 1.5 * values.nbytes, f"peak {peak} bytes for a {values.nbytes}-byte array"
 
 
 def test_raw_file_shrunk_after_size_check(tmp_path, monkeypatch):

@@ -1,4 +1,4 @@
-"""Property tests: a damaged container or raw file loads or raises FormatError.
+"""Property tests: a damaged container, raw file or CSV loads or raises FormatError.
 
 Each example truncates a valid file or replaces one of its bytes. The readers
 must either return or raise FormatError, never another exception.
@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from urlknet import FormatError
 from urlknet.container import read_container, write_container
-from urlknet.dataio import read_raw_array, write_raw_array
+from urlknet.dataio import read_raw_array, read_timeseries_csv, write_raw_array
 
 BOUNDED = settings(max_examples=200, deadline=None, database=None)
 
@@ -51,6 +51,13 @@ def raw_blobs(workdir):
     return path.read_bytes(), (workdir / "valid.raw.json").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def csv_blob():
+    # four rows of two columns, batch 2: a quoted field, a CRLF, a blank line and
+    # an exponent give damage something to hit besides digits and commas
+    return b'1.5,-2\r\n"3",4e-3\n\n5,6\n7,8\n'
+
+
 @BOUNDED
 @given(data=st.data())
 def test_damaged_container_loads_or_raises_format_error(workdir, container_blob, data):
@@ -79,7 +86,18 @@ def test_damaged_raw_file_loads_or_raises_format_error(workdir, raw_blobs, data)
         pass
 
 
-def test_valid_files_load(workdir, container_blob, raw_blobs):
+@BOUNDED
+@given(data=st.data())
+def test_damaged_csv_loads_or_raises_format_error(workdir, csv_blob, data):
+    path = workdir / "ts.csv"
+    path.write_bytes(damage(data, csv_blob))
+    try:
+        read_timeseries_csv(path, batch=2)
+    except FormatError:
+        pass
+
+
+def test_valid_files_load(workdir, container_blob, raw_blobs, csv_blob):
     # the undamaged originals read back, so the properties above are not vacuous
     (workdir / "ok.urlk").write_bytes(container_blob)
     _, tensors = read_container(workdir / "ok.urlk")
@@ -90,3 +108,6 @@ def test_valid_files_load(workdir, container_blob, raw_blobs):
     assert json.loads(sidecar)["shape"] == [1, 2, 3]
     np.testing.assert_array_equal(read_raw_array(workdir / "ok.raw"),
                                   np.arange(6.0).reshape(1, 2, 3))
+    (workdir / "ok.csv").write_bytes(csv_blob)
+    np.testing.assert_array_equal(read_timeseries_csv(workdir / "ok.csv", batch=2),
+                                  [[[1.5, -2], [3, 4e-3]], [[5, 6], [7, 8]]])

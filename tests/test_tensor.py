@@ -114,6 +114,16 @@ class TestConv2d:
         singles = [conv2d(Tensor4(x[i:i + 1]), layer).data for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
 
+    # every non-depthwise conv is one matmul over (n, g, ck, oh*ow) windows
+    @pytest.mark.parametrize("k,s,p,g", [(1, 1, 0, 1), (3, 2, 1, 1), (3, 1, 1, 2)])
+    def test_matmul_form_batch_invariant_f32(self, rng, k, s, p, g):
+        x = rng.standard_normal((8, 16, 12, 12)).astype(np.float32)
+        wt = rng.standard_normal((24, 16 // g, k, k)).astype(np.float32)
+        layer = ConvLayer(Tensor4(wt), stride=s, padding=p, groups=g)
+        batched = conv2d(Tensor4(x), layer).data
+        singles = [conv2d(Tensor4(x[i:i + 1]), layer).data for i in range(8)]
+        np.testing.assert_array_equal(batched, np.concatenate(singles))
+
     @pytest.mark.parametrize("stride,padding,dilation,groups,cin,cout", [
         ((1, 1), (0, 0), (1, 1), 1, 3, 5),
         ((2, 1), (1, 2), (1, 1), 1, 2, 4),
