@@ -8,19 +8,22 @@ is deterministic given --seed except the wall-clock fields of bench reports.
 import os
 
 # URLK_THREADS caps BLAS parallelism; must be exported before numpy loads.
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 _cap = os.environ.get("URLK_THREADS", "").strip()
 if _cap and _cap != "0":
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for _var in _THREAD_VARS:
         os.environ.setdefault(_var, _cap)
 
 import argparse          # noqa: E402
 import json              # noqa: E402
+import platform          # noqa: E402
 import resource          # noqa: E402
 import sys               # noqa: E402
 import time              # noqa: E402
 from pathlib import Path # noqa: E402
 
 import numpy as np       # noqa: E402
+import scipy             # noqa: E402
 
 from . import container, dataio, modality  # noqa: E402
 from .errors import ConfigError, FormatError, UrlkError  # noqa: E402
@@ -119,6 +122,23 @@ def _bench_guard(args, width: int, n_params: int, itemsize: int) -> None:
         )
 
 
+def _environment() -> dict:
+    """Interpreter, library, BLAS and thread settings the timings were taken under."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError, ValueError):
+        blas_name = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas_name,
+        "cpu_count": os.cpu_count(),
+        "thread_env": {v: os.environ.get(v) for v in (*_THREAD_VARS, "URLK_THREADS")},
+    }
+
+
 def _bench_once(model, args, label: str) -> dict:
     rng = np.random.default_rng(args.seed)
     x = Tensor4(rng.standard_normal(
@@ -167,6 +187,7 @@ def cmd_bench(args) -> int:
         "command": "bench",
         "dtype": "f64" if args.f64 else "f32",
         "seed": args.seed,
+        "environment": _environment(),
     }
     if args.compare:
         merged = merge_for_deploy(train)
@@ -225,7 +246,9 @@ def cmd_forward(args) -> int:
     arr = _read_input_tensor(args.input)
     if arr.ndim != 4:
         raise FormatError(f"model input must be 4-D (n, c, h, w), got shape {arr.shape}")
-    logits = forward(model, Tensor4(arr.astype(model.dtype, copy=False)))
+    # logits that overflow are counted in the report, not warned about on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = forward(model, Tensor4(arr.astype(model.dtype, copy=False)))
     container.save_tensor(args.output, "logits", logits)
     _emit({
         "schema_version": SCHEMA_VERSION,

@@ -1,9 +1,13 @@
 import json
+import os
+import platform
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from urlknet import Tensor4, build_named, forward, model_astype
 from urlknet.cli import main
@@ -104,6 +108,15 @@ class TestBench:
         expected = report["batch"] * 1000.0 / report["median_ms"]
         assert report["throughput_ips"] == pytest.approx(expected)
         assert_spread_fields(report)
+        env = report["environment"]
+        assert set(env) == {"python", "numpy", "scipy", "blas", "cpu_count", "thread_env"}
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+        assert env["blas"] is None or isinstance(env["blas"], str)
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["thread_env"]["URLK_THREADS"] == os.environ.get("URLK_THREADS")
+        assert set(env["thread_env"]) == {
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "URLK_THREADS"}
 
     def test_too_few_runs(self, capsys):
         code, _ = run(capsys, ["bench", "--model", "A", "--runs", "3"])
@@ -115,6 +128,7 @@ class TestBench:
         assert code == 0
         assert "train_structure" in report and "merged" in report
         assert report["speedup"] > 0
+        assert "environment" in report
         for mode in ("train_structure", "merged"):
             assert_spread_fields(report[mode])
 
@@ -169,9 +183,15 @@ class TestWeightsCommands:
         x = tmp_path / "x.raw"
         write_raw_array(x, np.random.default_rng(0).standard_normal((2, 3, 64, 64)))
         out = tmp_path / "logits.urlk"
-        code, rep = run(capsys, ["forward", "--model", "A", "--weights", str(weights),
-                                 "--input", str(x), "--output", str(out)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["forward", "--model", "A", "--weights", str(weights),
+                         "--input", str(x), "--output", str(out)])
+        captured = capsys.readouterr()
         assert code == 0
+        # the count is the report; numpy's overflow warning must not reach stderr
+        assert captured.err == "" and not caught
+        rep = json.loads(captured.out)
         _, logits = load_tensor(out)
         assert rep["nonfinite_logits"] == np.count_nonzero(~np.isfinite(logits)) > 0
 

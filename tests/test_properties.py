@@ -1,17 +1,23 @@
 """Property tests: a damaged container, raw file or CSV loads or raises FormatError.
 
-Each example truncates a valid file or replaces one of its bytes. The readers
-must either return or raise FormatError, never another exception.
+Each example truncates a valid file or replaces one of its bytes, or swaps one
+field of a container's manifest entry for a value of the wrong type or range.
+The readers must either return or raise FormatError, never another exception,
+and `urlk import` must exit 2 with a one-line error, never a traceback.
 """
 
+import io
 import json
+import struct
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from urlknet import FormatError
-from urlknet.container import read_container, write_container
+from urlknet.cli import main
+from urlknet.container import MAGIC, read_container, write_container
 from urlknet.dataio import read_raw_array, read_timeseries_csv, write_raw_array
 
 BOUNDED = settings(max_examples=200, deadline=None, database=None)
@@ -24,6 +30,43 @@ def damage(data, blob: bytes) -> bytes:
     i = data.draw(st.integers(0, len(blob) - 1), label="index")
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[i]), label="byte")
     return blob[:i] + bytes([byte]) + blob[i + 1:]
+
+
+MANIFEST_FIELDS = ("name", "shape", "dtype", "byte_offset", "byte_length")
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6)
+
+
+def wrong_values(valid):
+    """Any JSON value, or a near miss of `valid`: retyped, off by one or out of range."""
+    near = [[valid], {"value": valid}, None]
+    if isinstance(valid, str):
+        near += [valid.upper(), valid + " ", "f16", "a.eps"]
+    elif isinstance(valid, int):
+        near += [float(valid), bool(valid), str(valid), valid - 1, valid + 1, -valid - 1,
+                 2**64 + valid]
+    else:  # a shape
+        near += [[float(d) for d in valid], [bool(d) for d in valid], valid[:-1], [*valid, 1],
+                 [-d - 1 for d in valid], [2**40 + d for d in valid]]
+    return st.one_of(st.sampled_from(near), ANY_JSON)
+
+
+def mutate_field(data, blob: bytes) -> bytes:
+    """blob with one manifest entry's name, shape, dtype, offset or length replaced."""
+    (mlen,) = struct.unpack_from("<I", blob, len(MAGIC))
+    start = len(MAGIC) + 4
+    manifest, payload = json.loads(blob[start:start + mlen]), blob[start + mlen:]
+    entry = data.draw(st.sampled_from(manifest["tensors"]), label="entry")
+    field = data.draw(st.sampled_from(MANIFEST_FIELDS), label="field")
+    old = json.dumps(entry[field])
+    entry[field] = data.draw(wrong_values(entry[field]).filter(lambda v: json.dumps(v) != old),
+                             label="value")
+    text = json.dumps(manifest).encode()
+    return MAGIC + struct.pack("<I", len(text)) + text + payload
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +110,30 @@ def test_damaged_container_loads_or_raises_format_error(workdir, container_blob,
         read_container(path)
     except FormatError:
         pass
+
+
+@BOUNDED
+@given(data=st.data())
+def test_mutated_manifest_field_loads_or_raises_format_error(workdir, container_blob, data):
+    path = workdir / "m.urlk"
+    path.write_bytes(mutate_field(data, container_blob))
+    try:
+        read_container(path)
+    except FormatError:
+        pass
+
+
+@BOUNDED
+@given(data=st.data())
+def test_import_of_mutated_manifest_exits_2_without_traceback(workdir, container_blob, data):
+    # the tensors are no model's, so even a mutation that still reads must end in exit 2
+    path = workdir / "cli.urlk"
+    path.write_bytes(mutate_field(data, container_blob))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["import", "--weights", str(path)])
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
 @BOUNDED

@@ -332,3 +332,69 @@ class TestGrn:
     def test_param_length_mismatch(self):
         with pytest.raises(ShapeError):
             grn(Tensor4(np.zeros((1, 3, 2, 2))), np.zeros(2), np.zeros(2))
+
+
+class TestElementwiseForms:
+    """The float32 GELU's rational erf and the scale/shift forms of BN and GRN."""
+
+    def test_f32_erf_within_1e6_of_f64_erf(self):
+        from scipy.special import erf
+        z = np.linspace(-8.0, 8.0, 2_000_001).astype(np.float32)
+        got = tensor._erf_f32(z.copy()).astype(np.float64)
+        assert np.abs(got - erf(z.astype(np.float64))).max() <= 1e-6
+
+    def test_f32_gelu_near_f64_form(self, rng):
+        from scipy.special import erf
+        x = np.concatenate([rng.standard_normal(4096) * 3, np.linspace(-12, 12, 4097)])
+        x32 = x.astype(np.float32)
+        want = 0.5 * x32.astype(np.float64) * (1.0 + erf(x32.astype(np.float64) / np.sqrt(2.0)))
+        got = gelu(Tensor4(x32.reshape(1, 1, 1, -1))).data.ravel()
+        assert got.dtype == np.float32
+        # erf error <= 1e-6 gives <= 0.5e-6 |x|; float32 rounding adds a few 1e-8 |x|
+        assert (np.abs(got - want) <= 1e-6 * np.abs(x32)).all()
+
+    def test_f32_gelu_special_values_match_scipy_form(self):
+        from scipy.special import erf
+        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -30.0, 30.0, -3e38, 3e38],
+                     dtype=np.float32).reshape(1, 1, 1, -1)
+        with np.errstate(invalid="ignore"):
+            got = gelu(Tensor4(x)).data
+            want = 0.5 * x * (1.0 + erf(x * np.float32(np.sqrt(0.5))))
+        np.testing.assert_array_equal(got, want)
+        num = ~np.isnan(want)
+        np.testing.assert_array_equal(np.signbit(got[num]), np.signbit(want[num]))
+        assert got.ravel()[3] == np.inf and np.isnan(got.ravel()[4])
+
+    @pytest.mark.parametrize("shape", [(2, 5, 6, 6), (3, 7, 1, 1), (1, 4, 3, 11)])
+    def test_batchnorm_matches_oracle_f64(self, rng, shape):
+        c = shape[1]
+        x = rng.standard_normal(shape) * 4 + 2
+        gamma, beta, mean = (rng.standard_normal(c) for _ in range(3))
+        var = rng.uniform(0.01, 5.0, c)
+        bn = BnParams(gamma, beta, mean, var, eps=1e-5)
+        np.testing.assert_allclose(batchnorm_infer(Tensor4(x), bn).data,
+                                   batchnorm_naive(x, gamma, beta, mean, var, 1e-5),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 6, 7, 7), (3, 5, 1, 1), (1, 9, 4, 13)])
+    def test_grn_matches_oracle_f64(self, rng, shape):
+        c = shape[1]
+        x = rng.standard_normal(shape) * 3
+        gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
+        np.testing.assert_allclose(grn(Tensor4(x), gamma, beta).data, grn_naive(x, gamma, beta),
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("op", ["gelu", "grn", "batchnorm_infer"])
+    def test_batch_of_8_bit_equal_to_single_calls_f32(self, rng, op):
+        x = rng.standard_normal((8, 40, 16, 16)).astype(np.float32)
+        gamma, beta, mean = (rng.standard_normal(40).astype(np.float32) for _ in range(3))
+        var = rng.uniform(0.1, 2.0, 40).astype(np.float32)
+        fn = {
+            "gelu": gelu,
+            "grn": lambda t: grn(t, gamma, beta),
+            "batchnorm_infer": lambda t: batchnorm_infer(t, BnParams(gamma, beta, mean, var)),
+        }[op]
+        batched = fn(Tensor4(x)).data
+        assert batched.dtype == np.float32
+        singles = [fn(Tensor4(x[i:i + 1])).data for i in range(8)]
+        np.testing.assert_array_equal(batched, np.concatenate(singles))
