@@ -4,9 +4,8 @@ The reference numeric type is float64; float32 storage exists for the
 benchmarking paths. All operations are pure functions: they never mutate
 their inputs and identical inputs produce bit-identical outputs.
 
-Convolution comes in two forms. Where they read the input as tap windows,
-both read it through one view, `_windows`: the padded input as an
-(n, c, oh, ow, kh, kw) strided view.
+Convolution comes in three forms: two for depthwise convs and one matmul for
+every other conv. Only the matmul reads the tap-window view `_windows`.
 
 * depthwise — one of two forms, picked from the map and kernel sizes:
     - small map (h*w and oh*ow both <= min(kh*kw, 64)): each channel is a
@@ -15,22 +14,26 @@ both read it through one view, `_windows`: the padded input as an
       sample by one matrix-vector product per channel. It does no more
       multiply-adds per output than the tap sum, and its transient matrix
       holds c*(oh*ow)*(h*w) <= c*min(kh*kw, 64)**2 elements. The 64-site cap
-      is measured: the matrix is rebuilt and streamed on every call, so at
-      batch 1 under 13x13 the tap sum won from 9x9 maps (float64) or 11x11
-      maps (float32) up at 768+ channels, while the dense form won on every
-      8x8-or-smaller shape tried.
-    - larger map: kernel-tap accumulation (one einsum) over the window view,
-      vectorized over channels
+      is measured: the matrix is rebuilt and streamed on every call, and at
+      batch 8 under 13x13 it still beat the shift-add on 8x8 and 4x4 maps.
+    - larger map: an unpadded, channels-last per-tap shift-add. The input is
+      laid out as (h, w, n, c), and each kernel tap adds w[tap] * (the input
+      rows and columns it reads) into the output rows and columns it reaches,
+      one contiguous broadcast over n*c per tap. The span arithmetic
+      (`_tap_span`) covers stride, dilation and per-axis padding, so nothing
+      is padded, and a tap that reads only padding costs nothing. Taps are
+      summed in row-major order from zero.
 * every other conv — one BLAS matmul of the (g, c_out/g, c_in/g*kh*kw)
-  weight against the window view laid out as (n, g, c_in/g*kh*kw, oh*ow);
-  a 1x1, stride-1, unpadded kernel lays out as a view of the input
+  weight against the tap-window view `_windows` (the padded input as an
+  (n, c, oh, ow, kh, kw) strided view) laid out as (n, g, c_in/g*kh*kw,
+  oh*ow); a 1x1, stride-1, unpadded kernel lays out as a view of the input
 
 All satisfy the same contract: the value at each output site equals the
 direct sliding-window sum over dilated taps, plus bias, up to the rounding of
 the summation order. A batched call is bit-identical to concatenated
 single-sample calls: every matmul runs one product per sample (the small-map
 form loops over samples for this), because folding the batch into one
-product's columns is not batch-invariant.
+product's columns is not batch-invariant; the shift-add is elementwise.
 
 The elementwise ops work in place on buffers they allocate. GELU in float64 is
 the exact form 0.5*x*(1 + erf(x/sqrt(2))) with scipy's erf; in float32 erf is
@@ -267,6 +270,15 @@ def _windows(x, kh, kw, sh, sw, ph, pw, dh, dw):
         xp.strides[:2] + (rs * sh, cs * sw, rs * dh, cs * dw), writeable=False)
 
 
+def _tap_span(out_size, in_size, stride, pad, dilation, t):
+    """(lo, hi, in_start): the outputs [lo, hi) whose input o*stride + t*dilation - pad
+    lies inside [0, in_size), and that input for o = lo; hi <= lo when tap t reads only padding."""
+    off = t * dilation - pad
+    lo = max(0, -(off // stride))
+    hi = min(out_size, (in_size - 1 - off) // stride + 1)
+    return lo, hi, lo * stride + off
+
+
 def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
     n, c, h, w = x.shape
     kh, kw = weight.shape[2], weight.shape[3]
@@ -283,8 +295,22 @@ def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
         for i in range(n):  # sample by sample, so a batch is bit-equal to single calls
             np.matmul(m, x[i].reshape(c, h * w, 1), out=out[i])
         return out.reshape(n, c, oh, ow)
-    win = _windows(x, kh, kw, sh, sw, ph, pw, dh, dw)
-    return np.einsum("nchwij,cij->nchw", win, weight[:, 0], optimize=False)
+    # larger map: per-tap shift-add in (h, w, n, c) layout, so each pass is one long
+    # contiguous broadcast over n*c; a tap adds only where it reads inside the map
+    xt = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
+    # (kh, kw, n, c): the weight repeated per sample, so a tap's multiply also runs over n*c
+    wt = np.tile(weight[:, 0].transpose(1, 2, 0)[:, :, None], (1, 1, n, 1))
+    out = np.zeros((oh, ow, n, c), dtype=x.dtype)
+    tmp = np.empty_like(out)
+    cols = [_tap_span(ow, w, sw, pw, dw, j) for j in range(kw)]
+    for i in range(kh):
+        r0, r1, ri = _tap_span(oh, h, sh, ph, dh, i)
+        for j, (c0, c1, ci) in enumerate(cols):
+            if r1 <= r0 or c1 <= c0:
+                continue
+            xs = xt[ri:ri + (r1 - r0 - 1) * sh + 1:sh, ci:ci + (c1 - c0 - 1) * sw + 1:sw]
+            out[r0:r1, c0:c1] += np.multiply(xs, wt[i, j], out=tmp[:r1 - r0, :c1 - c0])
+    return np.ascontiguousarray(out.transpose(2, 3, 0, 1))
 
 
 def conv2d(input: Tensor4, layer: ConvLayer) -> Tensor4:

@@ -73,12 +73,12 @@ class TestConv2d:
         (3, 2, 3, 1, 5),
         (6, 6, 13, 2, 1),     # stride 2
         (5, 7, 3, 2, 1),
-        (13, 13, 13, 1, 1),   # h*w == k*k, over the 64-site cap: the window form
+        (13, 13, 13, 1, 1),   # h*w == k*k, over the 64-site cap: the shift-add form
         (3, 3, 3, 1, 1),      # h*w == k*k: the dense form
-        (10, 17, 13, 1, 1),   # h*w == k*k + 1: the window form
+        (10, 17, 13, 1, 1),   # h*w == k*k + 1: the shift-add form
         (2, 5, 3, 1, 1),
         (8, 8, 13, 1, 1),     # h*w == 64, the cap: the dense form
-        (5, 13, 13, 1, 1),    # h*w == 65: the window form
+        (5, 13, 13, 1, 1),    # h*w == 65: the shift-add form
         (5, 6, 7, (1, 2), (2, 1)),   # per-axis stride and dilation
     ])
     def test_depthwise_small_map_matches_naive(self, rng, h, w, k, s, r):
@@ -93,17 +93,19 @@ class TestConv2d:
         want = conv2d_naive(x, wt, b, s, pad, r, c)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    # which form runs: the window form pads its input, the dense form never does
-    @pytest.mark.parametrize("h,w,k,window", [
+    # which form runs: only the shift-add form takes tap spans, only the dense form a tap table
+    @pytest.mark.parametrize("h,w,k,shift_add", [
         (8, 8, 13, False), (5, 13, 13, True), (9, 9, 13, True),
         (3, 3, 3, False), (2, 5, 3, True), (7, 7, 7, False),
     ])
-    def test_depthwise_form_rule(self, rng, monkeypatch, h, w, k, window):
-        calls, pad = [], tensor._pad_input
-        monkeypatch.setattr(tensor, "_pad_input", lambda *a: calls.append(a) or pad(*a))
+    def test_depthwise_form_rule(self, rng, monkeypatch, h, w, k, shift_add):
+        spans, tables = [], []
+        span, table = tensor._tap_span, tensor._tap_index
+        monkeypatch.setattr(tensor, "_tap_span", lambda *a: spans.append(a) or span(*a))
+        monkeypatch.setattr(tensor, "_tap_index", lambda *a: tables.append(a) or table(*a))
         layer = ConvLayer(Tensor4(rng.standard_normal((2, 1, k, k))), padding=k // 2, groups=2)
         conv2d(Tensor4(rng.standard_normal((1, 2, h, w))), layer)
-        assert bool(calls) == window
+        assert (bool(spans), bool(tables)) == (shift_add, not shift_add)
 
     @pytest.mark.parametrize("h,k,r", [(8, 13, 1), (4, 7, 2), (2, 13, 1)])
     def test_depthwise_small_map_batch_invariant_f32(self, rng, h, k, r):
@@ -113,6 +115,54 @@ class TestConv2d:
         batched = conv2d(Tensor4(x), layer).data
         singles = [conv2d(Tensor4(x[i:i + 1]), layer).data for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tap_span_matches_enumeration(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            out_size, in_size, s, p, d, t = (int(v) for v in rng.integers(1, 9, 6))
+            lo, hi, start = tensor._tap_span(out_size, in_size, s, p, d, t)
+            reads = [o for o in range(out_size) if 0 <= o * s + t * d - p < in_size]
+            assert list(range(lo, hi)) == reads
+            if reads:
+                assert start == lo * s + t * d - p
+
+    # the shift-add form (maps above the dense form's cap): (h, w, k, stride, padding, dilation)
+    @pytest.mark.parametrize("h,w,k,s,p,r", [
+        (9, 8, 3, (2, 1), (1, 1), (1, 1)),     # per-axis stride
+        (8, 9, 3, (1, 2), (1, 1), (1, 1)),
+        (4, 4, 3, (1, 1), (5, 5), (5, 5)),     # dilation beyond the map: only the centre tap reads it
+        (5, 3, 3, (1, 1), (5, 5), (5, 5)),
+        (7, 6, 5, (1, 1), (2, 0), (1, 1)),     # ph != pw, "valid" along w
+        (9, 9, 3, (1, 1), (0, 0), (2, 2)),     # "valid" along both axes
+        (6, 7, 3, (2, 1), (3, 1), (1, 2)),
+        (5, 13, 13, (1, 1), (6, 6), (1, 1)),   # non-square map
+        (5, 13, 3, (1, 1), (1, 1), (1, 1)),
+        (3, 9, 3, (1, 1), (4, 4), (4, 1)),     # row taps 0 and 2 read only padding, their columns do not
+    ])
+    def test_depthwise_shift_add_matches_naive(self, rng, monkeypatch, h, w, k, s, p, r):
+        spans, span = [], tensor._tap_span
+        monkeypatch.setattr(tensor, "_tap_span", lambda *a: spans.append(a) or span(*a))
+        c = 3
+        x = rng.standard_normal((2, c, h, w))
+        wt = rng.standard_normal((c, 1, k, k))
+        b = rng.standard_normal(c)
+        layer = ConvLayer(Tensor4(wt), bias=b, stride=s, padding=p, dilation=r, groups=c)
+        got = conv2d(Tensor4(x), layer).data
+        assert spans
+        np.testing.assert_allclose(got, conv2d_naive(x, wt, b, s, p, r, c), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("c,h,k,r", [(40, 16, 3, 1), (80, 8, 7, 2), (160, 4, 3, 5)])
+    def test_depthwise_shift_add_batch_invariant_f32(self, rng, c, h, k, r):
+        x = rng.standard_normal((8, c, h, h)).astype(np.float32)
+        x0 = x.copy()
+        wt = rng.standard_normal((c, 1, k, k)).astype(np.float32)
+        layer = ConvLayer(Tensor4(wt), padding=r * (k - 1) // 2, dilation=r, groups=c)
+        batched = conv2d(Tensor4(x), layer).data
+        singles = [conv2d(Tensor4(x[i:i + 1]), layer).data for i in range(8)]
+        np.testing.assert_array_equal(batched, np.concatenate(singles))
+        np.testing.assert_array_equal(x, x0)
+        assert batched.flags.c_contiguous
 
     # every non-depthwise conv is one matmul over (n, g, ck, oh*ow) windows
     @pytest.mark.parametrize("k,s,p,g", [(1, 1, 0, 1), (3, 2, 1, 1), (3, 1, 1, 2)])
