@@ -49,7 +49,6 @@ from .reparam import (
 )
 from .blocks import (
     BlockSpec,
-    DownsampleBlock,
     FfnBlock,
     SeBlock,
     block_forward,

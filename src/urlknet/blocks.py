@@ -11,6 +11,11 @@ the FFN's second 1x1 conv. Both modes compute
     out = y + BN_ffn(FFN(y))        (BN_ffn already folded when merged)
 
 and agree to ~1e-10 relative error in float64.
+
+A block does not record its kind or width: a LarK and a SmaK block differ
+only in their branches, and the width is the SE gate's. A downsample is a
+tuple of (conv, BN) pairs, each run as conv -> BN -> GELU; the model keeps
+one per stage in `downsamples`, the two-pair stem first.
 """
 
 from __future__ import annotations
@@ -32,10 +37,6 @@ from .tensor import (
     grn,
     linear,
 )
-
-LARK = "lark"
-SMAK = "smak"
-
 
 @dataclass(frozen=True)
 class SeBlock:
@@ -120,8 +121,6 @@ class BlockSpec:
     dw_conv (with bias) and post_ffn_bn is None, already folded into ffn.pw2.
     """
 
-    kind: str
-    channels: int
     se: SeBlock
     post_dw_bn: BnParams
     ffn: FfnBlock
@@ -130,8 +129,6 @@ class BlockSpec:
     post_ffn_bn: BnParams | None = None
 
     def __post_init__(self):
-        if self.kind not in (LARK, SMAK):
-            raise ConfigError(f"unknown block kind {self.kind!r}")
         if self.merged != (self.branches is None) or self.merged != (self.post_ffn_bn is None):
             raise StateError("a block carries either a fused dw_conv (merged) or its "
                              "branches and post-FFN BN (train structure)")
@@ -140,6 +137,10 @@ class BlockSpec:
     def merged(self) -> bool:
         """A block is merged when its depthwise stage is one fused conv."""
         return self.dw_conv is not None
+
+    @property
+    def channels(self) -> int:
+        return self.se.channels
 
 
 def block_forward(x: Tensor4, b: BlockSpec) -> Tensor4:
@@ -160,33 +161,11 @@ def merge_block(b: BlockSpec) -> BlockSpec:
         raise StateError("block is already merged")
     fused_dw = merge_dilated_reparam(b.branches)
     ffn = replace(b.ffn, pw2=fuse_bn(b.ffn.pw2, b.post_ffn_bn))
-    return BlockSpec(
-        kind=b.kind,
-        channels=b.channels,
-        se=b.se,
-        post_dw_bn=b.post_dw_bn,
-        ffn=ffn,
-        dw_conv=fused_dw,
-    )
+    return BlockSpec(se=b.se, post_dw_bn=b.post_dw_bn, ffn=ffn, dw_conv=fused_dw)
 
 
-@dataclass(frozen=True)
-class DownsampleBlock:
-    """Stem (two stride-2 3x3 convs) or transition (one), each conv followed by BN+GELU."""
-
-    kind: str                       # "stem" | "transition"
-    convs: tuple[ConvLayer, ...]
-    bns: tuple[BnParams, ...]
-
-    def __post_init__(self):
-        expected = 2 if self.kind == "stem" else 1
-        if self.kind not in ("stem", "transition"):
-            raise ConfigError(f"unknown downsample kind {self.kind!r}")
-        if len(self.convs) != expected or len(self.bns) != expected:
-            raise ConfigError(f"{self.kind} block needs exactly {expected} conv+BN pair(s)")
-
-
-def downsample_forward(x: Tensor4, block: DownsampleBlock) -> Tensor4:
-    for conv, bn in zip(block.convs, block.bns):
+def downsample_forward(x: Tensor4, layers: tuple[tuple[ConvLayer, BnParams], ...]) -> Tensor4:
+    """Stem (two stride-2 3x3 convs) or transition (one): conv -> BN -> GELU per pair."""
+    for conv, bn in layers:
         x = gelu(batchnorm_infer(conv2d(x, conv), bn))
     return x

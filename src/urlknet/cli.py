@@ -88,7 +88,7 @@ def cmd_verify(args) -> int:
         model = build_named(args.model, seed=args.seed)
         if args.f32:
             model = model_astype(model, np.float32)
-        checks = [(c.name, c.max_rel_err) for c in verify_model(model, rng, args.trials)]
+        checks = verify_model(model, rng, args.trials)
         target = args.model
     worst = max(err for _, err in checks)
     ok = worst <= tolerance
@@ -225,15 +225,22 @@ def cmd_params(args) -> int:
     return EXIT_OK
 
 
-def _read_input_tensor(path: str) -> np.ndarray:
+def _read_input_tensor(path: str, what: str, ndim: int, dtype=None) -> np.ndarray:
+    """A finite ndim-D array from a container tensor or raw file, cast to dtype if given."""
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"cannot read {path}: it does not exist or is not a file")
     with open(p, "rb") as fh:
         head = fh.read(len(container.MAGIC))
     arr = container.load_tensor(p)[1] if head == container.MAGIC else dataio.read_raw_array(p)
+    if dtype is not None:
+        # a finite value beyond the target range becomes inf, which the check below rejects
+        with np.errstate(over="ignore"):
+            arr = arr.astype(dtype, copy=False)
     if not np.isfinite(arr).all():
-        raise FormatError(f"input file {path} holds NaN or infinite values")
+        raise FormatError(f"input file {path} holds NaN or infinite values as {arr.dtype}")
+    if arr.ndim != ndim:
+        raise FormatError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     return arr
 
 
@@ -243,12 +250,10 @@ def cmd_forward(args) -> int:
         raise FormatError(
             f"weights file holds model {model.name!r}, command asked for {args.model!r}"
         )
-    arr = _read_input_tensor(args.input)
-    if arr.ndim != 4:
-        raise FormatError(f"model input must be 4-D (n, c, h, w), got shape {arr.shape}")
+    arr = _read_input_tensor(args.input, "model input (n, c, h, w)", 4, model.dtype)
     # logits that overflow are counted in the report, not warned about on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = forward(model, Tensor4(arr.astype(model.dtype, copy=False)))
+        logits = forward(model, Tensor4(arr))
     container.save_tensor(args.output, "logits", logits)
     _emit({
         "schema_version": SCHEMA_VERSION,
@@ -313,41 +318,30 @@ def cmd_embed(args) -> int:
         if args.input.endswith(".csv"):
             data = dataio.read_timeseries_csv(args.input, batch=args.batch)
         else:
-            data = _read_input_tensor3(args.input, "time-series")
+            data = _read_input_tensor(args.input, "time-series input (B, L, D)", 3)
         d = data.shape[2]
         if args.nodes < 1 or d % args.nodes:
             raise ConfigError(f"--nodes {args.nodes} must divide feature width {d}")
         if args.projection:
-            projection = _read_input_tensor(args.projection).astype(np.float64)
-            latent = projection.shape[0]
-            if args.latent and args.latent != latent:
-                raise ConfigError(
-                    f"--latent {args.latent} contradicts projection height {latent}"
-                )
+            projection = _read_input_tensor(args.projection, "projection (latent, D/n)", 2,
+                                            np.float64)
         else:
-            latent = args.latent if args.latent else d // args.nodes
-            if latent != d // args.nodes:
-                raise ConfigError(
-                    f"identity projection needs --latent == D/n == {d // args.nodes}; "
-                    "supply --projection for a learned map"
-                )
-            projection = np.eye(latent)
+            projection = np.eye(d // args.nodes)
         if args.height is None or args.width is None:
             raise ConfigError("time-series embedding needs explicit --height and --width")
         batch = modality.TimeSeriesBatch(
-            data=data, nodes=args.nodes, latent_width=latent,
+            data=data, nodes=args.nodes, latent_width=projection.shape[0],
             target_hw=(args.height, args.width),
         )
         emb = modality.embed_time_series(batch, projection)
     elif args.modality == "audio":
-        emb = modality.embed_audio(modality.AudioBatch(_read_input_tensor3(args.input, "audio")))
+        arr = _read_input_tensor(args.input, "audio input (B, T, F)", 3)
+        emb = modality.embed_audio(modality.AudioBatch(arr))
     elif args.modality == "pointcloud":
-        emb = modality.embed_pointcloud(
-            modality.PointCloudBatch(_read_input_tensor3(args.input, "point-cloud")))
+        arr = _read_input_tensor(args.input, "point-cloud input (B, P, 3)", 3)
+        emb = modality.embed_pointcloud(modality.PointCloudBatch(arr))
     else:
-        arr = _read_input_tensor(args.input)
-        if arr.ndim != 5:
-            raise FormatError(f"video input must be (B, N_F, 3, h, w), got shape {arr.shape}")
+        arr = _read_input_tensor(args.input, "video input (B, N_F, 3, h, w)", 5)
         emb = modality.embed_video(modality.VideoBatch(arr, grid=_parse_grid(args.grid)))
     container.save_tensor(args.out, "embedding", emb)
     _emit({
@@ -358,13 +352,6 @@ def cmd_embed(args) -> int:
         "out": args.out,
     })
     return EXIT_OK
-
-
-def _read_input_tensor3(path: str, what: str) -> np.ndarray:
-    arr = _read_input_tensor(path)
-    if arr.ndim != 3:
-        raise FormatError(f"{what} input must be 3-D, got shape {arr.shape}")
-    return arr
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--nodes", type=int, default=1, help="time-series node count")
-    p.add_argument("--latent", type=int, default=None, help="time-series latent width")
     p.add_argument("--height", type=int, default=None)
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--projection", default=None,

@@ -23,8 +23,8 @@ POINTCLOUD_RESOLUTION = 224
 class TimeSeriesBatch:
     """(B, L, D) sequence batch plus the embedding-map hyper-parameters.
 
-    The node count must divide D, and the target map must satisfy
-    H*W == L * latent_width.
+    The node count must divide D, and the target map must have positive sides
+    with H*W == L * latent_width.
     """
 
     data: np.ndarray
@@ -43,6 +43,8 @@ class TimeSeriesBatch:
                 f"node count {self.nodes} must divide feature width {arr.shape[2]}"
             )
         h, w = self.target_hw
+        if min(h, w) < 1:
+            raise ShapeError(f"target map sides must be positive, got {h}x{w}")
         if h * w != arr.shape[1] * self.latent_width:
             raise ShapeError(
                 f"target map {h}x{w} has {h * w} cells but L*D' = "
@@ -92,6 +94,8 @@ class VideoBatch:
         object.__setattr__(self, "data", arr)
         grid = self.grid if self.grid is not None else most_square_grid(arr.shape[1])
         grid = (int(grid[0]), int(grid[1]))
+        if min(grid) < 1:
+            raise ShapeError(f"grid sides must be positive, got {grid[0]}x{grid[1]}")
         if grid[0] * grid[1] != arr.shape[1]:
             raise ShapeError(
                 f"grid {grid[0]}x{grid[1]} does not hold N_F={arr.shape[1]} frames"

@@ -1,9 +1,11 @@
 """Model zoo: named architecture instances, builder, forward, merge, param audit.
 
-The backbone has four stages at widths C, 2C, 4C, 8C joined by stride-2
-downsampling blocks (the stem halves twice). Stage 1 uses SmaK blocks, stages
-2 and 4 use LarK blocks only, and stage 3 mixes them according to the split:
-"9+18" lays out LarK,SmaK,SmaK repeated, "9+9" alternates LarK,SmaK.
+The backbone has four stages at widths C, 2C, 4C, 8C, each entered through a
+stride-2 downsample: ModelInstance.downsamples lines up with .stages, the stem
+(two conv+BN pairs, halving twice) first, then one pair per transition, so
+every walker zips the two. Stage 1 uses SmaK blocks, stages 2 and 4 use LarK
+blocks only, and stage 3 mixes them according to the split: "9+18" lays out
+LarK,SmaK,SmaK repeated, "9+9" alternates LarK,SmaK.
 
 A freshly built model is in train-structure mode; merge_for_deploy returns its
 deploy twin (never mutating the original): every depthwise stage, the LarK
@@ -27,10 +29,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .blocks import (
-    LARK,
-    SMAK,
     BlockSpec,
-    DownsampleBlock,
     FfnBlock,
     SeBlock,
     block_forward,
@@ -43,6 +42,9 @@ from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, global_avg_po
 
 TRAIN_MODE = "train-structure"
 MERGED_MODE = "merged"
+
+LARK = "lark"
+SMAK = "smak"
 
 BN_EPS = 1e-5
 INIT_STD = 0.02
@@ -140,9 +142,8 @@ def arch_config(name: str, in_channels: int = 3, num_classes: int = 1000) -> Arc
 class ModelInstance:
     name: str
     config: ArchConfig
-    stem: DownsampleBlock
+    downsamples: tuple[tuple[tuple[ConvLayer, BnParams], ...], ...]
     stages: tuple[tuple[BlockSpec, ...], ...]
-    transitions: tuple[DownsampleBlock, ...]
     head_bn: BnParams
     head_weight: np.ndarray
     head_bias: np.ndarray
@@ -255,22 +256,16 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
         se = SeBlock(take(), take(), take(), take())
         post_dw_bn = bn()
         ffn = FfnBlock(conv(bias=True), take(), take(), conv(bias=True))
-        return BlockSpec(
-            kind=kind, channels=c, se=se, post_dw_bn=post_dw_bn, ffn=ffn, **dw,
-            post_ffn_bn=None if merged else bn(),
-        )
+        return BlockSpec(se=se, post_dw_bn=post_dw_bn, ffn=ffn, **dw,
+                         post_ffn_bn=None if merged else bn())
 
-    stem_convs, stem_bns = zip(*[(conv(2, 1), bn()) for _ in range(2)])
-    stages, transitions = [], []
-    for s in range(1, 5):
-        if s > 1:
-            transitions.append(DownsampleBlock("transition", (conv(2, 1),), (bn(),)))
-        stages.append(tuple(block(kind, cfg.stage_widths[s - 1]) for kind in cfg.stage_kinds(s)))
-    head_bn = bn()
+    downsamples, stages = [], []
+    for s, w in enumerate(cfg.stage_widths, start=1):
+        downsamples.append(tuple((conv(2, 1), bn()) for _ in range(2 if s == 1 else 1)))
+        stages.append(tuple(block(kind, w) for kind in cfg.stage_kinds(s)))
     return ModelInstance(
-        name=name, config=cfg, stem=DownsampleBlock("stem", stem_convs, stem_bns),
-        stages=tuple(stages), transitions=tuple(transitions), head_bn=head_bn,
-        head_weight=take(), head_bias=take(),
+        name=name, config=cfg, downsamples=tuple(downsamples), stages=tuple(stages),
+        head_bn=bn(), head_weight=take(), head_bias=take(),
     )
 
 
@@ -284,8 +279,8 @@ def _arrays(model: ModelInstance):
     def conv(layer: ConvLayer):
         return (layer.weight.data,) if layer.bias is None else (layer.weight.data, layer.bias)
 
-    for down, stage in zip((model.stem, *model.transitions), model.stages):
-        for layer, p in zip(down.convs, down.bns):
+    for down, stage in zip(model.downsamples, model.stages):
+        for layer, p in down:
             yield from conv(layer)
             yield from bn(p)
         for b in stage:
@@ -362,13 +357,6 @@ class ForwardTrace:
     logits: np.ndarray
 
 
-def _down(x: Tensor4, block: DownsampleBlock, label: str) -> Tensor4:
-    try:
-        return downsample_forward(x, block)
-    except GeometryError as e:
-        raise GeometryError(f"{label}: {e}") from None
-
-
 def forward_trace(model: ModelInstance, x: Tensor4) -> ForwardTrace:
     if x.c != model.config.in_channels:
         raise ShapeError(
@@ -376,12 +364,13 @@ def forward_trace(model: ModelInstance, x: Tensor4) -> ForwardTrace:
         )
     if x.dtype != model.dtype:
         raise ShapeError(f"input dtype {x.dtype} != model dtype {model.dtype}")
-    cur = _down(x, model.stem, "stem")
-    outs = []
-    for s in range(1, 5):
-        if s > 1:
-            cur = _down(cur, model.transitions[s - 2], f"transition{s}")
-        for b in model.stages[s - 1]:
+    cur, outs = x, []
+    for s, (down, stage) in enumerate(zip(model.downsamples, model.stages), start=1):
+        try:
+            cur = downsample_forward(cur, down)
+        except GeometryError as e:
+            raise GeometryError(f"{'stem' if s == 1 else f'transition{s}'}: {e}") from None
+        for b in stage:
             cur = block_forward(cur, b)
         outs.append(cur)
     pooled = batchnorm_infer(global_avg_pool(cur), model.head_bn)
@@ -401,8 +390,8 @@ def forward(model: ModelInstance, x: Tensor4) -> np.ndarray:
 def merge_for_deploy(model: ModelInstance) -> ModelInstance:
     """Deploy twin with every block merged; the input model is left untouched.
 
-    Unchanged parameter arrays (stem, transitions, SE, pw1, GRN, head) are
-    shared between the two instances, not copied.
+    Unchanged parameter arrays (downsamples, SE, pw1, GRN, head) are shared
+    between the two instances, not copied.
     """
     if model.merged:
         raise StateError("model is already merged")

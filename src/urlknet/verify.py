@@ -7,8 +7,6 @@ correct merge lands around 1e-13; float32 runs sit near 1e-7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -30,12 +28,6 @@ def relative_error(actual: np.ndarray, reference: np.ndarray) -> float:
     if denom == 0:
         return float(np.abs(actual).sum())
     return float(np.abs(actual - reference).sum() / denom)
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    max_rel_err: float
 
 
 def verify_reparam_merge(
@@ -61,12 +53,13 @@ def verify_model(
     trials: int,
     block_spatial: int = 19,
     model_resolution: int = 64,
-) -> list[Check]:
+) -> list[tuple[str, float]]:
     """Block-by-block and whole-model merge equivalence checks.
 
     Every block of the train-structure model is compared against its merged
     twin on random inputs, then the full forwards are compared at the given
-    resolution. Returns one Check per block plus a final "model" entry.
+    resolution. Returns a (name, max_rel_err) pair per block plus a final
+    ("model", max_rel_err).
     """
     merged = merge_for_deploy(model)
     checks = []
@@ -78,13 +71,13 @@ def verify_model(
                     (2, b.channels, block_spatial, block_spatial)).astype(model.dtype))
                 worst = max(worst, relative_error(
                     block_forward(x, mb).data, block_forward(x, b).data))
-            checks.append(Check(f"stage{s}.block{i}", worst))
+            checks.append((f"stage{s}.block{i}", worst))
     worst = 0.0
     for _ in range(trials):
         x = Tensor4(rng.standard_normal(
             (1, model.config.in_channels, model_resolution, model_resolution)).astype(model.dtype))
         worst = max(worst, relative_error(forward(merged, x), forward(model, x)))
-    checks.append(Check("model", worst))
+    checks.append(("model", worst))
     return checks
 
 

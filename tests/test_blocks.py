@@ -8,7 +8,6 @@ from urlknet import (
     BnParams,
     ConfigError,
     ConvLayer,
-    DownsampleBlock,
     FfnBlock,
     SeBlock,
     StateError,
@@ -24,7 +23,6 @@ from urlknet import (
     merge_block,
     se_forward,
 )
-from urlknet.blocks import LARK, SMAK
 from urlknet.reparam import default_reparam_cfg, random_branches
 from urlknet.tensor import identity_bn
 from urlknet.verify import relative_error
@@ -56,10 +54,10 @@ def random_bn(rng, c):
                     rng.standard_normal(c), rng.uniform(0.1, 2.0, c), eps=1e-5)
 
 
-def make_lark_block(rng, c, K=13, kind=LARK):
+def make_lark_block(rng, c, K=13):
     cfg = default_reparam_cfg(c, kernel_size=K)
     return BlockSpec(
-        kind=kind, channels=c, se=make_se(rng, c), post_dw_bn=random_bn(rng, c),
+        se=make_se(rng, c), post_dw_bn=random_bn(rng, c),
         ffn=make_ffn(rng, c), branches=random_branches(cfg, rng),
         post_ffn_bn=random_bn(rng, c),
     )
@@ -67,7 +65,7 @@ def make_lark_block(rng, c, K=13, kind=LARK):
 
 def make_smak_block(rng, c):
     # a SmaK block is the one-branch reparam case: a single 3x3 conv->BN
-    return make_lark_block(rng, c, K=3, kind=SMAK)
+    return make_lark_block(rng, c, K=3)
 
 
 class TestSeBlock:
@@ -145,7 +143,7 @@ class TestBlockForward:
             for b in random_branches(cfg, rng)
         )
         block = BlockSpec(
-            kind=LARK, channels=c, se=make_se(rng, c), post_dw_bn=zero_affine,
+            se=make_se(rng, c), post_dw_bn=zero_affine,
             ffn=make_ffn(rng, c), branches=branches,
             post_ffn_bn=zero_affine,
         )
@@ -227,15 +225,11 @@ class TestBlockForward:
 
 class TestDownsample:
     def _stem(self, rng, cin, c):
-        return DownsampleBlock(
-            kind="stem",
-            convs=(
-                ConvLayer(Tensor4(rng.standard_normal((c // 2, cin, 3, 3)) * 0.1),
-                          stride=(2, 2), padding=(1, 1)),
-                ConvLayer(Tensor4(rng.standard_normal((c, c // 2, 3, 3)) * 0.1),
-                          stride=(2, 2), padding=(1, 1)),
-            ),
-            bns=(identity_bn(c // 2), identity_bn(c)),
+        return (
+            (ConvLayer(Tensor4(rng.standard_normal((c // 2, cin, 3, 3)) * 0.1),
+                       stride=(2, 2), padding=(1, 1)), identity_bn(c // 2)),
+            (ConvLayer(Tensor4(rng.standard_normal((c, c // 2, 3, 3)) * 0.1),
+                       stride=(2, 2), padding=(1, 1)), identity_bn(c)),
         )
 
     def test_stem_geometry_224(self, rng):
@@ -244,12 +238,8 @@ class TestDownsample:
         assert out.shape == (1, 96, 56, 56)
 
     def test_transition_doubles_channels(self, rng):
-        tr = DownsampleBlock(
-            kind="transition",
-            convs=(ConvLayer(Tensor4(rng.standard_normal((192, 96, 3, 3)) * 0.1),
-                             stride=(2, 2), padding=(1, 1)),),
-            bns=(identity_bn(192),),
-        )
+        tr = ((ConvLayer(Tensor4(rng.standard_normal((192, 96, 3, 3)) * 0.1),
+                         stride=(2, 2), padding=(1, 1)), identity_bn(192)),)
         out = downsample_forward(Tensor4(rng.standard_normal((1, 96, 56, 56))), tr)
         assert out.shape == (1, 192, 28, 28)
 
@@ -257,9 +247,3 @@ class TestDownsample:
         stem = self._stem(rng, 1, 40)
         out = downsample_forward(Tensor4(rng.standard_normal((1, 1, 128, 64))), stem)
         assert out.shape == (1, 40, 32, 16)
-
-    def test_wrong_conv_count(self):
-        with pytest.raises(ConfigError):
-            DownsampleBlock(kind="stem",
-                            convs=(ConvLayer(Tensor4(np.zeros((4, 3, 3, 3)))),),
-                            bns=(identity_bn(4),))

@@ -363,6 +363,19 @@ def _bad_input(tmp_path, case):
     if case == "raw-inf":
         write_raw_array(raw, np.full((1, 4, 4), np.inf))
         return ["--modality", "audio", "--input", str(raw)], "NaN or infinite"
+    if case == "video-negative-grid":
+        # (-1) * (-2) equals the frame count, so only the sign check rejects it
+        write_raw_array(raw, np.zeros((1, 2, 3, 4, 4)))
+        return ["--modality", "video", "--grid=-1x-2", "--input", str(raw)], "positive"
+    if case == "ts-negative-map":
+        # 8 steps x latent 4 = 32 cells = (-4) * (-8)
+        write_raw_array(raw, np.zeros((1, 8, 4)))
+        return ["--modality", "time-series", "--height=-4", "--width=-8",
+                "--input", str(raw)], "positive"
+    if case == "projection-0d":
+        write_raw_array(raw, np.zeros((1, 8, 2)))
+        write_raw_array(tmp_path / "p.raw", np.zeros(()))
+        return [*ts, "--input", str(raw), "--projection", str(tmp_path / "p.raw")], "2-D"
     raise AssertionError(case)
 
 
@@ -371,7 +384,7 @@ class TestBadInputs:
         "sidecar-dtype-list", "sidecar-negative-shape", "sidecar-float-shape",
         "sidecar-bool-shape", "sidecar-overflow-shape", "manifest-overflow-shape",
         "projection-nan", "projection-data-missing", "csv-missing", "csv-not-utf8", "csv-nan",
-        "raw-inf",
+        "raw-inf", "video-negative-grid", "ts-negative-map", "projection-0d",
     ])
     def test_embed_exits_2_without_traceback(self, capsys, tmp_path, case):
         args, message = _bad_input(tmp_path, case)
@@ -393,4 +406,18 @@ class TestBadInputs:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "NaN or infinite" in captured.err
+        assert not out.exists()
+
+    def test_forward_rejects_input_that_overflows_model_dtype(self, capsys, tmp_path):
+        # 1e39 is finite in the f64 file but infinite once cast to the f32 model
+        weights = tmp_path / "a.urlk"
+        save_model(weights, model_astype(build_named("A", seed=0), np.float32))
+        x = tmp_path / "x.raw"
+        write_raw_array(x, np.full((1, 3, 64, 64), 1e39), dtype="f64")
+        out = tmp_path / "logits.urlk"
+        code = main(["forward", "--model", "A", "--weights", str(weights),
+                     "--input", str(x), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "NaN or infinite" in captured.err and "Traceback" not in captured.err
         assert not out.exists()

@@ -20,9 +20,10 @@ from urlknet import (
     param_breakdown,
     param_count,
 )
-from urlknet.blocks import LARK, SMAK
 from urlknet.model import (
     INSTANCE_NAMES,
+    LARK,
+    SMAK,
     REFERENCE_PARAMS_M,
     _layout,
     iter_state,
@@ -150,12 +151,9 @@ class TestForward:
     def test_geometry_error_names_stage(self, model_a):
         # force an underflow by stripping the padding from one transition conv
         from dataclasses import replace as dc_replace
-        bad_conv = dc_replace(model_a.transitions[2].convs[0], padding=(0, 0))
-        bad_transition = dc_replace(model_a.transitions[2], convs=(bad_conv,))
-        bad_model = dc_replace(
-            model_a,
-            transitions=(*model_a.transitions[:2], bad_transition),
-        )
+        ((conv, bn),) = model_a.downsamples[3]
+        bad_transition = ((dc_replace(conv, padding=(0, 0)), bn),)
+        bad_model = dc_replace(model_a, downsamples=(*model_a.downsamples[:3], bad_transition))
         with pytest.raises(GeometryError, match="transition4"):
             forward(bad_model, Tensor4(np.zeros((1, 3, 32, 32))))
 
@@ -198,8 +196,8 @@ class TestMerge:
     def test_merged_dw_kernels_are_13x13_in_later_stages(self):
         m = merge_for_deploy(build_named("S", seed=0))
         for s in (2, 3, 4):
-            for b in m.stages[s - 1]:
-                if b.kind == LARK:
+            for b, kind in zip(m.stages[s - 1], m.config.stage_kinds(s)):
+                if kind == LARK:
                     assert b.dw_conv.kernel_size == (13, 13)
         for b in m.stages[0]:
             assert b.dw_conv.kernel_size == (3, 3)
