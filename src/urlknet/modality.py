@@ -73,8 +73,8 @@ class PointCloudBatch:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.ndim != 3 or arr.shape[2] != 3 or arr.shape[1] < 1:
-            raise ShapeError(f"point-cloud data must be (B, P, 3), got shape {arr.shape}")
+        if arr.ndim != 3 or arr.shape[2] != 3 or min(arr.shape) < 1:
+            raise ShapeError(f"point-cloud data must be (B, P, 3) with B, P >= 1, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ShapeError("point-cloud coordinates must be finite")
         object.__setattr__(self, "data", arr)

@@ -372,6 +372,9 @@ def _bad_input(tmp_path, case):
         write_raw_array(raw, np.zeros((1, 8, 4)))
         return ["--modality", "time-series", "--height=-4", "--width=-8",
                 "--input", str(raw)], "positive"
+    if case == "pointcloud-empty-batch":
+        write_raw_array(raw, np.zeros((0, 5, 3)))
+        return ["--modality", "pointcloud", "--input", str(raw)], "B, P >= 1"
     if case == "projection-0d":
         write_raw_array(raw, np.zeros((1, 8, 2)))
         write_raw_array(tmp_path / "p.raw", np.zeros(()))
@@ -385,6 +388,7 @@ class TestBadInputs:
         "sidecar-bool-shape", "sidecar-overflow-shape", "manifest-overflow-shape",
         "projection-nan", "projection-data-missing", "csv-missing", "csv-not-utf8", "csv-nan",
         "raw-inf", "video-negative-grid", "ts-negative-map", "projection-0d",
+        "pointcloud-empty-batch",
     ])
     def test_embed_exits_2_without_traceback(self, capsys, tmp_path, case):
         args, message = _bad_input(tmp_path, case)
@@ -394,6 +398,23 @@ class TestBadInputs:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert message in captured.err
         assert not (tmp_path / "e.urlk").exists()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_export_to_unwritable_path_exits_2(self, capsys, tmp_path, where):
+        folder = tmp_path / "d"
+        if where == "directory":
+            folder.mkdir()
+            (folder / "keep.txt").write_text("kept")
+        out = folder / "x.urlk" if where == "missing-directory" else folder
+        code = main(["export", "--model", "A", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert "Traceback" not in captured.err
+        listing = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert listing == ([] if where == "missing-directory" else ["d", "d/keep.txt"])
+        if where == "directory":
+            assert (folder / "keep.txt").read_text() == "kept"
 
     def test_forward_rejects_all_nan_input(self, capsys, tmp_path):
         weights = tmp_path / "a.urlk"

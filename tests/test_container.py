@@ -1,11 +1,15 @@
+import errno
 import hashlib
+import io
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from urlknet import FormatError, Tensor4, build_model, build_named, forward, merge_for_deploy, model_astype
+from urlknet import container
 from urlknet.container import (
     MAGIC,
     load_model,
@@ -301,6 +305,59 @@ class TestPinnedBytes:
                 save_model(path, model_astype(model, dtype) if tag == "f32" else model)
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
                 assert digest == PINNED_SHA256[(name, mode, tag)], (name, mode, tag)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestReplace:
+    def test_failed_write_leaves_old_container(self, tmp_path, monkeypatch):
+        path = tmp_path / "toy.urlk"
+        save_model(path, build_model(TOY, seed=0, name="custom"))
+        old = path.read_bytes()
+        new = build_model(TOY, seed=1, name="custom")
+        # fail once half of the new payload has been written
+        limit = len(old) - sum(arr.nbytes for _, arr in iter_state(new)) // 2
+
+        class DiskFull(io.FileIO):
+            def write(self, b):
+                if self.tell() + memoryview(b).nbytes > limit:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(b)
+
+        monkeypatch.setattr(container, "open", lambda file, mode: DiskFull(file, mode.rstrip("b")),
+                            raising=False)
+        # OSError too, so a writer that truncates first fails on the bytes check
+        with pytest.raises((FormatError, OSError)) as info:
+            save_model(path, new)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.urlk"]
+        assert isinstance(info.value, FormatError) and "No space left" in str(info.value)
+
+    def test_overwrite_matches_fresh_export(self, tmp_path):
+        fresh, reused = tmp_path / "fresh.urlk", tmp_path / "reused.urlk"
+        save_model(reused, build_named("A", seed=0))
+        model = build_named("A", seed=1)
+        save_model(fresh, model)
+        save_model(reused, model)
+        assert sha256(reused) == sha256(fresh)
+
+    def test_save_through_symlink_updates_target(self, tmp_path):
+        target, link = tmp_path / "real.urlk", tmp_path / "link.urlk"
+        save_tensor(target, "x", np.zeros(3))
+        link.symlink_to(target)
+        save_tensor(link, "x", np.ones(3))
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        _, arr = load_tensor(target)
+        np.testing.assert_array_equal(arr, np.ones(3))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.urlk", "real.urlk"]
+
+    def test_successful_save_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "t.urlk"
+        save_tensor(path, "x", np.zeros(3))
+        save_tensor(path, "x", np.ones(3))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.urlk"]
 
 
 class TestCustomChannels:
