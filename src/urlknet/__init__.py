@@ -29,13 +29,10 @@ from .tensor import (
     batchnorm_infer,
     conv2d,
     conv_output_size,
-    conv_transpose2d_kernel,
     gelu,
     global_avg_pool,
     grn,
     linear,
-    relu,
-    sigmoid,
 )
 from .reparam import (
     DilatedBranch,

@@ -148,11 +148,14 @@ def block_forward(x: Tensor4, b: BlockSpec) -> Tensor4:
     if x.c != b.channels:
         raise ShapeError(f"input has {x.c} channels, block expects {b.channels}")
     dw = conv2d(x, b.dw_conv) if b.merged else reparam_forward(x, b.branches)
-    y = x + batchnorm_infer(se_forward(dw, b.se), b.post_dw_bn)
+    # each residual add goes into the branch output this call just allocated
+    y = batchnorm_infer(se_forward(dw, b.se), b.post_dw_bn)
+    y.data += x.data
     f = ffn_forward(y, b.ffn)
     if b.post_ffn_bn is not None:
         f = batchnorm_infer(f, b.post_ffn_bn)
-    return y + f
+    f.data += y.data
+    return f
 
 
 def merge_block(b: BlockSpec) -> BlockSpec:

@@ -63,11 +63,16 @@ def _parse_adhoc(pairs):
         key, value = pair.split("=", 1)
         if key not in spec:
             raise ConfigError(f"unknown adhoc key {key!r}; choose from {sorted(spec)}")
-        spec[key] = int(value)
+        try:
+            spec[key] = int(value)
+        except ValueError:
+            raise ConfigError(f"adhoc value for {key} must be an integer, got {value!r}") from None
     return spec
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     dtype = np.float32 if args.f32 else np.float64
     tolerance = args.tolerance
     if tolerance is None:
@@ -176,6 +181,8 @@ def _bench_once(model, args, label: str) -> dict:
 def cmd_bench(args) -> int:
     if args.runs < 5:
         raise ConfigError(f"at least 5 timed runs are required, got {args.runs}")
+    if args.batch < 1 or args.res < 1:
+        raise ConfigError(f"--batch and --res must be >= 1, got {args.batch} and {args.res}")
     dtype = np.float64 if args.f64 else np.float32
     cfg = arch_config(args.model)
     _bench_guard(args, cfg.width, param_breakdown(cfg)["total"], np.dtype(dtype).itemsize)

@@ -9,7 +9,6 @@ three-view orthographic projections at a fixed 224x224 resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -150,35 +149,24 @@ def _rasterize_views(points: np.ndarray, res: int) -> np.ndarray:
     return out
 
 
-def embed_pointcloud(
-    batch: PointCloudBatch,
-    projector: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> Tensor4:
+def embed_pointcloud(batch: PointCloudBatch) -> Tensor4:
     """(B, P, 3) -> (B, 3, 224, 224) three-view occupancy projections.
 
     Per sample: min-max normalize all coordinates jointly into the unit cube,
     rasterize each point to its nearest pixel in each of the three axis-drop
     views, accumulate counts, and scale each view to a maximum of 1. A sample
     whose points all coincide puts its whole mass on the center pixel.
-
-    A custom projector (cloud (P, 3) -> (3, 224, 224)) may be supplied to
-    replace the rasterizer.
     """
     res = POINTCLOUD_RESOLUTION
     maps = []
     for cloud in batch.data:
-        if projector is not None:
-            view = np.asarray(projector(cloud), dtype=np.float64)
-            if view.shape != (3, res, res):
-                raise ShapeError(f"projector returned shape {view.shape}, expected (3, {res}, {res})")
+        if np.all(cloud == cloud[0]):
+            view = np.zeros((3, res, res), dtype=np.float64)
+            view[:, res // 2, res // 2] = 1.0
         else:
-            if np.all(cloud == cloud[0]):
-                view = np.zeros((3, res, res), dtype=np.float64)
-                view[:, res // 2, res // 2] = 1.0
-            else:
-                lo, hi = cloud.min(), cloud.max()
-                view = _rasterize_views((cloud - lo) / (hi - lo), res)
-                view /= view.max(axis=(1, 2), keepdims=True)
+            lo, hi = cloud.min(), cloud.max()
+            view = _rasterize_views((cloud - lo) / (hi - lo), res)
+            view /= view.max(axis=(1, 2), keepdims=True)
         maps.append(view)
     return Tensor4(np.stack(maps))
 

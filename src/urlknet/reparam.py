@@ -18,14 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import (
-    BnParams,
-    ConvLayer,
-    Tensor4,
-    batchnorm_infer,
-    conv2d,
-    conv_transpose2d_kernel,
-)
+from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, conv2d
 
 
 def equivalent_kernel_size(k: int, r: int) -> int:
@@ -38,8 +31,21 @@ def equivalent_kernel_size(k: int, r: int) -> int:
 
 
 def dilate_kernel(weight: Tensor4, r: int) -> Tensor4:
-    """Expand a (c_out, c_in/g, k, k) kernel to its non-dilated equivalent (r >= 1)."""
-    return weight if r == 1 else conv_transpose2d_kernel(weight, r)
+    """Expand a (c_out, c_in/g, k, k) kernel at dilation r to its non-dilated equivalent.
+
+    Zero insertion: entry (i, j) lands at (i*r, j*r) of a ((k-1)*r+1)-sized
+    kernel and every other entry is exactly zero. r == 1 returns the weight.
+    """
+    if r < 1:
+        raise ConfigError(f"dilation must be >= 1, got {r}")
+    if r == 1:
+        return weight
+    c_out, cin_g, kh, kw = weight.shape
+    if kh != kw:
+        raise ShapeError(f"expected a square kernel, got shape {weight.shape}")
+    out = np.zeros((c_out, cin_g, (kh - 1) * r + 1, (kh - 1) * r + 1), dtype=weight.dtype)
+    out[..., ::r, ::r] = weight.data
+    return Tensor4(out)
 
 
 def fuse_bn(conv: ConvLayer, bn: BnParams) -> ConvLayer:
@@ -69,8 +75,8 @@ def fuse_bn(conv: ConvLayer, bn: BnParams) -> ConvLayer:
 class DilatedBranch:
     """One parallel conv+BN branch: square kernel k, isotropic dilation r.
 
-    The padding must be (k-1)*r/2 so every branch preserves spatial size,
-    which forces k odd.
+    The stride must be 1 and the padding (k-1)*r/2 so every branch preserves
+    spatial size, which forces k odd.
     """
 
     conv: ConvLayer
@@ -83,6 +89,8 @@ class DilatedBranch:
             raise ConfigError(f"branch kernel must be square, got {kh}x{kw}")
         if rh != rw:
             raise ConfigError(f"branch dilation must be isotropic, got {rh}x{rw}")
+        if self.conv.stride != (1, 1):
+            raise ConfigError(f"branch stride must be 1, got {self.conv.stride}")
         if kh % 2 == 0:
             raise ConfigError(f"branch kernel size must be odd, got {kh}")
         expected = ((kh - 1) * rh) // 2
@@ -163,12 +171,11 @@ class DilatedReparamCfg:
         return (p, *[i for i in range(len(self.branches)) if i != p])
 
 
-def default_reparam_cfg(channels: int, groups: int | None = None, kernel_size: int = 13) -> DilatedReparamCfg:
-    """Stock block configuration: principal KxK plus k=(5,7,3,3,3), r=(1,2,3,4,5).
+def default_reparam_cfg(channels: int, kernel_size: int = 13) -> DilatedReparamCfg:
+    """Stock depthwise block configuration: principal KxK plus k=(5,7,3,3,3), r=(1,2,3,4,5).
 
-    Defaults to depthwise (groups == channels). Branches whose equivalent size
-    would exceed a smaller K are dropped, so K=3 leaves the principal branch
-    alone: the SmaK depthwise stage.
+    Branches whose equivalent size would exceed a smaller K are dropped, so
+    K=3 leaves the principal branch alone: the SmaK depthwise stage.
     """
     branches = [(kernel_size, 1)] + [
         (k, r) for k, r in ((5, 1), (7, 2), (3, 3), (3, 4), (3, 5))
@@ -178,7 +185,7 @@ def default_reparam_cfg(channels: int, groups: int | None = None, kernel_size: i
         kernel_size=kernel_size,
         branches=tuple(branches),
         channels=channels,
-        groups=channels if groups is None else groups,
+        groups=channels,
     )
 
 
@@ -191,9 +198,11 @@ def reparam_forward(x: Tensor4, branches: Sequence[DilatedBranch]) -> Tensor4:
     cfg = DilatedReparamCfg.from_branches(branches)
     out = None
     for i in cfg.merge_order():
-        b = branches[i]
-        y = batchnorm_infer(conv2d(x, b.conv), b.bn)
-        out = y if out is None else out + y
+        y = batchnorm_infer(conv2d(x, branches[i].conv), branches[i].bn)
+        if out is None:
+            out = y
+        else:
+            out.data += y.data  # out is this call's own buffer
     return out
 
 
@@ -226,33 +235,18 @@ def merge_dilated_reparam(branches: Sequence[DilatedBranch]) -> ConvLayer:
     )
 
 
-def random_branches(
-    cfg: DilatedReparamCfg,
-    rng: np.random.Generator,
-    weight_scale: float = 0.5,
-    bn_var_range: tuple[float, float] = (0.1, 2.0),
-    dtype=np.float64,
-) -> tuple[DilatedBranch, ...]:
-    """Random weights and BN statistics for one block; used by verify and tests."""
+def random_branches(cfg: DilatedReparamCfg, rng: np.random.Generator) -> tuple[DilatedBranch, ...]:
+    """Random float64 weights (scale 0.5) and BN statistics (var in [0.1, 2)) for one block."""
     out = []
     cin_g = cfg.channels // cfg.groups
-    lo, hi = bn_var_range
     for k, r in cfg.branches:
-        weight = rng.standard_normal((cfg.channels, cin_g, k, k)) * weight_scale
-        conv = ConvLayer(
-            weight=Tensor4(weight.astype(dtype)),
-            bias=None,
-            stride=(1, 1),
-            padding=((k - 1) * r // 2,) * 2,
-            dilation=(r, r),
-            groups=cfg.groups,
-        )
+        conv = ConvLayer(Tensor4(rng.standard_normal((cfg.channels, cin_g, k, k)) * 0.5),
+                         padding=((k - 1) * r // 2,) * 2, dilation=(r, r), groups=cfg.groups)
         bn = BnParams(
-            gamma=rng.standard_normal(cfg.channels).astype(dtype),
-            beta=rng.standard_normal(cfg.channels).astype(dtype),
-            running_mean=rng.standard_normal(cfg.channels).astype(dtype),
-            running_var=rng.uniform(lo, hi, cfg.channels).astype(dtype),
-            eps=1e-5,
+            gamma=rng.standard_normal(cfg.channels),
+            beta=rng.standard_normal(cfg.channels),
+            running_mean=rng.standard_normal(cfg.channels),
+            running_var=rng.uniform(0.1, 2.0, cfg.channels),
         )
         out.append(DilatedBranch(conv=conv, bn=bn))
     return tuple(out)

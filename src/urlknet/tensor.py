@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import erf
 
 from .errors import ConfigError, GeometryError, ShapeError
 
@@ -115,13 +115,6 @@ class Tensor4:
     @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    def __add__(self, other: "Tensor4") -> "Tensor4":
-        if not isinstance(other, Tensor4):
-            return NotImplemented
-        if self.shape != other.shape:
-            raise ShapeError(f"cannot add tensors of shapes {self.shape} and {other.shape}")
-        return Tensor4(self.data + other.data)
 
     def __repr__(self) -> str:
         return f"Tensor4(shape={self.shape}, dtype={self.dtype.name})"
@@ -217,17 +210,6 @@ class BnParams:
     @property
     def channels(self) -> int:
         return self.gamma.shape[0]
-
-
-def identity_bn(channels: int, eps: float = 1e-5, dtype=np.float64) -> BnParams:
-    """BN statistics that leave the input (almost) unchanged: gamma=1, beta=0, mean=0, var=1."""
-    return BnParams(
-        gamma=np.ones(channels, dtype=dtype),
-        beta=np.zeros(channels, dtype=dtype),
-        running_mean=np.zeros(channels, dtype=dtype),
-        running_var=np.ones(channels, dtype=dtype),
-        eps=eps,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -357,25 +339,6 @@ def conv2d(input: Tensor4, layer: ConvLayer) -> Tensor4:
     return Tensor4(out)
 
 
-def conv_transpose2d_kernel(weight: Tensor4, stride: int) -> Tensor4:
-    """Expand a (c_out, c_in/g, k, k) kernel by zero insertion.
-
-    Equivalent to a transpose convolution of the kernel with a 1x1 identity
-    kernel at the given stride: entry (i, j) lands at (i*stride, j*stride) of a
-    ((k-1)*stride+1)-sized kernel and every other entry is exactly zero.
-    """
-    r = int(stride)
-    if r < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-    c_out, cin_g, kh, kw = weight.shape
-    if kh != kw:
-        raise ShapeError(f"expected a square kernel, got shape {weight.shape}")
-    size = (kh - 1) * r + 1
-    out = np.zeros((c_out, cin_g, size, size), dtype=weight.dtype)
-    out[..., ::r, ::r] = weight.data
-    return Tensor4(out)
-
-
 # ---------------------------------------------------------------------------
 # normalization, activations, pooling, linear
 # ---------------------------------------------------------------------------
@@ -390,10 +353,6 @@ def batchnorm_infer(input: Tensor4, bn: BnParams) -> Tensor4:
     out = input.data * scale[:, None, None]
     out += shift[:, None, None]
     return Tensor4(out)
-
-
-def relu(x: Tensor4) -> Tensor4:
-    return Tensor4(np.maximum(x.data, 0))
 
 
 def _erf_f32(z: np.ndarray) -> np.ndarray:
@@ -432,37 +391,26 @@ def gelu(x: Tensor4) -> Tensor4:
     return Tensor4(out)
 
 
-def sigmoid(x: Tensor4) -> Tensor4:
-    return Tensor4(expit(x.data))
-
-
 def global_avg_pool(x: Tensor4) -> Tensor4:
     """Mean over the spatial axes, keeping a 1x1 spatial footprint."""
     return Tensor4(x.data.mean(axis=(2, 3), keepdims=True))
 
 
-def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """y = x @ weight.T (+ bias) for a single vector or a (batch, in) matrix.
+def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """y = x @ weight.T + bias for a (batch, in) matrix.
 
-    Batch rows are multiplied sample by sample so that a batched call is
+    Rows are multiplied sample by sample so that a batched call is
     bit-identical to concatenated single-sample calls.
     """
-    x = np.asarray(x)
-    if x.shape[-1] != weight.shape[1]:
-        raise ShapeError(f"linear input width {x.shape[-1]} != weight in-dim {weight.shape[1]}")
-    if x.ndim == 1:
-        y = weight @ x
-    else:
-        y = np.matmul(x[:, None, :], weight.T)[:, 0, :]
-    if bias is not None:
-        y = y + bias
-    return y
+    if x.ndim != 2 or x.shape[1] != weight.shape[1]:
+        raise ShapeError(f"linear input must be (n, {weight.shape[1]}), got shape {x.shape}")
+    return np.matmul(x[:, None, :], weight.T)[:, 0, :] + bias
 
 
-def grn(input: Tensor4, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> Tensor4:
+def grn(input: Tensor4, gamma: np.ndarray, beta: np.ndarray) -> Tensor4:
     """Global response normalization.
 
-    Per sample: G_c = spatial L2 norm of channel c, N_c = G_c / (mean_c(G) + eps),
+    Per sample: G_c = spatial L2 norm of channel c, N_c = G_c / (mean_c(G) + 1e-6),
     output = gamma * (x * N) + beta + x, computed as x * (1 + gamma * N) + beta.
     """
     gamma = np.asarray(gamma)
@@ -474,7 +422,7 @@ def grn(input: Tensor4, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) 
     x = input.data
     xf = x.reshape(x.shape[0], x.shape[1], -1)
     gx = np.sqrt(np.einsum("ncs,ncs->nc", xf, xf))       # (n, c), no x*x temporary
-    nx = gx / (gx.mean(axis=1, keepdims=True) + x.dtype.type(eps))
+    nx = gx / (gx.mean(axis=1, keepdims=True) + x.dtype.type(1e-6))
     out = x * (1 + gamma * nx)[:, :, None, None]
     out += beta[:, None, None]
     return Tensor4(out)

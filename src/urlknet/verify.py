@@ -14,12 +14,16 @@ from .model import ModelInstance, forward, merge_for_deploy
 from .reparam import (
     DilatedReparamCfg,
     dilate_kernel,
+    equivalent_kernel_size,
     merge_dilated_reparam,
     random_branches,
     reparam_forward,
 )
 from .blocks import block_forward
 from .tensor import ConvLayer, Tensor4, conv2d
+
+# side of the random (2, c, 19, 19) inputs of the block-level checks
+_SPATIAL = 19
 
 
 def relative_error(actual: np.ndarray, reference: np.ndarray) -> float:
@@ -30,35 +34,25 @@ def relative_error(actual: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(actual - reference).sum() / denom)
 
 
-def verify_reparam_merge(
-    branches,
-    rng: np.random.Generator,
-    trials: int,
-    dtype=np.float64,
-    spatial: int = 19,
-) -> float:
-    """Max relative error between merged-layer and branch-sum forwards."""
+def verify_reparam_merge(branches, rng: np.random.Generator, trials: int) -> float:
+    """Max relative error between merged-layer and branch-sum forwards, in the branches' dtype."""
     merged = merge_dilated_reparam(branches)
     worst = 0.0
     for _ in range(trials):
-        x = Tensor4(rng.standard_normal((2, merged.in_channels, spatial, spatial)).astype(dtype))
+        x = Tensor4(rng.standard_normal((2, merged.in_channels, _SPATIAL, _SPATIAL))
+                    .astype(merged.weight.dtype))
         reference = reparam_forward(x, branches)
         worst = max(worst, relative_error(conv2d(x, merged).data, reference.data))
     return worst
 
 
-def verify_model(
-    model: ModelInstance,
-    rng: np.random.Generator,
-    trials: int,
-    block_spatial: int = 19,
-    model_resolution: int = 64,
-) -> list[tuple[str, float]]:
+def verify_model(model: ModelInstance, rng: np.random.Generator,
+                 trials: int) -> list[tuple[str, float]]:
     """Block-by-block and whole-model merge equivalence checks.
 
     Every block of the train-structure model is compared against its merged
-    twin on random inputs, then the full forwards are compared at the given
-    resolution. Returns a (name, max_rel_err) pair per block plus a final
+    twin on random 19x19 inputs, then the full forwards are compared at
+    resolution 64. Returns a (name, max_rel_err) pair per block plus a final
     ("model", max_rel_err).
     """
     merged = merge_for_deploy(model)
@@ -68,14 +62,14 @@ def verify_model(
             worst = 0.0
             for _ in range(trials):
                 x = Tensor4(rng.standard_normal(
-                    (2, b.channels, block_spatial, block_spatial)).astype(model.dtype))
+                    (2, b.channels, _SPATIAL, _SPATIAL)).astype(model.dtype))
                 worst = max(worst, relative_error(
                     block_forward(x, mb).data, block_forward(x, b).data))
             checks.append((f"stage{s}.block{i}", worst))
     worst = 0.0
     for _ in range(trials):
         x = Tensor4(rng.standard_normal(
-            (1, model.config.in_channels, model_resolution, model_resolution)).astype(model.dtype))
+            (1, model.config.in_channels, 64, 64)).astype(model.dtype))
         worst = max(worst, relative_error(forward(merged, x), forward(model, x)))
     checks.append(("model", worst))
     return checks
@@ -91,39 +85,37 @@ def adhoc_scenario(
     rng: np.random.Generator,
     trials: int,
     dtype=np.float64,
-    spatial: int = 19,
 ) -> float:
     """Two-layer scenario: a KxK conv plus one dilated small conv, merged.
 
     Mirrors the classic hand check — both layers bias-free, no BN, random
     weights, random (2, c_in, 19, 19) inputs — and returns the max relative
-    error of the single merged kernel against the two-layer sum.
+    error of the single merged kernel against the two-layer sum. K and k
+    must be odd and positive, r positive, and (k-1)*r+1 <= K.
     """
-    if in_channels % groups or out_channels % groups:
-        raise ConfigError(
-            f"channels in={in_channels}/out={out_channels} must be divisible by groups={groups}"
-        )
-    if (small_k - 1) * small_r + 1 > large_kernel:
-        raise ConfigError(
-            f"(k-1)*r+1 = {(small_k - 1) * small_r + 1} exceeds K={large_kernel}"
-        )
+    if min(in_channels, out_channels, groups) < 1 or in_channels % groups or out_channels % groups:
+        raise ConfigError(f"channels in={in_channels}/out={out_channels} must be positive "
+                          f"multiples of groups={groups} >= 1")
+    equivalent_kernel_size(large_kernel, 1)  # raises ConfigError unless K is odd and positive
+    eq = equivalent_kernel_size(small_k, small_r)
+    if eq > large_kernel:
+        raise ConfigError(f"(k-1)*r+1 = {eq} exceeds K={large_kernel}")
     cin_g = in_channels // groups
     worst = 0.0
     for _ in range(trials):
         wl = rng.standard_normal((out_channels, cin_g, large_kernel, large_kernel)).astype(dtype)
         ws = rng.standard_normal((out_channels, cin_g, small_k, small_k)).astype(dtype)
         large = ConvLayer(Tensor4(wl), padding=(large_kernel // 2,) * 2, groups=groups)
-        eq = (small_k - 1) * small_r + 1
         dilated = ConvLayer(Tensor4(ws), padding=(eq // 2,) * 2,
                             dilation=(small_r, small_r), groups=groups)
-        x = Tensor4(rng.standard_normal((2, in_channels, spatial, spatial)).astype(dtype))
-        reference = conv2d(x, large) + conv2d(x, dilated)
+        x = Tensor4(rng.standard_normal((2, in_channels, _SPATIAL, _SPATIAL)).astype(dtype))
+        reference = conv2d(x, large).data + conv2d(x, dilated).data
         pad = large_kernel // 2 - eq // 2
         expanded = dilate_kernel(dilated.weight, small_r).data
         merged_w = wl.copy()
         merged_w[:, :, pad:large_kernel - pad, pad:large_kernel - pad] += expanded
         merged = ConvLayer(Tensor4(merged_w), padding=(large_kernel // 2,) * 2, groups=groups)
-        worst = max(worst, relative_error(conv2d(x, merged).data, reference.data))
+        worst = max(worst, relative_error(conv2d(x, merged).data, reference))
     return worst
 
 
@@ -146,16 +138,10 @@ def random_sweep_config(rng: np.random.Generator) -> DilatedReparamCfg:
                              channels=channels, groups=groups)
 
 
-def merge_equivalence_sweep(
-    n_configs: int,
-    rng: np.random.Generator,
-    trials_per_config: int = 1,
-    dtype=np.float64,
-) -> float:
-    """Max relative error over a randomized sweep of block configurations."""
+def merge_equivalence_sweep(n_configs: int, rng: np.random.Generator) -> float:
+    """Max relative error over a float64 randomized sweep, one trial per block configuration."""
     worst = 0.0
     for _ in range(n_configs):
-        cfg = random_sweep_config(rng)
-        branches = random_branches(cfg, rng, dtype=dtype)
-        worst = max(worst, verify_reparam_merge(branches, rng, trials_per_config, dtype))
+        branches = random_branches(random_sweep_config(rng), rng)
+        worst = max(worst, verify_reparam_merge(branches, rng, 1))
     return worst

@@ -24,7 +24,6 @@ from urlknet import (
     se_forward,
 )
 from urlknet.reparam import default_reparam_cfg, random_branches
-from urlknet.tensor import identity_bn
 from urlknet.verify import relative_error
 from oracles import se_naive
 
@@ -47,6 +46,11 @@ def make_ffn(rng, c, scale=0.2):
         pw2=ConvLayer(Tensor4(rng.standard_normal((c, 4 * c, 1, 1)) * scale),
                       bias=rng.standard_normal(c) * scale),
     )
+
+
+def identity_bn(c):
+    """BN statistics that leave the input (almost) unchanged: gamma=1, beta=0, mean=0, var=1."""
+    return BnParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
 
 
 def random_bn(rng, c):
@@ -166,9 +170,9 @@ class TestBlockForward:
         assert (branch.k, branch.r) == (3, 1)
         x = Tensor4(rng.standard_normal((2, c, 9, 9)))
         dw = batchnorm_infer(conv2d(x, branch.conv), branch.bn)
-        y = x + batchnorm_infer(se_forward(dw, block.se), block.post_dw_bn)
-        want = y + batchnorm_infer(ffn_forward(y, block.ffn), block.post_ffn_bn)
-        np.testing.assert_array_equal(block_forward(x, block).data, want.data)
+        y = x.data + batchnorm_infer(se_forward(dw, block.se), block.post_dw_bn).data
+        want = y + batchnorm_infer(ffn_forward(Tensor4(y), block.ffn), block.post_ffn_bn).data
+        np.testing.assert_array_equal(block_forward(x, block).data, want)
 
     def test_smak_merge_is_fuse_bn(self, rng):
         block = make_smak_block(rng, 8)

@@ -399,6 +399,27 @@ class TestBadInputs:
         assert message in captured.err
         assert not (tmp_path / "e.urlk").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--model", "A", "--trials", "0"],
+        ["verify", "--model", "A", "--trials", "-1"],
+        ["verify", "--adhoc", "in=4", "out=4", "groups=1", "K=13", "k=3", "r=3", "--trials", "0"],
+        ["verify", "--adhoc", "K=x"],
+        ["verify", "--adhoc", "groups=0"],
+        ["verify", "--adhoc", "in=-4"],
+        ["verify", "--adhoc", "K=4"],
+        ["verify", "--adhoc", "k=2"],
+        ["verify", "--adhoc", "r=0"],
+        ["bench", "--model", "A", "--res", "-64"],
+        ["bench", "--model", "A", "--batch", "-1"],
+    ], ids=["trials-0", "trials-negative", "adhoc-trials-0", "adhoc-K-not-int", "adhoc-groups-0",
+            "adhoc-in-negative", "adhoc-K-even", "adhoc-k-even", "adhoc-r-0", "bench-res-negative",
+            "bench-batch-negative"])
+    def test_bad_count_or_size_exits_2_without_traceback(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_export_to_unwritable_path_exits_2(self, capsys, tmp_path, where):
         folder = tmp_path / "d"

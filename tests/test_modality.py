@@ -113,12 +113,6 @@ class TestPointCloud:
         b = embed_pointcloud(PointCloudBatch(cloud)).data
         np.testing.assert_array_equal(a, b)
 
-    def test_custom_projector_hook(self, rng):
-        cloud = rng.standard_normal((1, 10, 3))
-        flat = embed_pointcloud(PointCloudBatch(cloud),
-                                projector=lambda pts: np.ones((3, 224, 224)))
-        np.testing.assert_array_equal(flat.data, np.ones((1, 3, 224, 224)))
-
     def test_nonfinite_rejected(self):
         with pytest.raises(ShapeError):
             PointCloudBatch(np.array([[[np.nan, 0.0, 0.0]]]))

@@ -29,6 +29,8 @@ from urlknet.model import (
     iter_state,
     learnable_scalars,
 )
+from urlknet.blocks import block_forward
+from urlknet.reparam import reparam_forward
 from urlknet.verify import relative_error
 
 TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, stage3_smak=0,
@@ -203,6 +205,29 @@ class TestMerge:
             assert b.dw_conv.kernel_size == (3, 3)
         del m
         gc.collect()
+
+
+class TestReadOnlyArrays:
+    def test_ops_run_on_read_only_arrays_and_leave_them_unchanged(self, rng):
+        # the package never writes into weights or inputs; a write here would raise
+        train = build_named("A", seed=0)
+        merged = merge_for_deploy(train)
+        block, merged_block = train.stages[0][0], merged.stages[0][0]
+        x = rng.standard_normal((2, 3, 64, 64))
+        xb = rng.standard_normal((2, block.channels, 16, 16))
+        arrays = [x, xb, *(a for m in (train, merged) for _, a in iter_state(m))]
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.setflags(write=False)
+        for m in (train, merged):
+            forward(m, Tensor4(x))
+            model_astype(m, np.float32)
+        merge_for_deploy(train)
+        block_forward(Tensor4(xb), block)
+        block_forward(Tensor4(xb), merged_block)
+        reparam_forward(Tensor4(xb), block.branches)
+        for a, b in zip(arrays, before, strict=True):
+            np.testing.assert_array_equal(a, b, strict=True)
 
 
 class TestParamCount:

@@ -251,6 +251,13 @@ class TestMerge:
         with pytest.raises(ConfigError, match="agree on channels"):
             merge_dilated_reparam([DilatedBranch(wide, one_branch(rng, 9, 1, c=4).bn)])
 
+    def test_strided_branch_rejected(self, rng):
+        # a stride-2 branch would change the map size, and the merged conv has stride 1
+        conv = ConvLayer(Tensor4(rng.standard_normal((2, 1, 3, 3))), stride=(2, 2),
+                         padding=(1, 1), groups=2)
+        with pytest.raises(ConfigError, match="stride"):
+            DilatedBranch(conv, one_branch(rng, 3, 1).bn)
+
     @pytest.mark.parametrize("ks", [[(3, 2)], [(9, 1), (9, 1)], [(5, 1), (3, 3)]],
                              ids=["dilated-alone", "two-principals", "too-wide"])
     def test_branch_geometry_checked(self, rng, ks):

@@ -10,13 +10,11 @@ from urlknet import (
     batchnorm_infer,
     conv2d,
     conv_output_size,
-    conv_transpose2d_kernel,
+    dilate_kernel,
     gelu,
     global_avg_pool,
     grn,
     linear,
-    relu,
-    sigmoid,
 )
 from urlknet import tensor
 from oracles import batchnorm_naive, conv2d_naive, grn_naive
@@ -35,11 +33,6 @@ class TestTensor4:
         t = Tensor4(np.zeros((2, 3, 4, 5)))
         assert (t.n, t.c, t.h, t.w) == (2, 3, 4, 5)
         assert t.dtype == np.float64
-
-    def test_add_checks_shape(self):
-        a = Tensor4(np.ones((1, 1, 2, 2)))
-        with pytest.raises(ShapeError):
-            a + Tensor4(np.ones((1, 1, 2, 3)))
 
 
 class TestConv2d:
@@ -249,13 +242,15 @@ class TestConv2d:
 
 
 class TestConvTransposeKernel:
+    """Kernel expansion by zero insertion: `dilate_kernel`."""
+
     def test_stride1_is_identity(self, rng):
         w = Tensor4(rng.standard_normal((2, 1, 5, 5)))
-        np.testing.assert_array_equal(conv_transpose2d_kernel(w, 1).data, w.data)
+        np.testing.assert_array_equal(dilate_kernel(w, 1).data, w.data)
 
     def test_zero_insertion_pattern(self, rng):
         w = rng.standard_normal((1, 1, 3, 3))
-        out = conv_transpose2d_kernel(Tensor4(w), 3).data
+        out = dilate_kernel(Tensor4(w), 3).data
         assert out.shape == (1, 1, 7, 7)
         grid = np.ix_([0], [0], [0, 3, 6], [0, 3, 6])
         np.testing.assert_array_equal(out[grid], w)
@@ -266,7 +261,7 @@ class TestConvTransposeKernel:
     def test_expanded_kernel_replays_dilated_conv(self, rng):
         w = rng.standard_normal((1, 1, 5, 5))
         x = rng.standard_normal((1, 1, 17, 17))
-        expanded = conv_transpose2d_kernel(Tensor4(w), 2)
+        expanded = dilate_kernel(Tensor4(w), 2)
         assert expanded.shape == (1, 1, 9, 9)
         dilated = conv2d(Tensor4(x), ConvLayer(Tensor4(w), dilation=(2, 2))).data
         plain = conv2d(Tensor4(x), ConvLayer(expanded)).data
@@ -281,14 +276,13 @@ class TestConvTransposeKernel:
         pad = ((k - 1) * r) // 2
         dil = conv2d(Tensor4(x), ConvLayer(Tensor4(w), padding=(pad, pad),
                                            dilation=(r, r), groups=groups)).data
-        from urlknet import dilate_kernel
         wide = dilate_kernel(Tensor4(w), r)
         plain = conv2d(Tensor4(x), ConvLayer(wide, padding=(pad, pad), groups=groups)).data
         np.testing.assert_allclose(plain, dil, rtol=1e-12, atol=1e-12)
 
     def test_bad_stride(self):
         with pytest.raises(Exception):
-            conv_transpose2d_kernel(Tensor4(np.zeros((1, 1, 3, 3))), 0)
+            dilate_kernel(Tensor4(np.zeros((1, 1, 3, 3))), 0)
 
 
 class TestBatchNorm:
@@ -327,13 +321,6 @@ class TestBatchNorm:
 
 
 class TestActivationsAndPooling:
-    def test_relu_values(self):
-        x = Tensor4(np.array([-1.0, 2.0, 0.0, -3.5]).reshape(1, 1, 2, 2))
-        np.testing.assert_array_equal(relu(x).data.ravel(), [0.0, 2.0, 0.0, 0.0])
-
-    def test_sigmoid_at_zero(self):
-        assert sigmoid(Tensor4(np.zeros((1, 1, 1, 1)))).data.item() == 0.5
-
     def test_gelu_exact_erf_form(self):
         from math import erf, sqrt
         x = Tensor4(np.array([1.0, -1.0, 0.0, 2.5]).reshape(1, 1, 2, 2))
@@ -350,14 +337,14 @@ class TestActivationsAndPooling:
     def test_linear_vector_and_batch(self, rng):
         w = rng.standard_normal((3, 5))
         b = rng.standard_normal(3)
-        v = rng.standard_normal(5)
-        np.testing.assert_allclose(linear(v, w, b), w @ v + b)
         batch = rng.standard_normal((4, 5))
         np.testing.assert_allclose(linear(batch, w, b), batch @ w.T + b)
 
     def test_linear_width_mismatch(self):
         with pytest.raises(ShapeError):
-            linear(np.zeros(4), np.zeros((3, 5)))
+            linear(np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(3))
+        with pytest.raises(ShapeError):
+            linear(np.zeros(5), np.zeros((3, 5)), np.zeros(3))
 
 
 class TestGrn:
