@@ -70,10 +70,6 @@ from .model import (
     param_count,
 )
 from .modality import (
-    AudioBatch,
-    PointCloudBatch,
-    TimeSeriesBatch,
-    VideoBatch,
     embed_audio,
     embed_pointcloud,
     embed_time_series,

@@ -40,7 +40,7 @@ from .model import (  # noqa: E402
     param_count,
 )
 from .tensor import Tensor4  # noqa: E402
-from .verify import adhoc_scenario, verify_model  # noqa: E402
+from .verify import adhoc_scenario, require_trials, verify_model  # noqa: E402
 
 SCHEMA_VERSION = 1
 
@@ -71,8 +71,6 @@ def _parse_adhoc(pairs):
 
 
 def cmd_verify(args) -> int:
-    if args.trials < 1:
-        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     dtype = np.float32 if args.f32 else np.float64
     tolerance = args.tolerance
     if tolerance is None:
@@ -90,12 +88,13 @@ def cmd_verify(args) -> int:
     else:
         if args.model is None:
             raise ConfigError("verify needs --model NAME or --adhoc key=value ...")
+        require_trials(args.trials)  # before the build, which takes seconds and GBs for XL
         model = build_named(args.model, seed=args.seed)
         if args.f32:
             model = model_astype(model, np.float32)
         checks = verify_model(model, rng, args.trials)
         target = args.model
-    worst = max(err for _, err in checks)
+    worst = float(np.max([err for _, err in checks]))  # NaN kept: fails the tolerance
     ok = worst <= tolerance
     _emit({
         "schema_version": SCHEMA_VERSION,
@@ -336,20 +335,15 @@ def cmd_embed(args) -> int:
             projection = np.eye(d // args.nodes)
         if args.height is None or args.width is None:
             raise ConfigError("time-series embedding needs explicit --height and --width")
-        batch = modality.TimeSeriesBatch(
-            data=data, nodes=args.nodes, latent_width=projection.shape[0],
-            target_hw=(args.height, args.width),
-        )
-        emb = modality.embed_time_series(batch, projection)
+        emb = modality.embed_time_series(data, args.nodes, projection, (args.height, args.width))
     elif args.modality == "audio":
-        arr = _read_input_tensor(args.input, "audio input (B, T, F)", 3)
-        emb = modality.embed_audio(modality.AudioBatch(arr))
+        emb = modality.embed_audio(_read_input_tensor(args.input, "audio input (B, T, F)", 3))
     elif args.modality == "pointcloud":
-        arr = _read_input_tensor(args.input, "point-cloud input (B, P, 3)", 3)
-        emb = modality.embed_pointcloud(modality.PointCloudBatch(arr))
+        emb = modality.embed_pointcloud(
+            _read_input_tensor(args.input, "point-cloud input (B, P, 3)", 3))
     else:
         arr = _read_input_tensor(args.input, "video input (B, N_F, 3, h, w)", 5)
-        emb = modality.embed_video(modality.VideoBatch(arr, grid=_parse_grid(args.grid)))
+        emb = modality.embed_video(arr, _parse_grid(args.grid))
     container.save_tensor(args.out, "embedding", emb)
     _emit({
         "schema_version": SCHEMA_VERSION,
@@ -439,6 +433,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UrlkError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as e:
+        print(f"error: not enough memory: {e}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -34,16 +34,28 @@ def relative_error(actual: np.ndarray, reference: np.ndarray) -> float:
     return float(np.abs(actual - reference).sum() / denom)
 
 
+def require_trials(trials: int) -> None:
+    """Raise ConfigError unless trials >= 1; a check run zero times would pass unchecked."""
+    if trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
+
+
+def _worst(trials: int, trial) -> float:
+    """Max of trial() over trials calls; a NaN error is kept, so it fails any tolerance."""
+    require_trials(trials)
+    return float(np.max([trial() for _ in range(trials)]))
+
+
 def verify_reparam_merge(branches, rng: np.random.Generator, trials: int) -> float:
     """Max relative error between merged-layer and branch-sum forwards, in the branches' dtype."""
     merged = merge_dilated_reparam(branches)
-    worst = 0.0
-    for _ in range(trials):
+
+    def trial():
         x = Tensor4(rng.standard_normal((2, merged.in_channels, _SPATIAL, _SPATIAL))
                     .astype(merged.weight.dtype))
-        reference = reparam_forward(x, branches)
-        worst = max(worst, relative_error(conv2d(x, merged).data, reference.data))
-    return worst
+        return relative_error(conv2d(x, merged).data, reparam_forward(x, branches).data)
+
+    return _worst(trials, trial)
 
 
 def verify_model(model: ModelInstance, rng: np.random.Generator,
@@ -55,23 +67,23 @@ def verify_model(model: ModelInstance, rng: np.random.Generator,
     resolution 64. Returns a (name, max_rel_err) pair per block plus a final
     ("model", max_rel_err).
     """
+    require_trials(trials)  # before the merge, which is the costly part for large models
     merged = merge_for_deploy(model)
+
+    def block_trial(b, mb):
+        x = Tensor4(rng.standard_normal((2, b.channels, _SPATIAL, _SPATIAL)).astype(model.dtype))
+        return relative_error(block_forward(x, mb).data, block_forward(x, b).data)
+
+    def model_trial():
+        x = Tensor4(rng.standard_normal(
+            (1, model.config.in_channels, 64, 64)).astype(model.dtype))
+        return relative_error(forward(merged, x), forward(model, x))
+
     checks = []
     for s, (stage, mstage) in enumerate(zip(model.stages, merged.stages), start=1):
         for i, (b, mb) in enumerate(zip(stage, mstage)):
-            worst = 0.0
-            for _ in range(trials):
-                x = Tensor4(rng.standard_normal(
-                    (2, b.channels, _SPATIAL, _SPATIAL)).astype(model.dtype))
-                worst = max(worst, relative_error(
-                    block_forward(x, mb).data, block_forward(x, b).data))
-            checks.append((f"stage{s}.block{i}", worst))
-    worst = 0.0
-    for _ in range(trials):
-        x = Tensor4(rng.standard_normal(
-            (1, model.config.in_channels, 64, 64)).astype(model.dtype))
-        worst = max(worst, relative_error(forward(merged, x), forward(model, x)))
-    checks.append(("model", worst))
+            checks.append((f"stage{s}.block{i}", _worst(trials, lambda: block_trial(b, mb))))
+    checks.append(("model", _worst(trials, model_trial)))
     return checks
 
 
@@ -101,8 +113,8 @@ def adhoc_scenario(
     if eq > large_kernel:
         raise ConfigError(f"(k-1)*r+1 = {eq} exceeds K={large_kernel}")
     cin_g = in_channels // groups
-    worst = 0.0
-    for _ in range(trials):
+
+    def trial():
         wl = rng.standard_normal((out_channels, cin_g, large_kernel, large_kernel)).astype(dtype)
         ws = rng.standard_normal((out_channels, cin_g, small_k, small_k)).astype(dtype)
         large = ConvLayer(Tensor4(wl), padding=(large_kernel // 2,) * 2, groups=groups)
@@ -115,8 +127,9 @@ def adhoc_scenario(
         merged_w = wl.copy()
         merged_w[:, :, pad:large_kernel - pad, pad:large_kernel - pad] += expanded
         merged = ConvLayer(Tensor4(merged_w), padding=(large_kernel // 2,) * 2, groups=groups)
-        worst = max(worst, relative_error(conv2d(x, merged).data, reference))
-    return worst
+        return relative_error(conv2d(x, merged).data, reference)
+
+    return _worst(trials, trial)
 
 
 def random_sweep_config(rng: np.random.Generator) -> DilatedReparamCfg:
@@ -140,8 +153,5 @@ def random_sweep_config(rng: np.random.Generator) -> DilatedReparamCfg:
 
 def merge_equivalence_sweep(n_configs: int, rng: np.random.Generator) -> float:
     """Max relative error over a float64 randomized sweep, one trial per block configuration."""
-    worst = 0.0
-    for _ in range(n_configs):
-        branches = random_branches(random_sweep_config(rng), rng)
-        worst = max(worst, verify_reparam_merge(branches, rng, 1))
-    return worst
+    return _worst(n_configs, lambda: verify_reparam_merge(
+        random_branches(random_sweep_config(rng), rng), rng, 1))

@@ -90,17 +90,17 @@ def time_series_embed_naive(data, nodes, projection, target_hw):
     """Each pipeline step materialized separately with explicit loops."""
     b, l, d = data.shape
     dn = d // nodes
-    latent_width = projection.shape[0]
+    latent = projection.shape[0]
     split = np.zeros((b * nodes, l, dn), dtype=np.float64)
     for bi in range(b):
         for j in range(nodes):
             for li in range(l):
                 for f in range(dn):
                     split[bi * nodes + j, li, f] = data[bi, li, j * dn + f]
-    projected = np.zeros((b * nodes, l, latent_width))
+    projected = np.zeros((b * nodes, l, latent))
     for row in range(b * nodes):
         for li in range(l):
-            for o in range(latent_width):
+            for o in range(latent):
                 projected[row, li, o] = sum(
                     projection[o, f] * split[row, li, f] for f in range(dn)
                 )

@@ -26,10 +26,6 @@ from urlknet import (
 from urlknet.cli import main as cli_main
 from urlknet.model import INSTANCE_NAMES, REFERENCE_PARAMS_M
 from urlknet.modality import (
-    AudioBatch,
-    PointCloudBatch,
-    TimeSeriesBatch,
-    VideoBatch,
     embed_audio,
     embed_pointcloud,
     embed_time_series,
@@ -153,22 +149,17 @@ def test_criterion_7_benchmark_direction(capsys):
 def test_criterion_8_modality_constraints(rng):
     t0 = time.perf_counter()
     # time-series: the H*W == L*D' map constraint is enforced
-    with pytest.raises(ShapeError):
-        TimeSeriesBatch(rng.standard_normal((1, 32, 4)), nodes=1,
-                        latent_width=4, target_hw=(8, 15))
-    ts = embed_time_series(
-        TimeSeriesBatch(rng.standard_normal((2, 32, 4)), nodes=2,
-                        latent_width=2, target_hw=(8, 8)),
-        np.eye(2))
+    with pytest.raises(ShapeError, match="has 120 cells but L"):
+        embed_time_series(rng.standard_normal((1, 32, 4)), 1, np.eye(4), (8, 15))
+    ts = embed_time_series(rng.standard_normal((2, 32, 4)), 2, np.eye(2), (8, 8))
     ok = ts.shape == (4, 1, 8, 8)
     # audio: (B, T, F) -> (B, 1, T, F)
-    ok = ok and embed_audio(AudioBatch(rng.standard_normal((2, 128, 64)))).shape == (2, 1, 128, 64)
+    ok = ok and embed_audio(rng.standard_normal((2, 128, 64))).shape == (2, 1, 128, 64)
     # point cloud: fixed (3, 224, 224) projections
-    ok = ok and embed_pointcloud(
-        PointCloudBatch(rng.standard_normal((1, 64, 3)))).shape == (1, 3, 224, 224)
+    ok = ok and embed_pointcloud(rng.standard_normal((1, 64, 3))).shape == (1, 3, 224, 224)
     # video: sixteen 224x224 frames lay out to 896x896
     frames = rng.standard_normal((1, 16, 3, 224, 224)).astype(np.float32)
-    ok = ok and embed_video(VideoBatch(frames)).shape == (1, 3, 896, 896)
+    ok = ok and embed_video(frames).shape == (1, 3, 896, 896)
     elapsed = time.perf_counter() - t0
     check(8, "embedding maps satisfy their shape constraints exactly",
           ok, f"{elapsed:.1f} s")

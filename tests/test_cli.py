@@ -1,16 +1,20 @@
+import hashlib
 import json
 import os
 import platform
+import shlex
 import struct
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
 from urlknet import Tensor4, build_named, forward, model_astype
-from urlknet.cli import main
+from urlknet import cli
+from urlknet.cli import build_parser, main
 from urlknet.container import MAGIC, load_tensor, save_model
 from urlknet.dataio import write_raw_array
 
@@ -240,6 +244,51 @@ class TestWeightsCommands:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+# sha256 of the `urlk embed` container for each case of _embed_argv
+_EMBED_SHA256 = {
+    "audio":
+        "b8ca6289d0c2a57c43cc4a76bfb734ea7bfb5851ba2ba4f5f1a9536ce714eaa2",
+    "video":
+        "4e027783945ca03fec1ae4441e38cb908f5f14909cfad6cc66127588b43aec23",
+    "pointcloud":
+        "4039dc508ee446c02910cd99a8000647ceb13f31c17416a05dc5fbc5ccb7fb1d",
+    "time-series-identity":
+        "e8acecc09548ce3585525356385659fe86a4c46c7f46acaf54b69f5e22e7b18c",
+    "time-series-projection":
+        "c7d8d7656f7739f596e4fb4c81a10a3d91ce9ce4cf3ebbeb3a36df818b1554a2",
+}
+
+
+def _embed_argv(tmp_path, case):
+    """Write one fixed seeded input; return the embed argv reading it (without --out).
+
+    The projected time-series case holds small integers, so its sums are exact
+    in any BLAS summation order.
+    """
+    rng = np.random.default_rng(7)
+    src = tmp_path / "in.raw"
+    if case == "audio":
+        write_raw_array(src, rng.standard_normal((2, 16, 12)))
+        return ["--modality", "audio", "--input", str(src)]
+    if case == "video":
+        write_raw_array(src, rng.standard_normal((2, 6, 3, 5, 4)))
+        return ["--modality", "video", "--input", str(src)]
+    if case == "pointcloud":
+        write_raw_array(src, rng.standard_normal((2, 40, 3)), dtype="f64")
+        return ["--modality", "pointcloud", "--input", str(src)]
+    if case == "time-series-identity":
+        write_raw_array(src, rng.standard_normal((2, 8, 4)))
+        return ["--modality", "time-series", "--input", str(src), "--nodes", "2",
+                "--height", "4", "--width", "4"]
+    if case == "time-series-projection":
+        write_raw_array(src, rng.integers(-8, 9, (2, 8, 6)), dtype="f64")
+        proj = tmp_path / "proj.raw"
+        write_raw_array(proj, rng.integers(-4, 5, (5, 3)), dtype="f64")
+        return ["--modality", "time-series", "--input", str(src), "--nodes", "2",
+                "--projection", str(proj), "--height", "8", "--width", "5"]
+    raise AssertionError(case)
+
+
 class TestEmbed:
     def test_audio(self, capsys, tmp_path):
         src = tmp_path / "audio.raw"
@@ -309,6 +358,13 @@ class TestEmbed:
                                     "--height", "8", "--width", "4"])
         assert code == 0
         assert report["shape"] == [4, 1, 8, 4]
+
+    @pytest.mark.parametrize("case", sorted(_EMBED_SHA256))
+    def test_output_bytes_pinned(self, capsys, tmp_path, case):
+        out = tmp_path / "emb.urlk"
+        code, _ = run(capsys, ["embed", *_embed_argv(tmp_path, case), "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _EMBED_SHA256[case]
 
 
 
@@ -420,6 +476,19 @@ class TestBadInputs:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
+    def test_allocation_beyond_memory_exits_2(self, capsys, monkeypatch):
+        # the K=99999 weight needs 1.16 TiB; whether numpy is refused it at once depends on the
+        # host's overcommit policy, so the refusal is simulated instead of asked for
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.16 TiB")
+
+        monkeypatch.setattr(cli, "adhoc_scenario", refuse)
+        code = main(["verify", "--adhoc", "K=99999"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert (captured.err.startswith("error: not enough memory") and "1.16 TiB" in captured.err
+                and "Traceback" not in captured.err)
+
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_export_to_unwritable_path_exits_2(self, capsys, tmp_path, where):
         folder = tmp_path / "d"
@@ -463,3 +532,18 @@ class TestBadInputs:
         assert code == 2 and captured.out == ""
         assert "NaN or infinite" in captured.err and "Traceback" not in captured.err
         assert not out.exists()
+
+
+def _readme_cli_examples():
+    """The `urlk` command lines of README's CLI block, `\\` continuations joined."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("urlk ")]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_examples(), ids=" ".join)
+def test_readme_cli_example_parses(argv):
+    # parsing only: a flag renamed or removed since the README was written fails here
+    args = build_parser().parse_args(argv[1:])
+    assert args.command == argv[1]

@@ -56,6 +56,7 @@ class TestDilateKernel:
     def test_sparsity_per_slice(self, rng):
         w = rng.standard_normal((4, 3, 5, 5))
         out = dilate_kernel(Tensor4(w), 3).data
+        np.testing.assert_array_equal(out[:, :, ::3, ::3], w)
         for oc in range(4):
             for ic in range(3):
                 assert np.count_nonzero(out[oc, ic]) == np.count_nonzero(w[oc, ic])
@@ -71,6 +72,19 @@ class TestDilateKernel:
             conv2d(Tensor4(x), wide).data, conv2d(Tensor4(x), dil).data,
             rtol=1e-12, atol=1e-12,
         )
+
+    @pytest.mark.parametrize("k,r,groups,cin", [(3, 2, 1, 2), (3, 3, 2, 4), (5, 2, 4, 4), (7, 2, 1, 1)])
+    def test_dilation_equivalence_property(self, rng, k, r, groups, cin):
+        # the core rewrite rule: conv at dilation r == conv at r=1 with zero-inserted kernel
+        cout = cin
+        x = rng.standard_normal((2, cin, 21, 21))
+        w = rng.standard_normal((cout, cin // groups, k, k))
+        pad = ((k - 1) * r) // 2
+        dil = conv2d(Tensor4(x), ConvLayer(Tensor4(w), padding=(pad, pad),
+                                           dilation=(r, r), groups=groups)).data
+        wide = dilate_kernel(Tensor4(w), r)
+        plain = conv2d(Tensor4(x), ConvLayer(wide, padding=(pad, pad), groups=groups)).data
+        np.testing.assert_allclose(plain, dil, rtol=1e-12, atol=1e-12)
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):

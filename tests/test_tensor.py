@@ -10,7 +10,6 @@ from urlknet import (
     batchnorm_infer,
     conv2d,
     conv_output_size,
-    dilate_kernel,
     gelu,
     global_avg_pool,
     grn,
@@ -239,50 +238,6 @@ class TestConv2d:
         x = Tensor4(rng.standard_normal((2, 4, 10, 10)))
         layer = ConvLayer(Tensor4(rng.standard_normal((4, 4, 3, 3))), padding=(1, 1))
         np.testing.assert_array_equal(conv2d(x, layer).data, conv2d(x, layer).data)
-
-
-class TestConvTransposeKernel:
-    """Kernel expansion by zero insertion: `dilate_kernel`."""
-
-    def test_stride1_is_identity(self, rng):
-        w = Tensor4(rng.standard_normal((2, 1, 5, 5)))
-        np.testing.assert_array_equal(dilate_kernel(w, 1).data, w.data)
-
-    def test_zero_insertion_pattern(self, rng):
-        w = rng.standard_normal((1, 1, 3, 3))
-        out = dilate_kernel(Tensor4(w), 3).data
-        assert out.shape == (1, 1, 7, 7)
-        grid = np.ix_([0], [0], [0, 3, 6], [0, 3, 6])
-        np.testing.assert_array_equal(out[grid], w)
-        mask = np.ones_like(out, dtype=bool)
-        mask[grid] = False
-        assert np.all(out[mask] == 0)
-
-    def test_expanded_kernel_replays_dilated_conv(self, rng):
-        w = rng.standard_normal((1, 1, 5, 5))
-        x = rng.standard_normal((1, 1, 17, 17))
-        expanded = dilate_kernel(Tensor4(w), 2)
-        assert expanded.shape == (1, 1, 9, 9)
-        dilated = conv2d(Tensor4(x), ConvLayer(Tensor4(w), dilation=(2, 2))).data
-        plain = conv2d(Tensor4(x), ConvLayer(expanded)).data
-        np.testing.assert_allclose(plain, dilated, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("k,r,groups,cin", [(3, 2, 1, 2), (3, 3, 2, 4), (5, 2, 4, 4), (7, 2, 1, 1)])
-    def test_dilation_equivalence_property(self, rng, k, r, groups, cin):
-        # the core rewrite rule: conv at dilation r == conv at r=1 with zero-inserted kernel
-        cout = cin
-        x = rng.standard_normal((2, cin, 21, 21))
-        w = rng.standard_normal((cout, cin // groups, k, k))
-        pad = ((k - 1) * r) // 2
-        dil = conv2d(Tensor4(x), ConvLayer(Tensor4(w), padding=(pad, pad),
-                                           dilation=(r, r), groups=groups)).data
-        wide = dilate_kernel(Tensor4(w), r)
-        plain = conv2d(Tensor4(x), ConvLayer(wide, padding=(pad, pad), groups=groups)).data
-        np.testing.assert_allclose(plain, dil, rtol=1e-12, atol=1e-12)
-
-    def test_bad_stride(self):
-        with pytest.raises(Exception):
-            dilate_kernel(Tensor4(np.zeros((1, 1, 3, 3))), 0)
 
 
 class TestBatchNorm:
