@@ -36,13 +36,12 @@ from .tensor import (
 )
 from .reparam import (
     DilatedBranch,
-    DilatedReparamCfg,
-    default_reparam_cfg,
     dilate_kernel,
     equivalent_kernel_size,
     fuse_bn,
     merge_dilated_reparam,
     reparam_forward,
+    stock_branches,
 )
 from .blocks import (
     BlockSpec,

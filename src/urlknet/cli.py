@@ -71,10 +71,14 @@ def _parse_adhoc(pairs):
 
 
 def cmd_verify(args) -> int:
+    if (args.model is None) == (args.adhoc is None):
+        raise ConfigError("verify needs exactly one of --model NAME and --adhoc key=value ...")
     dtype = np.float32 if args.f32 else np.float64
     tolerance = args.tolerance
     if tolerance is None:
         tolerance = 1e-5 if args.f32 else 1e-9
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"--tolerance must be finite and >= 0, got {tolerance}")
     rng = np.random.default_rng(args.seed)
     checks = []
     if args.adhoc:
@@ -86,8 +90,6 @@ def cmd_verify(args) -> int:
         checks.append(("adhoc", err))
         target = "adhoc"
     else:
-        if args.model is None:
-            raise ConfigError("verify needs --model NAME or --adhoc key=value ...")
         require_trials(args.trials)  # before the build, which takes seconds and GBs for XL
         model = build_named(args.model, seed=args.seed)
         if args.f32:

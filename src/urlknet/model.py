@@ -4,8 +4,9 @@ The backbone has four stages at widths C, 2C, 4C, 8C, each entered through a
 stride-2 downsample: ModelInstance.downsamples lines up with .stages, the stem
 (two conv+BN pairs, halving twice) first, then one pair per transition, so
 every walker zips the two. Stage 1 uses SmaK blocks, stages 2 and 4 use LarK
-blocks only, and stage 3 mixes them according to the split: "9+18" lays out
-LarK,SmaK,SmaK repeated, "9+9" alternates LarK,SmaK.
+blocks only, and stage 3 repeats LarK plus N3/stage3_lark - 1 SmaK blocks
+(S: LarK,SmaK,SmaK; T: LarK,SmaK; A: all LarK). LarK blocks have the
+stock_branches(13) depthwise stage, SmaK blocks stock_branches(3): one 3x3.
 
 A freshly built model is in train-structure mode; merge_for_deploy returns its
 deploy twin (never mutating the original): every depthwise stage, the LarK
@@ -37,7 +38,7 @@ from .blocks import (
     merge_block,
 )
 from .errors import ConfigError, FormatError, GeometryError, ShapeError, StateError
-from .reparam import DilatedBranch, DilatedReparamCfg, default_reparam_cfg
+from .reparam import DilatedBranch, stock_branches
 from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, global_avg_pool, linear
 
 TRAIN_MODE = "train-structure"
@@ -57,7 +58,6 @@ class ArchConfig:
     depths: tuple[int, int, int, int]
     width: int
     stage3_lark: int
-    stage3_smak: int
     in_channels: int = 3
     num_classes: int = 1000
 
@@ -67,14 +67,10 @@ class ArchConfig:
             raise ConfigError(f"depths must be four positive ints, got {self.depths}")
         if self.width % 4 != 0 or self.width < 8:
             raise ConfigError(f"width must be a multiple of 4 (SE bottleneck), got {self.width}")
-        if self.stage3_lark + self.stage3_smak != self.depths[2]:
+        if self.depths[2] not in (self.stage3_lark, 2 * self.stage3_lark, 3 * self.stage3_lark):
             raise ConfigError(
-                f"stage-3 split {self.stage3_lark}+{self.stage3_smak} != N3={self.depths[2]}"
-            )
-        if self.stage3_smak not in (0, self.stage3_lark, 2 * self.stage3_lark):
-            raise ConfigError(
-                f"invalid stage-3 layout split {self.stage3_lark}+{self.stage3_smak}: "
-                "SmaK count must be 0, equal to, or twice the LarK count"
+                f"N3={self.depths[2]} must be 1, 2 or 3 times the stage-3 LarK count "
+                f"{self.stage3_lark}"
             )
         if self.in_channels < 1 or self.num_classes < 1:
             raise ConfigError("in_channels and num_classes must be positive")
@@ -91,28 +87,25 @@ class ArchConfig:
             return (SMAK,) * n
         if stage in (2, 4):
             return (LARK,) * n
-        if self.stage3_smak == 0:
-            return (LARK,) * n
-        if self.stage3_smak == self.stage3_lark:
-            return (LARK, SMAK) * self.stage3_lark
-        return (LARK, SMAK, SMAK) * self.stage3_lark
-
-    def reparam_cfg(self, kind: str, channels: int) -> DilatedReparamCfg:
-        """Depthwise stage of one block: stock 13x13 branches (LarK) or one 3x3 (SmaK)."""
-        return default_reparam_cfg(channels, kernel_size=13 if kind == LARK else 3)
+        return (LARK, *(SMAK,) * (n // self.stage3_lark - 1)) * self.stage3_lark
 
 
-# (N1, N2, (lark, smak), N4, C); reference param counts in millions
+def _branches(kind: str) -> tuple[tuple[int, int], ...]:
+    """(k, r) list of a block's depthwise stage: stock 13x13 branches (LarK) or one 3x3 (SmaK)."""
+    return stock_branches(13 if kind == LARK else 3)
+
+
+# (N1, N2, N3, N4, stage-3 LarK count, C); reference param counts in millions
 _INSTANCE_ROWS = {
-    "A": (2, 2, (6, 0), 2, 40),
-    "F": (2, 2, (6, 0), 2, 48),
-    "P": (2, 2, (6, 0), 2, 64),
-    "N": (2, 2, (8, 0), 2, 80),
-    "T": (3, 3, (9, 9), 3, 80),
-    "S": (3, 3, (9, 18), 3, 96),
-    "B": (3, 3, (9, 18), 3, 128),
-    "L": (3, 3, (9, 18), 3, 192),
-    "XL": (3, 3, (9, 18), 3, 256),
+    "A": (2, 2, 6, 2, 6, 40),
+    "F": (2, 2, 6, 2, 6, 48),
+    "P": (2, 2, 6, 2, 6, 64),
+    "N": (2, 2, 8, 2, 8, 80),
+    "T": (3, 3, 18, 3, 9, 80),
+    "S": (3, 3, 27, 3, 9, 96),
+    "B": (3, 3, 27, 3, 9, 128),
+    "L": (3, 3, 27, 3, 9, 192),
+    "XL": (3, 3, 27, 3, 9, 256),
 }
 
 REFERENCE_PARAMS_M = {
@@ -127,12 +120,11 @@ def arch_config(name: str, in_channels: int = 3, num_classes: int = 1000) -> Arc
     """ArchConfig for one of the nine named instances (A F P N T S B L XL)."""
     if name not in _INSTANCE_ROWS:
         raise ConfigError(f"unknown model instance {name!r}; choose from {INSTANCE_NAMES}")
-    n1, n2, (lark, smak), n4, width = _INSTANCE_ROWS[name]
+    *depths, lark, width = _INSTANCE_ROWS[name]
     return ArchConfig(
-        depths=(n1, n2, lark + smak, n4),
+        depths=tuple(depths),
         width=width,
         stage3_lark=lark,
-        stage3_smak=smak,
         in_channels=in_channels,
         num_classes=num_classes,
     )
@@ -203,13 +195,13 @@ def _layout(cfg: ArchConfig, merged: bool):
             yield from bn(f"transition{s}.bn", w)
         for i, kind in enumerate(cfg.stage_kinds(s)):
             p = f"stage{s}.block{i}"
-            rcfg = cfg.reparam_cfg(kind, w)
+            spec = _branches(kind)
             if merged:
-                K = rcfg.kernel_size
+                K = spec[0][0]
                 yield f"{p}.dw.weight", (w, 1, K, K), "normal"
                 yield f"{p}.dw.bias", (w,), "zeros"
             else:
-                for j, (k, _) in enumerate(rcfg.branches):
+                for j, (k, _) in enumerate(spec):
                     # SmaK containers name their single branch dw.weight / dw.bn.*
                     q = f"{p}.dw" if kind == SMAK else f"{p}.dw.branch{j}"
                     yield f"{q}.weight", (w, 1, k, k), "normal"
@@ -245,13 +237,13 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
         return ConvLayer(weight, take() if bias else None, stride, padding, dilation, groups)
 
     def block(kind: str, c: int) -> BlockSpec:
-        rcfg = cfg.reparam_cfg(kind, c)
+        spec = _branches(kind)
         if merged:
-            dw = {"dw_conv": conv(padding=rcfg.kernel_size // 2, groups=c, bias=True)}
+            dw = {"dw_conv": conv(padding=spec[0][0] // 2, groups=c, bias=True)}
         else:
             dw = {"branches": tuple(
                 DilatedBranch(conv(padding=(k - 1) * r // 2, dilation=r, groups=c), bn())
-                for k, r in rcfg.branches
+                for k, r in spec
             )}
         se = SeBlock(take(), take(), take(), take())
         post_dw_bn = bn()

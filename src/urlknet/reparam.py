@@ -6,6 +6,9 @@ parallel conv+BN branches — one principal KxK branch plus dilated small-kernel
 branches — therefore merges into a single KxK layer: fold each BN into its
 conv, expand each dilated kernel, zero-pad everything to KxK, and sum.
 
+A block is described by its branches alone: K is the principal's kernel and
+the channels and groups are the convs'; stock_branches(K) gives the stock list.
+
 All transformations here are pure and exact up to float rounding; the merged
 layer reproduces the branch-sum forward to ~1e-10 relative error in float64.
 """
@@ -113,80 +116,47 @@ class DilatedBranch:
         return self.conv.dilation[0]
 
 
-@dataclass(frozen=True)
-class DilatedReparamCfg:
-    """Hyper-parameters of one block: large kernel K and the branch (k, r) list.
+def stock_branches(K: int) -> tuple[tuple[int, int], ...]:
+    """Stock (k, r) list of a KxK block: principal (K, 1) first, then k=(5,7,3,3,3), r=(1,2,3,4,5).
 
-    The list must contain exactly one principal (K, 1) entry; every entry must
-    satisfy (k-1)*r + 1 <= K. The stock configuration for K=13 pairs the
-    principal branch with k=(5,7,3,3,3) at r=(1,2,3,4,5), whose equivalent
-    kernel sizes are (5,13,7,9,11). It is the weight-free spec that layout,
-    assembly and random init read; code holding branches derives it from them
-    with from_branches.
+    The stock K=13 list has equivalent sizes (13, 5, 13, 7, 9, 11). Branches
+    wider than a smaller K are dropped, so K=3 leaves the principal branch
+    alone: the SmaK depthwise stage.
     """
-
-    kernel_size: int
-    branches: tuple[tuple[int, int], ...]
-    channels: int
-    groups: int = 1
-
-    def __post_init__(self):
-        K = self.kernel_size
-        if K % 2 == 0 or K < 3:
-            raise ConfigError(f"large kernel size must be odd and >= 3, got {K}")
-        object.__setattr__(self, "branches", tuple((int(k), int(r)) for k, r in self.branches))
-        for k, r in self.branches:
-            if equivalent_kernel_size(k, r) > K:
-                raise ConfigError(
-                    f"branch (k={k}, r={r}) has equivalent size {(k - 1) * r + 1} > K={K}"
-                )
-        principals = self.branches.count((K, 1))
-        if principals != 1:
-            raise ConfigError(
-                f"expected exactly one principal (K={K}, r=1) branch, found {principals}"
-            )
-        if self.channels < 1 or self.groups < 1 or self.channels % self.groups:
-            raise ConfigError(
-                f"channels={self.channels} must be a positive multiple of groups={self.groups}"
-            )
-
-    @classmethod
-    def from_branches(cls, branches: Sequence[DilatedBranch]) -> DilatedReparamCfg:
-        """The spec a branch tuple describes, read from the branches' own geometry.
-
-        K is the principal's (largest) kernel size; every conv must map the
-        same c channels to c with the same groups.
-        """
-        groups = {b.conv.groups for b in branches}
-        channels = {n for b in branches for n in (b.conv.in_channels, b.conv.out_channels)}
-        if len(groups) != 1 or len(channels) != 1:
-            raise ConfigError(f"branches must agree on channels and groups, got groups "
-                              f"{sorted(groups)} and channels {sorted(channels)}")
-        return cls(max(b.k for b in branches), tuple((b.k, b.r) for b in branches),
-                   channels.pop(), groups.pop())
-
-    def merge_order(self) -> tuple[int, ...]:
-        """Branch indices with the principal branch first, then declared order."""
-        p = self.branches.index((self.kernel_size, 1))
-        return (p, *[i for i in range(len(self.branches)) if i != p])
+    return ((K, 1), *((k, r) for k, r in ((5, 1), (7, 2), (3, 3), (3, 4), (3, 5))
+                      if equivalent_kernel_size(k, r) <= K))
 
 
-def default_reparam_cfg(channels: int, kernel_size: int = 13) -> DilatedReparamCfg:
-    """Stock depthwise block configuration: principal KxK plus k=(5,7,3,3,3), r=(1,2,3,4,5).
+def _checked(branches: Sequence[DilatedBranch]):
+    """(branches principal first then in declared order, K, channels, groups) of one block.
 
-    Branches whose equivalent size would exceed a smaller K are dropped, so
-    K=3 leaves the principal branch alone: the SmaK depthwise stage.
+    The branches' own geometry is the block's spec: K is the principal's
+    (largest) kernel size, every conv must map the same c channels to c with
+    the same groups, K must be >= 3, no branch may be wider than K, and
+    exactly one branch must be the (K, 1) principal.
     """
-    branches = [(kernel_size, 1)] + [
-        (k, r) for k, r in ((5, 1), (7, 2), (3, 3), (3, 4), (3, 5))
-        if equivalent_kernel_size(k, r) <= kernel_size and k <= kernel_size
-    ]
-    return DilatedReparamCfg(
-        kernel_size=kernel_size,
-        branches=tuple(branches),
-        channels=channels,
-        groups=channels,
-    )
+    groups = {b.conv.groups for b in branches}
+    channels = {n for b in branches for n in (b.conv.in_channels, b.conv.out_channels)}
+    if len(groups) != 1 or len(channels) != 1:
+        raise ConfigError(f"branches must agree on channels and groups, got groups "
+                          f"{sorted(groups)} and channels {sorted(channels)}")
+    spec = [(b.k, b.r) for b in branches]
+    K = max(k for k, _ in spec)
+    if K < 3:
+        raise ConfigError(f"large kernel size must be >= 3, got {K}")
+    for k, r in spec:
+        if equivalent_kernel_size(k, r) > K:
+            raise ConfigError(
+                f"branch (k={k}, r={r}) has equivalent size {(k - 1) * r + 1} > K={K}"
+            )
+    principals = spec.count((K, 1))
+    if principals != 1:
+        raise ConfigError(
+            f"expected exactly one principal (K={K}, r=1) branch, found {principals}"
+        )
+    p = spec.index((K, 1))
+    ordered = (branches[p], *branches[:p], *branches[p + 1:])
+    return ordered, K, channels.pop(), groups.pop()
 
 
 def reparam_forward(x: Tensor4, branches: Sequence[DilatedBranch]) -> Tensor4:
@@ -195,14 +165,10 @@ def reparam_forward(x: Tensor4, branches: Sequence[DilatedBranch]) -> Tensor4:
     Branches are summed principal-first, then in declared order, matching the
     summation order of merge_dilated_reparam bit for bit.
     """
-    cfg = DilatedReparamCfg.from_branches(branches)
-    out = None
-    for i in cfg.merge_order():
-        y = batchnorm_infer(conv2d(x, branches[i].conv), branches[i].bn)
-        if out is None:
-            out = y
-        else:
-            out.data += y.data  # out is this call's own buffer
+    first, *rest = _checked(branches)[0]
+    out = batchnorm_infer(conv2d(x, first.conv), first.bn)
+    for b in rest:
+        out.data += batchnorm_infer(conv2d(x, b.conv), b.bn).data  # out is this call's own buffer
     return out
 
 
@@ -214,14 +180,13 @@ def merge_dilated_reparam(branches: Sequence[DilatedBranch]) -> ConvLayer:
     summed principal-first, then in declared order. The result reproduces the
     branch-sum forward for every input.
     """
-    cfg = DilatedReparamCfg.from_branches(branches)
-    K = cfg.kernel_size
+    ordered, K, channels, groups = _checked(branches)
     dtype = branches[0].conv.weight.dtype
-    kernel = np.zeros((cfg.channels, cfg.channels // cfg.groups, K, K), dtype=dtype)
-    bias = np.zeros(cfg.channels, dtype=dtype)
-    for i in cfg.merge_order():
-        fused = fuse_bn(branches[i].conv, branches[i].bn)
-        expanded = dilate_kernel(fused.weight, branches[i].r)
+    kernel = np.zeros((channels, channels // groups, K, K), dtype=dtype)
+    bias = np.zeros(channels, dtype=dtype)
+    for b in ordered:
+        fused = fuse_bn(b.conv, b.bn)
+        expanded = dilate_kernel(fused.weight, b.r)
         pad = (K - expanded.shape[2]) // 2
         kernel[:, :, pad:K - pad, pad:K - pad] += expanded.data
         bias += fused.bias
@@ -231,22 +196,23 @@ def merge_dilated_reparam(branches: Sequence[DilatedBranch]) -> ConvLayer:
         stride=(1, 1),
         padding=(K // 2, K // 2),
         dilation=(1, 1),
-        groups=cfg.groups,
+        groups=groups,
     )
 
 
-def random_branches(cfg: DilatedReparamCfg, rng: np.random.Generator) -> tuple[DilatedBranch, ...]:
-    """Random float64 weights (scale 0.5) and BN statistics (var in [0.1, 2)) for one block."""
+def random_branches(spec: Sequence[tuple[int, int]], channels: int, groups: int,
+                    rng: np.random.Generator) -> tuple[DilatedBranch, ...]:
+    """One branch per (k, r): random float64 weights (scale 0.5) and BN stats (var in [0.1, 2))."""
     out = []
-    cin_g = cfg.channels // cfg.groups
-    for k, r in cfg.branches:
-        conv = ConvLayer(Tensor4(rng.standard_normal((cfg.channels, cin_g, k, k)) * 0.5),
-                         padding=((k - 1) * r // 2,) * 2, dilation=(r, r), groups=cfg.groups)
+    cin_g = channels // groups
+    for k, r in spec:
+        conv = ConvLayer(Tensor4(rng.standard_normal((channels, cin_g, k, k)) * 0.5),
+                         padding=((k - 1) * r // 2,) * 2, dilation=(r, r), groups=groups)
         bn = BnParams(
-            gamma=rng.standard_normal(cfg.channels),
-            beta=rng.standard_normal(cfg.channels),
-            running_mean=rng.standard_normal(cfg.channels),
-            running_var=rng.uniform(0.1, 2.0, cfg.channels),
+            gamma=rng.standard_normal(channels),
+            beta=rng.standard_normal(channels),
+            running_mean=rng.standard_normal(channels),
+            running_var=rng.uniform(0.1, 2.0, channels),
         )
         out.append(DilatedBranch(conv=conv, bn=bn))
     return tuple(out)

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import ConfigError
 from .model import ModelInstance, forward, merge_for_deploy
 from .reparam import (
-    DilatedReparamCfg,
+    DilatedBranch,
     dilate_kernel,
     equivalent_kernel_size,
     merge_dilated_reparam,
@@ -132,8 +132,8 @@ def adhoc_scenario(
     return _worst(trials, trial)
 
 
-def random_sweep_config(rng: np.random.Generator) -> DilatedReparamCfg:
-    """One random block config for the merge-equivalence sweep.
+def random_sweep_branches(rng: np.random.Generator) -> tuple[DilatedBranch, ...]:
+    """One random block for the merge-equivalence sweep: its geometry, then its weights.
 
     K in {9, 11, 13, 15}; 1-6 branches; depthwise, grouped, or dense.
     """
@@ -141,17 +141,15 @@ def random_sweep_config(rng: np.random.Generator) -> DilatedReparamCfg:
     channels = int(rng.choice([4, 8]))
     groups = int(rng.choice([channels, 2, 1]))  # depthwise / grouped / dense
     n_extra = int(rng.integers(0, 6))           # plus the principal branch
-    branches = [(K, 1)]
+    spec = [(K, 1)]
     for _ in range(n_extra):
         k = int(rng.choice([3, 5, 7]))
         max_r = (K - 1) // (k - 1)
         r = int(rng.integers(1, max_r + 1))
-        branches.append((k, r))
-    return DilatedReparamCfg(kernel_size=K, branches=tuple(branches),
-                             channels=channels, groups=groups)
+        spec.append((k, r))
+    return random_branches(spec, channels, groups, rng)
 
 
 def merge_equivalence_sweep(n_configs: int, rng: np.random.Generator) -> float:
     """Max relative error over a float64 randomized sweep, one trial per block configuration."""
-    return _worst(n_configs, lambda: verify_reparam_merge(
-        random_branches(random_sweep_config(rng), rng), rng, 1))
+    return _worst(n_configs, lambda: verify_reparam_merge(random_sweep_branches(rng), rng, 1))

@@ -23,7 +23,7 @@ from urlknet import (
     merge_block,
     se_forward,
 )
-from urlknet.reparam import default_reparam_cfg, random_branches
+from urlknet.reparam import random_branches, stock_branches
 from urlknet.verify import relative_error
 from oracles import se_naive
 
@@ -59,10 +59,9 @@ def random_bn(rng, c):
 
 
 def make_lark_block(rng, c, K=13):
-    cfg = default_reparam_cfg(c, kernel_size=K)
     return BlockSpec(
         se=make_se(rng, c), post_dw_bn=random_bn(rng, c),
-        ffn=make_ffn(rng, c), branches=random_branches(cfg, rng),
+        ffn=make_ffn(rng, c), branches=random_branches(stock_branches(K), c, c, rng),
         post_ffn_bn=random_bn(rng, c),
     )
 
@@ -137,14 +136,13 @@ class TestBlockForward:
         # zero DW weights, zero post-DW BN affine, zero FFN projection and zero
         # post-FFN affine leave only the residual paths
         c = 4
-        cfg = default_reparam_cfg(c)
         zero_affine = BnParams(np.zeros(c), np.zeros(c), np.zeros(c), np.ones(c))
         branches = tuple(
             type(b)(conv=ConvLayer(Tensor4(np.zeros_like(b.conv.weight.data)),
                                    stride=b.conv.stride, padding=b.conv.padding,
                                    dilation=b.conv.dilation, groups=b.conv.groups),
                     bn=identity_bn(c))
-            for b in random_branches(cfg, rng)
+            for b in random_branches(stock_branches(13), c, c, rng)
         )
         block = BlockSpec(
             se=make_se(rng, c), post_dw_bn=zero_affine,
@@ -190,13 +188,12 @@ class TestBlockForward:
 
     def test_zero_branches_give_constant_map(self, rng):
         c = 4
-        cfg = default_reparam_cfg(c)
         branches = tuple(
             type(b)(conv=ConvLayer(Tensor4(np.zeros_like(b.conv.weight.data)),
                                    stride=b.conv.stride, padding=b.conv.padding,
                                    dilation=b.conv.dilation, groups=b.conv.groups),
                     bn=b.bn)
-            for b in random_branches(cfg, rng)
+            for b in random_branches(stock_branches(13), c, c, rng)
         )
         from urlknet import merge_dilated_reparam, reparam_forward
         x1 = Tensor4(rng.standard_normal((1, c, 7, 7)))

@@ -465,10 +465,15 @@ class TestBadInputs:
         ["verify", "--adhoc", "K=4"],
         ["verify", "--adhoc", "k=2"],
         ["verify", "--adhoc", "r=0"],
+        ["verify", "--model", "A", "--adhoc", "K=9", "k=3", "r=2", "--trials", "1"],
+        ["verify", "--model", "A", "--trials", "1", "--tolerance", "nan"],
+        ["verify", "--model", "A", "--trials", "1", "--tolerance", "-1"],
+        ["verify", "--adhoc", "K=9", "k=3", "r=2", "--trials", "1", "--tolerance", "inf"],
         ["bench", "--model", "A", "--res", "-64"],
         ["bench", "--model", "A", "--batch", "-1"],
     ], ids=["trials-0", "trials-negative", "adhoc-trials-0", "adhoc-K-not-int", "adhoc-groups-0",
-            "adhoc-in-negative", "adhoc-K-even", "adhoc-k-even", "adhoc-r-0", "bench-res-negative",
+            "adhoc-in-negative", "adhoc-K-even", "adhoc-k-even", "adhoc-r-0", "model-and-adhoc",
+            "tolerance-nan", "tolerance-negative", "tolerance-inf", "bench-res-negative",
             "bench-batch-negative"])
     def test_bad_count_or_size_exits_2_without_traceback(self, capsys, argv):
         code = main(argv)
@@ -534,11 +539,15 @@ class TestBadInputs:
         assert not out.exists()
 
 
+def _readme_block(heading: str, lang: str) -> str:
+    """The first fenced block of README's section under `## heading`."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return readme.split(f"## {heading}\n\n```{lang}\n", 1)[1].split("```", 1)[0]
+
+
 def _readme_cli_examples():
     """The `urlk` command lines of README's CLI block, `\\` continuations joined."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.replace("\\\n", " ").splitlines()
+    lines = _readme_block("CLI", "sh").replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True) for line in lines if line.startswith("urlk ")]
 
 
@@ -547,3 +556,8 @@ def test_readme_cli_example_parses(argv):
     # parsing only: a flag renamed or removed since the README was written fails here
     args = build_parser().parse_args(argv[1:])
     assert args.command == argv[1]
+
+
+def test_readme_quick_tour_runs():
+    # run as written: a name renamed or removed since the README was written fails here
+    exec(compile(_readme_block("Library quick tour", "python"), "README.md", "exec"), {})

@@ -21,11 +21,9 @@ from urlknet.container import (
 )
 from urlknet.model import ArchConfig, iter_state
 
-TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, stage3_smak=0,
-                 num_classes=10)
+TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, num_classes=10)
 # stage 3 lays out LarK, SmaK, SmaK like S, so SmaK blocks sit past stage 1
-TOY3 = ArchConfig(depths=(1, 1, 3, 1), width=8, stage3_lark=1, stage3_smak=2,
-                  num_classes=10)
+TOY3 = ArchConfig(depths=(1, 1, 3, 1), width=8, stage3_lark=1, num_classes=10)
 
 
 def root_buffer(arr):

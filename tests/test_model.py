@@ -1,4 +1,5 @@
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -33,8 +34,7 @@ from urlknet.blocks import block_forward
 from urlknet.reparam import reparam_forward
 from urlknet.verify import relative_error
 
-TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, stage3_smak=0,
-                 num_classes=10)
+TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, num_classes=10)
 
 
 @pytest.fixture(scope="module")
@@ -47,15 +47,46 @@ def model_a_merged(model_a):
     return merge_for_deploy(model_a)
 
 
+def layout_sha256(name: str, merged: bool) -> str:
+    """sha256 of every (tensor name, shape, init tag) _layout yields, one line each."""
+    lines = (f"{t} {shape} {init}\n" for t, shape, init in _layout(arch_config(name), merged))
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+# layout_sha256 per (instance, merged); any change to a tensor's name, order, shape
+# or init tag changes these, including for L and XL, whose containers are too big
+# for the save_model pins
+_LAYOUT_SHA256 = {
+    ("A", False): "d1eed49532368128d6e384b44402b75acfa77d7997043e5536c657563d028c68",
+    ("A", True): "b3702a4a0fb79a17509a9e7edec358217733a9c5f8e65a38cbc5845a0a0f7d46",
+    ("F", False): "848ed2bee55f30e1b6f9dca40d6d297b7563eb114720677c4d78a20044323b00",
+    ("F", True): "a521538736afcda0c761b04042f0c73e4bd1536225d77d6a25e97e5d08a0b8d2",
+    ("P", False): "fea65bdc045dc04834731e8aeb0e5cf5d77d20cd739ecf5408dd0f079c78e039",
+    ("P", True): "6285bdb9c31579a159a7dcf1928b4c7d42058b33c99bed57c914a2e105e42aea",
+    ("N", False): "85d3a5f6b58fed56ba63a2152908d294682fa52c9261304d9d833e766b2af9da",
+    ("N", True): "fff025c3c4511f33fd89a3779bd0782616736a6289151e3f869101bafa6b9ecc",
+    ("T", False): "96fc6319e5165bc27726a9af338e4745b2fcb87c071d8c362166f87a982838a1",
+    ("T", True): "1435bc0fc47b7bd155f6317d384d2e3cf1fa1c33f49bfa221f4190d8a79bc25e",
+    ("S", False): "f047cb115f5d18a2195eb427960eee38c54489607343dfea2f299be7164dc38d",
+    ("S", True): "ab0315947861c9277c55badfe25571b6c58edbf822b350a4635aa27262530693",
+    ("B", False): "7b7c58a9525053ff12512c23def7c6a5e45706a5776888407815c77f50269d83",
+    ("B", True): "0f7a264ad35554dee3b878950f67f054750e81f9afc0cef96ac099b0f3dc3a0a",
+    ("L", False): "4f2ce97eaed5b87328a92975ac2dc3f96cdab4306562d7821e5c2097dca81da8",
+    ("L", True): "968f93e9075b31695471d8a659ff33dbe81962ee1b6b310cd08f20537b6d3328",
+    ("XL", False): "d70f0169e2af922ea874c92cfec14d0f4e59b86314c0b348fc93fff47d44473f",
+    ("XL", True): "6f3ef420ed62bab898f87d0914e4f75601c10895c1c1cf50b4725b85acb8723d",
+}
+
+
 class TestNamedConfigs:
     def test_instance_table_resolution(self):
         cfg_t = arch_config("T")
         assert cfg_t.depths == (3, 3, 18, 3)
-        assert (cfg_t.stage3_lark, cfg_t.stage3_smak) == (9, 9)
+        assert cfg_t.stage3_lark == 9
         assert cfg_t.width == 80
         cfg_s = arch_config("S")
         assert cfg_s.depths == (3, 3, 27, 3)
-        assert (cfg_s.stage3_lark, cfg_s.stage3_smak) == (9, 18)
+        assert cfg_s.stage3_lark == 9
         assert cfg_s.width == 96
         assert arch_config("A").width == 40
         assert arch_config("XL").width == 256
@@ -78,16 +109,22 @@ class TestNamedConfigs:
         lark_positions = [i for i, k in enumerate(kinds) if k == LARK]
         assert lark_positions == [2 * i for i in range(9)]
 
+    @pytest.mark.parametrize("name,merged", list(_LAYOUT_SHA256))
+    def test_layout_pinned(self, name, merged):
+        assert layout_sha256(name, merged) == _LAYOUT_SHA256[name, merged]
+
     def test_all_lark_stage3(self):
         assert all(k == LARK for k in arch_config("N").stage_kinds(3))
 
     def test_invalid_split_rejected(self):
-        with pytest.raises(ConfigError):
-            ArchConfig(depths=(1, 1, 5, 1), width=8, stage3_lark=2, stage3_smak=3)
+        # N3 = 5 over 2 LarK blocks would leave 3 SmaK: not 0, 2 or 4
+        with pytest.raises(ConfigError, match="1, 2 or 3 times"):
+            ArchConfig(depths=(1, 1, 5, 1), width=8, stage3_lark=2)
 
     def test_split_must_match_depth(self):
-        with pytest.raises(ConfigError):
-            ArchConfig(depths=(1, 1, 4, 1), width=8, stage3_lark=1, stage3_smak=1)
+        # N3 = 4 over one LarK block would need 3 SmaK blocks after it
+        with pytest.raises(ConfigError, match="1, 2 or 3 times"):
+            ArchConfig(depths=(1, 1, 4, 1), width=8, stage3_lark=1)
 
 
 class TestBuild:

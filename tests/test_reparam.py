@@ -6,16 +6,15 @@ from urlknet import (
     ConfigError,
     ConvLayer,
     DilatedBranch,
-    DilatedReparamCfg,
     Tensor4,
     batchnorm_infer,
     conv2d,
-    default_reparam_cfg,
     dilate_kernel,
     equivalent_kernel_size,
     fuse_bn,
     merge_dilated_reparam,
     reparam_forward,
+    stock_branches,
 )
 from urlknet.reparam import random_branches
 from urlknet.verify import relative_error, verify_reparam_merge
@@ -34,6 +33,12 @@ def test_no_dilation_keeps_size(k):
 def test_default_config_equivalent_sizes():
     pairs = [(5, 1), (7, 2), (3, 3), (3, 4), (3, 5)]
     assert tuple(equivalent_kernel_size(k, r) for k, r in pairs) == (5, 13, 7, 9, 11)
+
+
+def test_stock_branches():
+    assert stock_branches(13) == ((13, 1), (5, 1), (7, 2), (3, 3), (3, 4), (3, 5))
+    assert stock_branches(9) == ((9, 1), (5, 1), (3, 3), (3, 4))
+    assert stock_branches(3) == ((3, 1),)
 
 
 def test_even_kernel_rejected():
@@ -148,26 +153,6 @@ def one_branch(rng, k, r, c=2, groups=2):
     return DilatedBranch(conv, BnParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c)))
 
 
-class TestDilatedReparamCfg:
-    def test_default_cfg_branches(self):
-        cfg = default_reparam_cfg(8)
-        assert cfg.branches == ((13, 1), (5, 1), (7, 2), (3, 3), (3, 4), (3, 5))
-        assert cfg.groups == 8
-
-    def test_constraint_violation(self):
-        with pytest.raises(ConfigError):
-            DilatedReparamCfg(kernel_size=9, branches=((9, 1), (5, 3)), channels=4, groups=4)
-
-    def test_missing_principal(self):
-        with pytest.raises(ConfigError):
-            DilatedReparamCfg(kernel_size=9, branches=((5, 1), (3, 2)), channels=4, groups=4)
-
-    def test_merge_order_puts_principal_first(self):
-        cfg = DilatedReparamCfg(kernel_size=9, branches=((3, 2), (9, 1), (5, 1)),
-                                channels=4, groups=4)
-        assert cfg.merge_order() == (1, 0, 2)
-
-
 class TestMerge:
     def test_single_principal_branch_keeps_kernel(self, rng):
         w = rng.standard_normal((3, 1, 5, 5))
@@ -180,12 +165,7 @@ class TestMerge:
         assert merged.padding == (2, 2)
 
     def test_k9_figure_config_merges_to_9x9(self, rng):
-        cfg = DilatedReparamCfg(
-            kernel_size=9,
-            branches=((9, 1), (5, 1), (3, 2), (3, 3), (3, 4)),
-            channels=4, groups=4,
-        )
-        branches = random_branches(cfg, rng)
+        branches = random_branches(((9, 1), (5, 1), (3, 2), (3, 3), (3, 4)), 4, 4, rng)
         merged = merge_dilated_reparam(branches)
         assert merged.weight.shape == (4, 1, 9, 9)
         assert merged.dilation == (1, 1)
@@ -193,17 +173,14 @@ class TestMerge:
         assert err <= 1e-10
 
     def test_default_k13_depthwise_block(self, rng):
-        cfg = default_reparam_cfg(6)
-        branches = random_branches(cfg, rng)
+        branches = random_branches(stock_branches(13), 6, 6, rng)
         assert verify_reparam_merge(branches, rng, trials=3) <= 1e-10
 
     @pytest.mark.parametrize("groups_kind", ["depthwise", "grouped", "dense"])
     def test_merge_across_group_kinds(self, rng, groups_kind):
         channels = 4
         groups = {"depthwise": 4, "grouped": 2, "dense": 1}[groups_kind]
-        cfg = DilatedReparamCfg(kernel_size=11, branches=((11, 1), (5, 2), (3, 3)),
-                                channels=channels, groups=groups)
-        branches = random_branches(cfg, rng)
+        branches = random_branches(((11, 1), (5, 2), (3, 3)), channels, groups, rng)
         assert verify_reparam_merge(branches, rng, trials=2) <= 1e-10
 
     def test_central_window_alignment(self, rng):
@@ -225,9 +202,7 @@ class TestMerge:
         assert np.all(outside == 0)
 
     def test_branch_permutations_merge_bit_identically(self, rng):
-        cfg_branches = [(13, 1), (5, 1), (7, 2), (3, 3)]
-        cfg = DilatedReparamCfg(13, tuple(cfg_branches), channels=4, groups=4)
-        branches = list(random_branches(cfg, rng))
+        branches = list(random_branches(((13, 1), (5, 1), (7, 2), (3, 3)), 4, 4, rng))
         order = rng.permutation(len(branches))
         shuffled = [branches[i] for i in order]
         # canonical re-sort before merging
@@ -240,8 +215,7 @@ class TestMerge:
         np.testing.assert_array_equal(ka.bias, kb.bias)
 
     def test_mixed_groups_rejected(self, rng):
-        cfg = DilatedReparamCfg(kernel_size=9, branches=((9, 1), (3, 2)), channels=4, groups=4)
-        branches = list(random_branches(cfg, rng))
+        branches = list(random_branches(((9, 1), (3, 2)), 4, 4, rng))
         bad = DilatedBranch(
             conv=ConvLayer(Tensor4(rng.standard_normal((4, 2, 3, 3))),
                            padding=(2, 2), dilation=(2, 2), groups=2),
@@ -252,10 +226,18 @@ class TestMerge:
         with pytest.raises(ConfigError, match="agree on channels and groups"):
             reparam_forward(Tensor4(rng.standard_normal((1, 4, 9, 9))), [branches[0], bad])
 
-    def test_cfg_read_from_branches(self, rng):
-        cfg = DilatedReparamCfg(kernel_size=9, branches=((3, 2), (9, 1), (5, 1)),
-                                channels=4, groups=2)
-        assert DilatedReparamCfg.from_branches(random_branches(cfg, rng)) == cfg
+    def test_principal_not_first_is_bit_identical(self, rng):
+        # the principal is summed first whatever the declared order, so moving it
+        # to the front changes neither the merged conv nor the branch-sum forward
+        declared = random_branches(((3, 2), (9, 1), (5, 1)), 4, 2, rng)
+        principal_first = (declared[1], declared[0], declared[2])
+        a, b = merge_dilated_reparam(declared), merge_dilated_reparam(principal_first)
+        assert a.weight.shape == (4, 2, 9, 9) and a.groups == 2 and a.padding == (4, 4)
+        np.testing.assert_array_equal(a.weight.data, b.weight.data)
+        np.testing.assert_array_equal(a.bias, b.bias)
+        x = Tensor4(rng.standard_normal((2, 4, 11, 11)))
+        np.testing.assert_array_equal(reparam_forward(x, declared).data,
+                                      reparam_forward(x, principal_first).data)
 
     def test_branch_channel_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError, match="agree on channels"):
@@ -272,17 +254,18 @@ class TestMerge:
         with pytest.raises(ConfigError, match="stride"):
             DilatedBranch(conv, one_branch(rng, 3, 1).bn)
 
-    @pytest.mark.parametrize("ks", [[(3, 2)], [(9, 1), (9, 1)], [(5, 1), (3, 3)]],
-                             ids=["dilated-alone", "two-principals", "too-wide"])
+    @pytest.mark.parametrize("ks", [[(3, 2)], [(9, 1), (9, 1)], [(5, 1), (3, 3)], [(1, 1)]],
+                             ids=["dilated-alone", "two-principals", "too-wide", "lone-1x1"])
     def test_branch_geometry_checked(self, rng, ks):
         # each branch is valid alone; the tuple is not a valid block
+        branches = [one_branch(rng, k, r) for k, r in ks]
         with pytest.raises(ConfigError):
-            merge_dilated_reparam([one_branch(rng, k, r) for k, r in ks])
+            merge_dilated_reparam(branches)
+        with pytest.raises(ConfigError):
+            reparam_forward(Tensor4(rng.standard_normal((1, 2, 9, 9))), branches)
 
     def test_reparam_forward_matches_manual_sum(self, rng):
-        cfg = DilatedReparamCfg(kernel_size=9, branches=((9, 1), (3, 2), (3, 4)),
-                                channels=3, groups=3)
-        branches = random_branches(cfg, rng)
+        branches = random_branches(((9, 1), (3, 2), (3, 4)), 3, 3, rng)
         x = Tensor4(rng.standard_normal((2, 3, 15, 15)))
         manual = sum(
             (batchnorm_infer(conv2d(x, b.conv), b.bn).data for b in branches),
@@ -293,8 +276,7 @@ class TestMerge:
 
     def test_merged_conv_matches_naive_oracle(self, rng):
         # end to end: merged kernel driven through the independent naive conv
-        cfg = DilatedReparamCfg(kernel_size=9, branches=((9, 1), (3, 3)), channels=2, groups=2)
-        branches = random_branches(cfg, rng)
+        branches = random_branches(((9, 1), (3, 3)), 2, 2, rng)
         merged = merge_dilated_reparam(branches)
         x = rng.standard_normal((1, 2, 12, 12))
         want = conv2d_naive(x, merged.weight.data, merged.bias,

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from urlknet import ConfigError, Tensor4, build_named, default_reparam_cfg
+from urlknet import ConfigError, Tensor4, build_named, stock_branches
 from urlknet import cli, verify
 from urlknet.reparam import random_branches
 from urlknet.verify import (
@@ -17,7 +17,7 @@ from urlknet.verify import (
 
 
 def test_nan_branch_weight_gives_nan(rng):
-    branches = list(random_branches(default_reparam_cfg(4), rng))
+    branches = list(random_branches(stock_branches(13), 4, 4, rng))
     w = branches[1].conv.weight.data.copy()
     w[0, 0, 0, 0] = np.nan
     branches[1] = replace(branches[1], conv=replace(branches[1].conv, weight=Tensor4(w)))
@@ -26,7 +26,7 @@ def test_nan_branch_weight_gives_nan(rng):
 
 
 @pytest.mark.parametrize("check", [
-    lambda rng: verify_reparam_merge(random_branches(default_reparam_cfg(4), rng), rng, 0),
+    lambda rng: verify_reparam_merge(random_branches(stock_branches(13), 4, 4, rng), rng, 0),
     lambda rng: verify_model(build_named("A", seed=0), rng, 0),
     lambda rng: adhoc_scenario(4, 4, 1, 13, 3, 3, rng=rng, trials=0),
     lambda rng: merge_equivalence_sweep(0, rng),
