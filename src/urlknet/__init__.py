@@ -35,7 +35,6 @@ from .tensor import (
     linear,
 )
 from .reparam import (
-    DilatedBranch,
     dilate_kernel,
     equivalent_kernel_size,
     fuse_bn,

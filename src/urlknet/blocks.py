@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import ConfigError, ShapeError, StateError
-from .reparam import DilatedBranch, fuse_bn, merge_dilated_reparam, reparam_forward
+from .reparam import fuse_bn, merge_dilated_reparam, reparam_forward
 from .tensor import (
     BnParams,
     ConvLayer,
@@ -116,15 +116,17 @@ def ffn_forward(x: Tensor4, ffn: FfnBlock) -> Tensor4:
 class BlockSpec:
     """One LarK or SmaK block with all parameters.
 
-    Train structure: both kinds carry their depthwise branches; a SmaK block
-    is the one-branch case, a single 3x3 conv->BN. Merged: both carry just
-    dw_conv (with bias) and post_ffn_bn is None, already folded into ffn.pw2.
+    Train structure: both kinds carry their depthwise branches, each a
+    (conv, bn) pair checked by reparam_forward and merge_dilated_reparam; a
+    SmaK block is the one-branch case, a single 3x3 conv->BN. Merged: both
+    carry just dw_conv (with bias) and post_ffn_bn is None, already folded
+    into ffn.pw2.
     """
 
     se: SeBlock
     post_dw_bn: BnParams
     ffn: FfnBlock
-    branches: tuple[DilatedBranch, ...] | None = None
+    branches: tuple[tuple[ConvLayer, BnParams], ...] | None = None
     dw_conv: ConvLayer | None = None
     post_ffn_bn: BnParams | None = None
 

@@ -5,31 +5,25 @@ error. Reports are JSON on stdout with a schema_version field; every command
 is deterministic given --seed except the wall-clock fields of bench reports.
 """
 
+import argparse
+import json
 import os
+import platform
+import resource
+import sys
+import time
+from pathlib import Path
 
-# URLK_THREADS caps BLAS parallelism; must be exported before numpy loads.
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-_cap = os.environ.get("URLK_THREADS", "").strip()
-if _cap and _cap != "0":
-    for _var in _THREAD_VARS:
-        os.environ.setdefault(_var, _cap)
+import numpy as np
+import scipy
 
-import argparse          # noqa: E402
-import json              # noqa: E402
-import platform          # noqa: E402
-import resource          # noqa: E402
-import sys               # noqa: E402
-import time              # noqa: E402
-from pathlib import Path # noqa: E402
-
-import numpy as np       # noqa: E402
-import scipy             # noqa: E402
-
-from . import container, dataio, modality  # noqa: E402
-from .errors import ConfigError, FormatError, UrlkError  # noqa: E402
-from .model import (  # noqa: E402
+from . import container, dataio, modality
+from .errors import ConfigError, FormatError, UrlkError
+from .model import (
     INSTANCE_NAMES,
+    MERGED_MODE,
     REFERENCE_PARAMS_M,
+    TRAIN_MODE,
     arch_config,
     build_from_state,
     build_named,
@@ -39,8 +33,8 @@ from .model import (  # noqa: E402
     param_breakdown,
     param_count,
 )
-from .tensor import Tensor4  # noqa: E402
-from .verify import adhoc_scenario, require_trials, verify_model  # noqa: E402
+from .tensor import Tensor4
+from .verify import adhoc_scenario, require_trials, verify_model
 
 SCHEMA_VERSION = 1
 
@@ -118,8 +112,9 @@ def cmd_verify(args) -> int:
 
 def _bench_guard(args, width: int, n_params: int, itemsize: int) -> None:
     modes = 2 if args.compare else 1
-    # widest live activation: the stage-1 FFN expansion, batch x 4C x (res/4)^2
-    act = args.batch * 4 * width * (args.res // 4) ** 2 * itemsize
+    # widest live activation: the stage-1 FFN expansion, batch x 4C x ceil(res/4)^2
+    # (each stride-2 stem conv rounds the side up)
+    act = args.batch * 4 * width * (-(-args.res // 4)) ** 2 * itemsize
     total = n_params * itemsize * (modes + 1) + 4 * act
     if total > _MEMORY_BUDGET_BYTES:
         raise ConfigError(
@@ -141,11 +136,12 @@ def _environment() -> dict:
         "scipy": scipy.__version__,
         "blas": blas_name,
         "cpu_count": os.cpu_count(),
-        "thread_env": {v: os.environ.get(v) for v in (*_THREAD_VARS, "URLK_THREADS")},
+        "thread_env": {v: os.environ.get(v)
+                       for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
     }
 
 
-def _bench_once(model, args, label: str) -> dict:
+def _bench_once(model, args) -> dict:
     rng = np.random.default_rng(args.seed)
     x = Tensor4(rng.standard_normal(
         (args.batch, model.config.in_channels, args.res, args.res)).astype(model.dtype))
@@ -161,7 +157,7 @@ def _bench_once(model, args, label: str) -> dict:
     median_ms = float(np.median(per_run_ms))
     return {
         "model": model.name,
-        "mode": label,
+        "mode": model.mode,
         "batch": args.batch,
         "resolution": args.res,
         "warmup_runs": warmup,
@@ -199,16 +195,16 @@ def cmd_bench(args) -> int:
     }
     if args.compare:
         merged = merge_for_deploy(train)
-        r_train = _bench_once(train, args, "train-structure")
-        r_merged = _bench_once(merged, args, "merged")
+        r_train = _bench_once(train, args)
+        r_merged = _bench_once(merged, args)
         report.update({
             "train_structure": r_train,
             "merged": r_merged,
             "speedup": r_train["median_ms"] / r_merged["median_ms"],
         })
     else:
-        model = merge_for_deploy(train) if args.mode == "merged" else train
-        report.update(_bench_once(model, args, args.mode))
+        model = merge_for_deploy(train) if args.mode == MERGED_MODE else train
+        report.update(_bench_once(model, args))
     _emit(report)
     return EXIT_OK
 
@@ -278,7 +274,7 @@ def cmd_forward(args) -> int:
 
 def cmd_export(args) -> int:
     model = build_named(args.model, seed=args.seed)
-    if args.mode == "merged":
+    if args.mode == MERGED_MODE:
         model = merge_for_deploy(model)
     if args.f32:
         model = model_astype(model, np.float32)
@@ -378,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="throughput benchmark")
     p.add_argument("--model", choices=INSTANCE_NAMES, required=True)
-    p.add_argument("--mode", choices=["train-structure", "merged"], default="merged")
+    p.add_argument("--mode", choices=[TRAIN_MODE, MERGED_MODE], default=MERGED_MODE)
     p.add_argument("--compare", action="store_true",
                    help="time both modes and report the merged/train speedup")
     p.add_argument("--batch", type=int, default=8)
@@ -403,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="write a seeded model to a weight container")
     p.add_argument("--model", choices=INSTANCE_NAMES, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=["train-structure", "merged"], default="train-structure")
+    p.add_argument("--mode", choices=[TRAIN_MODE, MERGED_MODE], default=TRAIN_MODE)
     p.add_argument("--f32", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)

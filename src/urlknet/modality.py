@@ -89,7 +89,9 @@ def embed_pointcloud(data) -> Tensor4:
     Per sample: min-max normalize all coordinates jointly into the unit cube,
     rasterize each point to its nearest pixel in each of the three axis-drop
     views, accumulate counts, and scale each view to a maximum of 1. A sample
-    whose points all coincide puts its whole mass on the center pixel.
+    whose points all coincide puts its whole mass on the center pixel; one
+    whose range overflows the dtype (say +-3e38 in f32) is normalized from
+    halved coordinates.
     """
     data = np.asarray(data)
     if data.ndim != 3 or data.shape[2] != 3 or min(data.shape) < 1:
@@ -104,7 +106,13 @@ def embed_pointcloud(data) -> Tensor4:
             view[:, res // 2, res // 2] = 1.0
         else:
             lo, hi = cloud.min(), cloud.max()
-            view = _rasterize_views((cloud - lo) / (hi - lo), res)
+            with np.errstate(over="ignore"):
+                span = hi - lo
+            if np.isfinite(span):
+                unit = (cloud - lo) / span
+            else:  # the range overflows: normalize from halves, exact for normal values
+                unit = (cloud / 2 - lo / 2) / (hi / 2 - lo / 2)
+            view = _rasterize_views(unit, res)
             view /= view.max(axis=(1, 2), keepdims=True)
         maps.append(view)
     return Tensor4(np.stack(maps))

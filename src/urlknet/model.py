@@ -5,8 +5,9 @@ stride-2 downsample: ModelInstance.downsamples lines up with .stages, the stem
 (two conv+BN pairs, halving twice) first, then one pair per transition, so
 every walker zips the two. Stage 1 uses SmaK blocks, stages 2 and 4 use LarK
 blocks only, and stage 3 repeats LarK plus N3/stage3_lark - 1 SmaK blocks
-(S: LarK,SmaK,SmaK; T: LarK,SmaK; A: all LarK). LarK blocks have the
-stock_branches(13) depthwise stage, SmaK blocks stock_branches(3): one 3x3.
+(S: LarK,SmaK,SmaK; T: LarK,SmaK; A: all LarK). A block is known by its K
+alone, which ArchConfig.stage_kernels gives: a LarK block has K=13 and the
+stock_branches(13) depthwise stage, a SmaK block K=3 and one 3x3 branch.
 
 A freshly built model is in train-structure mode; merge_for_deploy returns its
 deploy twin (never mutating the original): every depthwise stage, the LarK
@@ -38,14 +39,11 @@ from .blocks import (
     merge_block,
 )
 from .errors import ConfigError, FormatError, GeometryError, ShapeError, StateError
-from .reparam import DilatedBranch, stock_branches
+from .reparam import stock_branches
 from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, global_avg_pool, linear
 
 TRAIN_MODE = "train-structure"
 MERGED_MODE = "merged"
-
-LARK = "lark"
-SMAK = "smak"
 
 BN_EPS = 1e-5
 INIT_STD = 0.02
@@ -80,19 +78,14 @@ class ArchConfig:
         c = self.width
         return c, 2 * c, 4 * c, 8 * c
 
-    def stage_kinds(self, stage: int) -> tuple[str, ...]:
-        """Block kind layout for stage 1..4."""
+    def stage_kernels(self, stage: int) -> tuple[int, ...]:
+        """Each block's K for stage 1..4: 13 for a LarK block, 3 for a SmaK block."""
         n = self.depths[stage - 1]
         if stage == 1:
-            return (SMAK,) * n
+            return (3,) * n
         if stage in (2, 4):
-            return (LARK,) * n
-        return (LARK, *(SMAK,) * (n // self.stage3_lark - 1)) * self.stage3_lark
-
-
-def _branches(kind: str) -> tuple[tuple[int, int], ...]:
-    """(k, r) list of a block's depthwise stage: stock 13x13 branches (LarK) or one 3x3 (SmaK)."""
-    return stock_branches(13 if kind == LARK else 3)
+            return (13,) * n
+        return (13, *(3,) * (n // self.stage3_lark - 1)) * self.stage3_lark
 
 
 # (N1, N2, N3, N4, stage-3 LarK count, C); reference param counts in millions
@@ -193,17 +186,15 @@ def _layout(cfg: ArchConfig, merged: bool):
         if s > 1:
             yield f"transition{s}.conv.weight", (w, widths[s - 2], 3, 3), "normal"
             yield from bn(f"transition{s}.bn", w)
-        for i, kind in enumerate(cfg.stage_kinds(s)):
+        for i, K in enumerate(cfg.stage_kernels(s)):
             p = f"stage{s}.block{i}"
-            spec = _branches(kind)
             if merged:
-                K = spec[0][0]
                 yield f"{p}.dw.weight", (w, 1, K, K), "normal"
                 yield f"{p}.dw.bias", (w,), "zeros"
             else:
-                for j, (k, _) in enumerate(spec):
+                for j, (k, _) in enumerate(stock_branches(K)):
                     # SmaK containers name their single branch dw.weight / dw.bn.*
-                    q = f"{p}.dw" if kind == SMAK else f"{p}.dw.branch{j}"
+                    q = f"{p}.dw" if K == 3 else f"{p}.dw.branch{j}"
                     yield f"{q}.weight", (w, 1, k, k), "normal"
                     yield from bn(f"{q}.bn", w)
             yield f"{p}.se.reduce.weight", (w // 4, w), "normal"
@@ -236,14 +227,13 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
         weight = Tensor4(take())
         return ConvLayer(weight, take() if bias else None, stride, padding, dilation, groups)
 
-    def block(kind: str, c: int) -> BlockSpec:
-        spec = _branches(kind)
+    def block(K: int, c: int) -> BlockSpec:
         if merged:
-            dw = {"dw_conv": conv(padding=spec[0][0] // 2, groups=c, bias=True)}
+            dw = {"dw_conv": conv(padding=K // 2, groups=c, bias=True)}
         else:
             dw = {"branches": tuple(
-                DilatedBranch(conv(padding=(k - 1) * r // 2, dilation=r, groups=c), bn())
-                for k, r in spec
+                (conv(padding=(k - 1) * r // 2, dilation=r, groups=c), bn())
+                for k, r in stock_branches(K)
             )}
         se = SeBlock(take(), take(), take(), take())
         post_dw_bn = bn()
@@ -254,7 +244,7 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
     downsamples, stages = [], []
     for s, w in enumerate(cfg.stage_widths, start=1):
         downsamples.append(tuple((conv(2, 1), bn()) for _ in range(2 if s == 1 else 1)))
-        stages.append(tuple(block(kind, w) for kind in cfg.stage_kinds(s)))
+        stages.append(tuple(block(K, w) for K in cfg.stage_kernels(s)))
     return ModelInstance(
         name=name, config=cfg, downsamples=tuple(downsamples), stages=tuple(stages),
         head_bn=bn(), head_weight=take(), head_bias=take(),
@@ -279,9 +269,9 @@ def _arrays(model: ModelInstance):
             if b.merged:
                 yield from conv(b.dw_conv)
             else:
-                for br in b.branches:
-                    yield from conv(br.conv)
-                    yield from bn(br.bn)
+                for layer, p in b.branches:
+                    yield from conv(layer)
+                    yield from bn(p)
             gate, mlp = b.se, b.ffn
             yield from (gate.reduce_weight, gate.reduce_bias, gate.expand_weight, gate.expand_bias)
             yield from bn(b.post_dw_bn)

@@ -6,8 +6,10 @@ parallel conv+BN branches — one principal KxK branch plus dilated small-kernel
 branches — therefore merges into a single KxK layer: fold each BN into its
 conv, expand each dilated kernel, zero-pad everything to KxK, and sum.
 
-A block is described by its branches alone: K is the principal's kernel and
-the channels and groups are the convs'; stock_branches(K) gives the stock list.
+A block is described by its branches alone, each a (conv, bn) pair like a
+downsample's: K is the principal's kernel and the channels and groups are the
+convs'; stock_branches(K) gives the stock (k, r) list. A branch is checked
+(see _checked) whenever its block is forwarded or merged.
 
 All transformations here are pure and exact up to float rounding; the merged
 layer reproduces the branch-sum forward to ~1e-10 relative error in float64.
@@ -15,7 +17,6 @@ layer reproduces the branch-sum forward to ~1e-10 relative error in float64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,48 +75,6 @@ def fuse_bn(conv: ConvLayer, bn: BnParams) -> ConvLayer:
     )
 
 
-@dataclass(frozen=True)
-class DilatedBranch:
-    """One parallel conv+BN branch: square kernel k, isotropic dilation r.
-
-    The stride must be 1 and the padding (k-1)*r/2 so every branch preserves
-    spatial size, which forces k odd.
-    """
-
-    conv: ConvLayer
-    bn: BnParams
-
-    def __post_init__(self):
-        kh, kw = self.conv.kernel_size
-        rh, rw = self.conv.dilation
-        if kh != kw:
-            raise ConfigError(f"branch kernel must be square, got {kh}x{kw}")
-        if rh != rw:
-            raise ConfigError(f"branch dilation must be isotropic, got {rh}x{rw}")
-        if self.conv.stride != (1, 1):
-            raise ConfigError(f"branch stride must be 1, got {self.conv.stride}")
-        if kh % 2 == 0:
-            raise ConfigError(f"branch kernel size must be odd, got {kh}")
-        expected = ((kh - 1) * rh) // 2
-        if self.conv.padding != (expected, expected):
-            raise ConfigError(
-                f"branch with k={kh}, r={rh} must use padding {expected}, "
-                f"got {self.conv.padding}"
-            )
-        if self.bn.channels != self.conv.out_channels:
-            raise ShapeError(
-                f"branch BN channels {self.bn.channels} != conv c_out {self.conv.out_channels}"
-            )
-
-    @property
-    def k(self) -> int:
-        return self.conv.kernel_size[0]
-
-    @property
-    def r(self) -> int:
-        return self.conv.dilation[0]
-
-
 def stock_branches(K: int) -> tuple[tuple[int, int], ...]:
     """Stock (k, r) list of a KxK block: principal (K, 1) first, then k=(5,7,3,3,3), r=(1,2,3,4,5).
 
@@ -127,20 +86,38 @@ def stock_branches(K: int) -> tuple[tuple[int, int], ...]:
                       if equivalent_kernel_size(k, r) <= K))
 
 
-def _checked(branches: Sequence[DilatedBranch]):
+def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
     """(branches principal first then in declared order, K, channels, groups) of one block.
 
-    The branches' own geometry is the block's spec: K is the principal's
-    (largest) kernel size, every conv must map the same c channels to c with
-    the same groups, K must be >= 3, no branch may be wider than K, and
-    exactly one branch must be the (K, 1) principal.
+    A branch is a (conv, bn) pair. Each conv needs a square kernel k (odd, as
+    equivalent_kernel_size requires), one dilation rate r, stride 1 and
+    padding (k-1)*r/2, so every branch preserves spatial size; its BN must
+    cover the conv's c_out channels (a ShapeError otherwise). The branches'
+    own geometry is the block's spec: K is the principal's (largest) kernel
+    size, every conv must map the same c channels to c with the same groups,
+    K must be >= 3, no branch may be wider than K, and exactly one branch
+    must be the (K, 1) principal. Every other violation is a ConfigError.
     """
-    groups = {b.conv.groups for b in branches}
-    channels = {n for b in branches for n in (b.conv.in_channels, b.conv.out_channels)}
+    spec = []
+    for conv, bn in branches:
+        (k, kw), (r, rw) = conv.kernel_size, conv.dilation
+        if k != kw or r != rw:
+            raise ConfigError(f"branch needs a square kernel and one dilation rate, "
+                              f"got {k}x{kw} at rate {r}x{rw}")
+        if conv.stride != (1, 1):
+            raise ConfigError(f"branch stride must be 1, got {conv.stride}")
+        half = (equivalent_kernel_size(k, r) - 1) // 2
+        if conv.padding != (half, half):
+            raise ConfigError(f"branch with k={k}, r={r} must use padding {half}, "
+                              f"got {conv.padding}")
+        if bn.channels != conv.out_channels:
+            raise ShapeError(f"branch BN channels {bn.channels} != conv c_out {conv.out_channels}")
+        spec.append((k, r))
+    groups = {conv.groups for conv, _ in branches}
+    channels = {n for conv, _ in branches for n in (conv.in_channels, conv.out_channels)}
     if len(groups) != 1 or len(channels) != 1:
         raise ConfigError(f"branches must agree on channels and groups, got groups "
                           f"{sorted(groups)} and channels {sorted(channels)}")
-    spec = [(b.k, b.r) for b in branches]
     K = max(k for k, _ in spec)
     if K < 3:
         raise ConfigError(f"large kernel size must be >= 3, got {K}")
@@ -159,20 +136,20 @@ def _checked(branches: Sequence[DilatedBranch]):
     return ordered, K, channels.pop(), groups.pop()
 
 
-def reparam_forward(x: Tensor4, branches: Sequence[DilatedBranch]) -> Tensor4:
+def reparam_forward(x: Tensor4, branches: Sequence[tuple[ConvLayer, BnParams]]) -> Tensor4:
     """Training-structure forward: sum of conv->BN over all branches.
 
     Branches are summed principal-first, then in declared order, matching the
     summation order of merge_dilated_reparam bit for bit.
     """
-    first, *rest = _checked(branches)[0]
-    out = batchnorm_infer(conv2d(x, first.conv), first.bn)
-    for b in rest:
-        out.data += batchnorm_infer(conv2d(x, b.conv), b.bn).data  # out is this call's own buffer
+    (conv, bn), *rest = _checked(branches)[0]
+    out = batchnorm_infer(conv2d(x, conv), bn)
+    for conv, bn in rest:
+        out.data += batchnorm_infer(conv2d(x, conv), bn).data  # out is this call's own buffer
     return out
 
 
-def merge_dilated_reparam(branches: Sequence[DilatedBranch]) -> ConvLayer:
+def merge_dilated_reparam(branches: Sequence[tuple[ConvLayer, BnParams]]) -> ConvLayer:
     """Collapse a multi-branch block into one non-dilated KxK conv with bias.
 
     Per branch: fold its BN, expand the kernel by zero insertion, then pad
@@ -181,12 +158,12 @@ def merge_dilated_reparam(branches: Sequence[DilatedBranch]) -> ConvLayer:
     branch-sum forward for every input.
     """
     ordered, K, channels, groups = _checked(branches)
-    dtype = branches[0].conv.weight.dtype
+    dtype = branches[0][0].weight.dtype
     kernel = np.zeros((channels, channels // groups, K, K), dtype=dtype)
     bias = np.zeros(channels, dtype=dtype)
-    for b in ordered:
-        fused = fuse_bn(b.conv, b.bn)
-        expanded = dilate_kernel(fused.weight, b.r)
+    for conv, bn in ordered:
+        fused = fuse_bn(conv, bn)
+        expanded = dilate_kernel(fused.weight, conv.dilation[0])
         pad = (K - expanded.shape[2]) // 2
         kernel[:, :, pad:K - pad, pad:K - pad] += expanded.data
         bias += fused.bias
@@ -201,7 +178,7 @@ def merge_dilated_reparam(branches: Sequence[DilatedBranch]) -> ConvLayer:
 
 
 def random_branches(spec: Sequence[tuple[int, int]], channels: int, groups: int,
-                    rng: np.random.Generator) -> tuple[DilatedBranch, ...]:
+                    rng: np.random.Generator) -> tuple[tuple[ConvLayer, BnParams], ...]:
     """One branch per (k, r): random float64 weights (scale 0.5) and BN stats (var in [0.1, 2))."""
     out = []
     cin_g = channels // groups
@@ -214,5 +191,5 @@ def random_branches(spec: Sequence[tuple[int, int]], channels: int, groups: int,
             running_mean=rng.standard_normal(channels),
             running_var=rng.uniform(0.1, 2.0, channels),
         )
-        out.append(DilatedBranch(conv=conv, bn=bn))
+        out.append((conv, bn))
     return tuple(out)

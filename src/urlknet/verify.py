@@ -12,7 +12,6 @@ import numpy as np
 from .errors import ConfigError
 from .model import ModelInstance, forward, merge_for_deploy
 from .reparam import (
-    DilatedBranch,
     dilate_kernel,
     equivalent_kernel_size,
     merge_dilated_reparam,
@@ -20,7 +19,7 @@ from .reparam import (
     reparam_forward,
 )
 from .blocks import block_forward
-from .tensor import ConvLayer, Tensor4, conv2d
+from .tensor import BnParams, ConvLayer, Tensor4, conv2d
 
 # side of the random (2, c, 19, 19) inputs of the block-level checks
 _SPATIAL = 19
@@ -132,7 +131,7 @@ def adhoc_scenario(
     return _worst(trials, trial)
 
 
-def random_sweep_branches(rng: np.random.Generator) -> tuple[DilatedBranch, ...]:
+def random_sweep_branches(rng: np.random.Generator) -> tuple[tuple[ConvLayer, BnParams], ...]:
     """One random block for the merge-equivalence sweep: its geometry, then its weights.
 
     K in {9, 11, 13, 15}; 1-6 branches; depthwise, grouped, or dense.

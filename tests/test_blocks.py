@@ -138,11 +138,8 @@ class TestBlockForward:
         c = 4
         zero_affine = BnParams(np.zeros(c), np.zeros(c), np.zeros(c), np.ones(c))
         branches = tuple(
-            type(b)(conv=ConvLayer(Tensor4(np.zeros_like(b.conv.weight.data)),
-                                   stride=b.conv.stride, padding=b.conv.padding,
-                                   dilation=b.conv.dilation, groups=b.conv.groups),
-                    bn=identity_bn(c))
-            for b in random_branches(stock_branches(13), c, c, rng)
+            (replace(conv, weight=Tensor4(np.zeros_like(conv.weight.data))), identity_bn(c))
+            for conv, _ in random_branches(stock_branches(13), c, c, rng)
         )
         block = BlockSpec(
             se=make_se(rng, c), post_dw_bn=zero_affine,
@@ -164,18 +161,18 @@ class TestBlockForward:
     def test_smak_train_forward_is_conv_then_bn(self, rng):
         c = 8
         block = make_smak_block(rng, c)
-        (branch,) = block.branches
-        assert (branch.k, branch.r) == (3, 1)
+        ((conv, bn),) = block.branches
+        assert (conv.kernel_size, conv.dilation) == ((3, 3), (1, 1))
         x = Tensor4(rng.standard_normal((2, c, 9, 9)))
-        dw = batchnorm_infer(conv2d(x, branch.conv), branch.bn)
+        dw = batchnorm_infer(conv2d(x, conv), bn)
         y = x.data + batchnorm_infer(se_forward(dw, block.se), block.post_dw_bn).data
         want = y + batchnorm_infer(ffn_forward(Tensor4(y), block.ffn), block.post_ffn_bn).data
         np.testing.assert_array_equal(block_forward(x, block).data, want)
 
     def test_smak_merge_is_fuse_bn(self, rng):
         block = make_smak_block(rng, 8)
-        (branch,) = block.branches
-        want = fuse_bn(branch.conv, branch.bn)
+        ((conv, bn),) = block.branches
+        want = fuse_bn(conv, bn)
         got = merge_block(block).dw_conv
         np.testing.assert_array_equal(got.weight.data, want.weight.data)
         np.testing.assert_array_equal(got.bias, want.bias)
@@ -189,11 +186,8 @@ class TestBlockForward:
     def test_zero_branches_give_constant_map(self, rng):
         c = 4
         branches = tuple(
-            type(b)(conv=ConvLayer(Tensor4(np.zeros_like(b.conv.weight.data)),
-                                   stride=b.conv.stride, padding=b.conv.padding,
-                                   dilation=b.conv.dilation, groups=b.conv.groups),
-                    bn=b.bn)
-            for b in random_branches(stock_branches(13), c, c, rng)
+            (replace(conv, weight=Tensor4(np.zeros_like(conv.weight.data))), bn)
+            for conv, bn in random_branches(stock_branches(13), c, c, rng)
         )
         from urlknet import merge_dilated_reparam, reparam_forward
         x1 = Tensor4(rng.standard_normal((1, c, 7, 7)))

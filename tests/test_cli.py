@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 import scipy
 
-from urlknet import Tensor4, build_named, forward, model_astype
+from urlknet import (ConfigError, Tensor4, arch_config, build_named, forward, model_astype,
+                     param_breakdown)
 from urlknet import cli
 from urlknet.cli import build_parser, main
 from urlknet.container import MAGIC, load_tensor, save_model
@@ -118,9 +120,8 @@ class TestBench:
         assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
         assert env["blas"] is None or isinstance(env["blas"], str)
         assert env["cpu_count"] == os.cpu_count()
-        assert env["thread_env"]["URLK_THREADS"] == os.environ.get("URLK_THREADS")
-        assert set(env["thread_env"]) == {
-            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "URLK_THREADS"}
+        assert env["thread_env"] == {v: os.environ.get(v) for v in (
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
     def test_too_few_runs(self, capsys):
         code, _ = run(capsys, ["bench", "--model", "A", "--runs", "3"])
@@ -135,6 +136,8 @@ class TestBench:
         assert "environment" in report
         for mode in ("train_structure", "merged"):
             assert_spread_fields(report[mode])
+        assert (report["train_structure"]["mode"], report["merged"]["mode"]) == (
+            "train-structure", "merged")
 
     def test_same_seed_same_outputs(self, capsys):
         argv = ["bench", "--model", "A", "--batch", "1", "--res", "32", "--runs", "5",
@@ -150,6 +153,14 @@ class TestBench:
         err = capsys.readouterr().err
         assert code == 2
         assert "GiB" in err
+
+    def test_guard_rounds_the_stage1_side_up(self):
+        # the two stride-2 stem convs leave a ceil(res/4) side: 1 at res 3, not 0, so this
+        # request needs ~9.6 GiB; called directly, since through main it would allocate
+        cfg = arch_config("A")
+        args = argparse.Namespace(compare=False, batch=4_000_000, res=3)
+        with pytest.raises(ConfigError, match="9.6 GiB"):
+            cli._bench_guard(args, cfg.width, param_breakdown(cfg)["total"], 4)
 
 
 class TestWeightsCommands:
@@ -324,6 +335,24 @@ class TestEmbed:
                                     "--input", str(src), "--out", str(out)])
         assert code == 0
         assert report["shape"] == [1, 3, 224, 224]
+
+    @pytest.mark.parametrize("dtype,extreme", [("f32", 3e38), ("f64", 1e308)])
+    def test_pointcloud_overflowing_range(self, capsys, tmp_path, dtype, extreme):
+        # max - min overflows to inf: the cloud is still embedded, with no warning
+        src = tmp_path / "pc.raw"
+        write_raw_array(src, np.array([[[extreme, 0, 0], [-extreme, 0, 0], [0, 1, 0]]]),
+                        dtype=dtype)
+        out = tmp_path / "emb.urlk"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, report = run(capsys, ["embed", "--modality", "pointcloud",
+                                        "--input", str(src), "--out", str(out)])
+        assert code == 0 and report["shape"] == [1, 3, 224, 224]
+        emb = load_tensor(out)[1]
+        assert np.isfinite(emb).all()
+        # x spans the whole range, so the views that keep x hit both edges and the centre
+        assert [np.count_nonzero(v) for v in emb[0]] == [1, 3, 3]
+        assert emb[0, 1, 0, 112] == emb[0, 1, 223, 112] == 1.0
 
     def test_time_series_csv(self, capsys, tmp_path):
         rng = np.random.default_rng(0)

@@ -23,8 +23,6 @@ from urlknet import (
 )
 from urlknet.model import (
     INSTANCE_NAMES,
-    LARK,
-    SMAK,
     REFERENCE_PARAMS_M,
     _layout,
     iter_state,
@@ -97,16 +95,16 @@ class TestNamedConfigs:
 
     def test_stage_layouts(self):
         cfg = arch_config("S")
-        kinds = cfg.stage_kinds(3)
-        lark_positions = [i for i, k in enumerate(kinds) if k == LARK]
+        kernels = cfg.stage_kernels(3)
+        assert set(kernels) == {13, 3}
+        lark_positions = [i for i, K in enumerate(kernels) if K == 13]
         assert lark_positions == [3 * i for i in range(9)]
-        assert all(k == SMAK for k in cfg.stage_kinds(1))
-        assert all(k == LARK for k in cfg.stage_kinds(2))
-        assert all(k == LARK for k in cfg.stage_kinds(4))
+        assert cfg.stage_kernels(1) == (3,) * 3
+        assert cfg.stage_kernels(2) == cfg.stage_kernels(4) == (13,) * 3
 
     def test_alternating_layout_for_equal_split(self):
-        kinds = arch_config("T").stage_kinds(3)
-        lark_positions = [i for i, k in enumerate(kinds) if k == LARK]
+        kernels = arch_config("T").stage_kernels(3)
+        lark_positions = [i for i, K in enumerate(kernels) if K == 13]
         assert lark_positions == [2 * i for i in range(9)]
 
     @pytest.mark.parametrize("name,merged", list(_LAYOUT_SHA256))
@@ -114,7 +112,7 @@ class TestNamedConfigs:
         assert layout_sha256(name, merged) == _LAYOUT_SHA256[name, merged]
 
     def test_all_lark_stage3(self):
-        assert all(k == LARK for k in arch_config("N").stage_kinds(3))
+        assert arch_config("N").stage_kernels(3) == (13,) * 8
 
     def test_invalid_split_rejected(self):
         # N3 = 5 over 2 LarK blocks would leave 3 SmaK: not 0, 2 or 4
@@ -234,12 +232,9 @@ class TestMerge:
 
     def test_merged_dw_kernels_are_13x13_in_later_stages(self):
         m = merge_for_deploy(build_named("S", seed=0))
-        for s in (2, 3, 4):
-            for b, kind in zip(m.stages[s - 1], m.config.stage_kinds(s)):
-                if kind == LARK:
-                    assert b.dw_conv.kernel_size == (13, 13)
-        for b in m.stages[0]:
-            assert b.dw_conv.kernel_size == (3, 3)
+        for s, stage in enumerate(m.stages, start=1):
+            for b, K in zip(stage, m.config.stage_kernels(s), strict=True):
+                assert b.dw_conv.kernel_size == (K, K)
         del m
         gc.collect()
 

@@ -5,7 +5,7 @@ from urlknet import (
     BnParams,
     ConfigError,
     ConvLayer,
-    DilatedBranch,
+    ShapeError,
     Tensor4,
     batchnorm_infer,
     conv2d,
@@ -150,16 +150,22 @@ class TestFuseBn:
 def one_branch(rng, k, r, c=2, groups=2):
     conv = ConvLayer(Tensor4(rng.standard_normal((c, c // groups, k, k))),
                      padding=((k - 1) * r // 2,) * 2, dilation=(r, r), groups=groups)
-    return DilatedBranch(conv, BnParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c)))
+    return conv, BnParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
+
+
+def assert_block_rejected(rng, branches, exc, match):
+    """The branches raise exc (message matching match) when merged and when forwarded."""
+    with pytest.raises(exc, match=match):
+        merge_dilated_reparam(branches)
+    with pytest.raises(exc, match=match):
+        reparam_forward(Tensor4(rng.standard_normal((1, 2, 9, 9))), branches)
 
 
 class TestMerge:
     def test_single_principal_branch_keeps_kernel(self, rng):
         w = rng.standard_normal((3, 1, 5, 5))
-        branch = DilatedBranch(
-            conv=ConvLayer(Tensor4(w), padding=(2, 2), groups=3),
-            bn=BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=1e-15),
-        )
+        branch = (ConvLayer(Tensor4(w), padding=(2, 2), groups=3),
+                  BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=1e-15))
         merged = merge_dilated_reparam([branch])
         np.testing.assert_allclose(merged.weight.data, w, rtol=1e-12)
         assert merged.padding == (2, 2)
@@ -190,8 +196,8 @@ class TestMerge:
         ws = rng.standard_normal((2, 1, 3, 3))
         identity = BnParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), eps=1e-15)
         branches = (
-            DilatedBranch(ConvLayer(Tensor4(wp), padding=(6, 6), groups=2), identity),
-            DilatedBranch(ConvLayer(Tensor4(ws), padding=(3, 3), dilation=(3, 3), groups=2), identity),
+            (ConvLayer(Tensor4(wp), padding=(6, 6), groups=2), identity),
+            (ConvLayer(Tensor4(ws), padding=(3, 3), dilation=(3, 3), groups=2), identity),
         )
         merged = merge_dilated_reparam(branches).weight.data
         expanded = dilate_kernel(Tensor4(ws), 3).data
@@ -206,7 +212,7 @@ class TestMerge:
         order = rng.permutation(len(branches))
         shuffled = [branches[i] for i in order]
         # canonical re-sort before merging
-        key = lambda b: (b.k, b.r)
+        key = lambda b: (b[0].kernel_size, b[0].dilation)
         canon_a = sorted(branches, key=key)
         canon_b = sorted(shuffled, key=key)
         ka = merge_dilated_reparam(canon_a)
@@ -216,11 +222,9 @@ class TestMerge:
 
     def test_mixed_groups_rejected(self, rng):
         branches = list(random_branches(((9, 1), (3, 2)), 4, 4, rng))
-        bad = DilatedBranch(
-            conv=ConvLayer(Tensor4(rng.standard_normal((4, 2, 3, 3))),
-                           padding=(2, 2), dilation=(2, 2), groups=2),
-            bn=branches[1].bn,
-        )
+        bad = (ConvLayer(Tensor4(rng.standard_normal((4, 2, 3, 3))),
+                         padding=(2, 2), dilation=(2, 2), groups=2),
+               branches[1][1])
         with pytest.raises(ConfigError, match="agree on channels and groups"):
             merge_dilated_reparam([branches[0], bad])
         with pytest.raises(ConfigError, match="agree on channels and groups"):
@@ -245,30 +249,41 @@ class TestMerge:
         # 2 -> 4 channels: every branch must also map c to the same c
         wide = ConvLayer(Tensor4(rng.standard_normal((4, 1, 9, 9))), padding=(4, 4), groups=2)
         with pytest.raises(ConfigError, match="agree on channels"):
-            merge_dilated_reparam([DilatedBranch(wide, one_branch(rng, 9, 1, c=4).bn)])
+            merge_dilated_reparam([(wide, one_branch(rng, 9, 1, c=4)[1])])
 
     def test_strided_branch_rejected(self, rng):
         # a stride-2 branch would change the map size, and the merged conv has stride 1
         conv = ConvLayer(Tensor4(rng.standard_normal((2, 1, 3, 3))), stride=(2, 2),
                          padding=(1, 1), groups=2)
-        with pytest.raises(ConfigError, match="stride"):
-            DilatedBranch(conv, one_branch(rng, 3, 1).bn)
+        branches = [one_branch(rng, 9, 1), (conv, one_branch(rng, 3, 1)[1])]
+        assert_block_rejected(rng, branches, ConfigError, "stride must be 1")
+
+    @pytest.mark.parametrize("shape,padding,dilation,bn_c,exc,match", [
+        ((3, 5), (1, 2), (1, 1), 2, ConfigError, "square kernel"),
+        ((3, 3), (1, 2), (1, 2), 2, ConfigError, "one dilation rate"),
+        ((4, 4), (1, 1), (1, 1), 2, ConfigError, "must be odd"),
+        ((3, 3), (1, 1), (2, 2), 2, ConfigError, "must use padding 2"),
+        ((3, 3), (1, 1), (1, 1), 3, ShapeError, "branch BN channels 3"),
+    ], ids=["non-square", "two-rates", "even-k", "bad-padding", "bn-channels"])
+    def test_branch_rule_checked(self, rng, shape, padding, dilation, bn_c, exc, match):
+        # a principal plus one malformed branch: each per-branch rule is checked
+        # by both merge_dilated_reparam and reparam_forward, not when the pair is built
+        conv = ConvLayer(Tensor4(rng.standard_normal((2, 1, *shape))), padding=padding,
+                         dilation=dilation, groups=2)
+        bn = BnParams(np.ones(bn_c), np.zeros(bn_c), np.zeros(bn_c), np.ones(bn_c))
+        assert_block_rejected(rng, [one_branch(rng, 9, 1), (conv, bn)], exc, match)
 
     @pytest.mark.parametrize("ks", [[(3, 2)], [(9, 1), (9, 1)], [(5, 1), (3, 3)], [(1, 1)]],
                              ids=["dilated-alone", "two-principals", "too-wide", "lone-1x1"])
     def test_branch_geometry_checked(self, rng, ks):
         # each branch is valid alone; the tuple is not a valid block
-        branches = [one_branch(rng, k, r) for k, r in ks]
-        with pytest.raises(ConfigError):
-            merge_dilated_reparam(branches)
-        with pytest.raises(ConfigError):
-            reparam_forward(Tensor4(rng.standard_normal((1, 2, 9, 9))), branches)
+        assert_block_rejected(rng, [one_branch(rng, k, r) for k, r in ks], ConfigError, None)
 
     def test_reparam_forward_matches_manual_sum(self, rng):
         branches = random_branches(((9, 1), (3, 2), (3, 4)), 3, 3, rng)
         x = Tensor4(rng.standard_normal((2, 3, 15, 15)))
         manual = sum(
-            (batchnorm_infer(conv2d(x, b.conv), b.bn).data for b in branches),
+            (batchnorm_infer(conv2d(x, conv), bn).data for conv, bn in branches),
             start=np.zeros((2, 3, 15, 15)),
         )
         got = reparam_forward(x, branches).data

@@ -18,9 +18,10 @@ from urlknet.verify import (
 
 def test_nan_branch_weight_gives_nan(rng):
     branches = list(random_branches(stock_branches(13), 4, 4, rng))
-    w = branches[1].conv.weight.data.copy()
+    conv, bn = branches[1]
+    w = conv.weight.data.copy()
     w[0, 0, 0, 0] = np.nan
-    branches[1] = replace(branches[1], conv=replace(branches[1].conv, weight=Tensor4(w)))
+    branches[1] = (replace(conv, weight=Tensor4(w)), bn)
     with np.errstate(invalid="ignore"):
         assert math.isnan(verify_reparam_merge(branches, rng, 3))
 
