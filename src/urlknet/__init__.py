@@ -2,7 +2,7 @@
 
 The package is organized around ten modules:
 
-* tensor    — Tensor4/ConvLayer/BnParams and the numeric primitives
+* tensor    — numeric primitives on arrays; Tensor4 (boundary), ConvLayer, BnParams
 * reparam   — dilated-kernel expansion, BN folding, multi-branch merging
 * blocks    — SE, FFN+GRN, LarK/SmaK blocks, downsampling
 * model     — named architecture instances, forward, deploy merge, param audit

@@ -30,7 +30,6 @@ from .reparam import fuse_bn, merge_dilated_reparam, reparam_forward
 from .tensor import (
     BnParams,
     ConvLayer,
-    Tensor4,
     batchnorm_infer,
     conv2d,
     gelu,
@@ -65,14 +64,14 @@ class SeBlock:
         return self.reduce_weight.shape[1]
 
 
-def se_forward(x: Tensor4, se: SeBlock) -> Tensor4:
+def se_forward(x: np.ndarray, se: SeBlock) -> np.ndarray:
     """Multiply x by its per-sample channel gate sigmoid(expand(relu(reduce(gap(x)))))."""
-    if x.c != se.channels:
-        raise ShapeError(f"input has {x.c} channels, SE expects {se.channels}")
-    pooled = x.data.mean(axis=(2, 3))                                  # (n, C)
+    if x.shape[1] != se.channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, SE expects {se.channels}")
+    pooled = x.mean(axis=(2, 3))                                       # (n, C)
     hidden = np.maximum(linear(pooled, se.reduce_weight, se.reduce_bias), 0)
     gate = expit(linear(hidden, se.expand_weight, se.expand_bias))
-    return Tensor4(x.data * gate[:, :, None, None])
+    return x * gate[:, :, None, None]
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,9 @@ class FfnBlock:
         return self.pw1.in_channels
 
 
-def ffn_forward(x: Tensor4, ffn: FfnBlock) -> Tensor4:
-    if x.c != ffn.channels:
-        raise ShapeError(f"input has {x.c} channels, FFN expects {ffn.channels}")
+def ffn_forward(x: np.ndarray, ffn: FfnBlock) -> np.ndarray:
+    if x.shape[1] != ffn.channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, FFN expects {ffn.channels}")
     h = gelu(conv2d(x, ffn.pw1))
     h = grn(h, ffn.grn_gamma, ffn.grn_beta)
     return conv2d(h, ffn.pw2)
@@ -145,18 +144,18 @@ class BlockSpec:
         return self.se.channels
 
 
-def block_forward(x: Tensor4, b: BlockSpec) -> Tensor4:
+def block_forward(x: np.ndarray, b: BlockSpec) -> np.ndarray:
     """y = x + BN(SE(DW(x))); out = y + BN(FFN(y)). Shape preserved."""
-    if x.c != b.channels:
-        raise ShapeError(f"input has {x.c} channels, block expects {b.channels}")
+    if x.shape[1] != b.channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, block expects {b.channels}")
     dw = conv2d(x, b.dw_conv) if b.merged else reparam_forward(x, b.branches)
     # each residual add goes into the branch output this call just allocated
     y = batchnorm_infer(se_forward(dw, b.se), b.post_dw_bn)
-    y.data += x.data
+    y += x
     f = ffn_forward(y, b.ffn)
     if b.post_ffn_bn is not None:
         f = batchnorm_infer(f, b.post_ffn_bn)
-    f.data += y.data
+    f += y
     return f
 
 
@@ -169,7 +168,7 @@ def merge_block(b: BlockSpec) -> BlockSpec:
     return BlockSpec(se=b.se, post_dw_bn=b.post_dw_bn, ffn=ffn, dw_conv=fused_dw)
 
 
-def downsample_forward(x: Tensor4, layers: tuple[tuple[ConvLayer, BnParams], ...]) -> Tensor4:
+def downsample_forward(x: np.ndarray, layers: tuple[tuple[ConvLayer, BnParams], ...]) -> np.ndarray:
     """Stem (two stride-2 3x3 convs) or transition (one): conv -> BN -> GELU per pair."""
     for conv, bn in layers:
         x = gelu(batchnorm_infer(conv2d(x, conv), bn))

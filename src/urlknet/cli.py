@@ -210,8 +210,6 @@ def cmd_bench(args) -> int:
 
 
 def cmd_params(args) -> int:
-    if args.model not in INSTANCE_NAMES:
-        raise ConfigError(f"unknown model {args.model!r}; choose from {INSTANCE_NAMES}")
     breakdown = param_breakdown(arch_config(args.model))
     total = breakdown["total"]
     reference_m = REFERENCE_PARAMS_M[args.model]

@@ -333,20 +333,21 @@ def build_named(name: str, seed: int = 0, in_channels: int = 3, num_classes: int
 
 @dataclass(frozen=True)
 class ForwardTrace:
-    """Full forward result: per-stage feature maps plus the classifier output."""
+    """Full forward result: the four stages' (n, c, h, w) feature-map arrays plus the logits."""
 
-    stage_outputs: tuple[Tensor4, Tensor4, Tensor4, Tensor4]
+    stage_outputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     logits: np.ndarray
 
 
 def forward_trace(model: ModelInstance, x: Tensor4) -> ForwardTrace:
-    if x.c != model.config.in_channels:
+    """Stage outputs and logits; checks x's channels and dtype once, then every op runs on x.data."""
+    if x.shape[1] != model.config.in_channels:
         raise ShapeError(
-            f"input has {x.c} channels, model expects {model.config.in_channels}"
+            f"input has {x.shape[1]} channels, model expects {model.config.in_channels}"
         )
     if x.dtype != model.dtype:
         raise ShapeError(f"input dtype {x.dtype} != model dtype {model.dtype}")
-    cur, outs = x, []
+    cur, outs = x.data, []
     for s, (down, stage) in enumerate(zip(model.downsamples, model.stages), start=1):
         try:
             cur = downsample_forward(cur, down)
@@ -356,7 +357,7 @@ def forward_trace(model: ModelInstance, x: Tensor4) -> ForwardTrace:
             cur = block_forward(cur, b)
         outs.append(cur)
     pooled = batchnorm_infer(global_avg_pool(cur), model.head_bn)
-    logits = linear(pooled.data[:, :, 0, 0], model.head_weight, model.head_bias)
+    logits = linear(pooled[:, :, 0, 0], model.head_weight, model.head_bias)
     return ForwardTrace(stage_outputs=tuple(outs), logits=logits)
 
 

@@ -34,7 +34,7 @@ def equivalent_kernel_size(k: int, r: int) -> int:
     return (k - 1) * r + 1
 
 
-def dilate_kernel(weight: Tensor4, r: int) -> Tensor4:
+def dilate_kernel(weight: np.ndarray, r: int) -> np.ndarray:
     """Expand a (c_out, c_in/g, k, k) kernel at dilation r to its non-dilated equivalent.
 
     Zero insertion: entry (i, j) lands at (i*r, j*r) of a ((k-1)*r+1)-sized
@@ -48,8 +48,8 @@ def dilate_kernel(weight: Tensor4, r: int) -> Tensor4:
     if kh != kw:
         raise ShapeError(f"expected a square kernel, got shape {weight.shape}")
     out = np.zeros((c_out, cin_g, (kh - 1) * r + 1, (kh - 1) * r + 1), dtype=weight.dtype)
-    out[..., ::r, ::r] = weight.data
-    return Tensor4(out)
+    out[..., ::r, ::r] = weight
+    return out
 
 
 def fuse_bn(conv: ConvLayer, bn: BnParams) -> ConvLayer:
@@ -136,7 +136,7 @@ def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
     return ordered, K, channels.pop(), groups.pop()
 
 
-def reparam_forward(x: Tensor4, branches: Sequence[tuple[ConvLayer, BnParams]]) -> Tensor4:
+def reparam_forward(x: np.ndarray, branches: Sequence[tuple[ConvLayer, BnParams]]) -> np.ndarray:
     """Training-structure forward: sum of conv->BN over all branches.
 
     Branches are summed principal-first, then in declared order, matching the
@@ -145,7 +145,7 @@ def reparam_forward(x: Tensor4, branches: Sequence[tuple[ConvLayer, BnParams]]) 
     (conv, bn), *rest = _checked(branches)[0]
     out = batchnorm_infer(conv2d(x, conv), bn)
     for conv, bn in rest:
-        out.data += batchnorm_infer(conv2d(x, conv), bn).data  # out is this call's own buffer
+        out += batchnorm_infer(conv2d(x, conv), bn)  # out is this call's own buffer
     return out
 
 
@@ -163,9 +163,9 @@ def merge_dilated_reparam(branches: Sequence[tuple[ConvLayer, BnParams]]) -> Con
     bias = np.zeros(channels, dtype=dtype)
     for conv, bn in ordered:
         fused = fuse_bn(conv, bn)
-        expanded = dilate_kernel(fused.weight, conv.dilation[0])
+        expanded = dilate_kernel(fused.weight.data, conv.dilation[0])
         pad = (K - expanded.shape[2]) // 2
-        kernel[:, :, pad:K - pad, pad:K - pad] += expanded.data
+        kernel[:, :, pad:K - pad, pad:K - pad] += expanded
         bias += fused.bias
     return ConvLayer(
         weight=Tensor4(kernel),

@@ -1,8 +1,10 @@
-"""Dense 4-D tensor type and the numeric primitives everything else builds on.
+"""Numeric primitives on (n, c, h, w) arrays, and the Tensor4 boundary type.
 
-The reference numeric type is float64; float32 storage exists for the
-benchmarking paths. All operations are pure functions: they never mutate
-their inputs and identical inputs produce bit-identical outputs.
+The ops take and return plain numpy arrays; Tensor4 checks an array once,
+where it enters the package (a forward input, an embedder output, a conv
+weight). The reference numeric type is float64; float32 storage exists for
+the benchmarking paths. All ops are pure functions of their arrays: they
+never mutate their inputs and identical inputs produce bit-identical outputs.
 
 Convolution comes in three forms: two for depthwise convs and one matmul for
 every other conv. Only the matmul reads the tap-window view `_windows`.
@@ -74,10 +76,12 @@ def _as_pair(value, name: str) -> tuple[int, int]:
 
 
 class Tensor4:
-    """Dense (batch, channel, row, col) array of float64 or float32.
+    """Checked dense (batch, channel, row, col) array of float64 or float32.
 
-    Wraps a C-contiguous numpy array. The dtype doubles as the element-width
-    flag: float64 is the reference type, float32 the benchmarking type.
+    Wraps a C-contiguous numpy array at the package boundary; the ops below
+    forward run on the bare `.data` array. The dtype doubles as the
+    element-width flag: float64 is the reference type, float32 the
+    benchmarking type.
     """
 
     __slots__ = ("data",)
@@ -95,22 +99,6 @@ class Tensor4:
     @property
     def shape(self) -> tuple[int, int, int, int]:
         return self.data.shape
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def c(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def h(self) -> int:
-        return self.data.shape[2]
-
-    @property
-    def w(self) -> int:
-        return self.data.shape[3]
 
     @property
     def dtype(self) -> np.dtype:
@@ -295,33 +283,33 @@ def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
     return np.ascontiguousarray(out.transpose(2, 3, 0, 1))
 
 
-def conv2d(input: Tensor4, layer: ConvLayer) -> Tensor4:
+def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """2-D convolution with stride, zero-padding, dilation and channel groups.
 
     Output spatial size follows conv_output_size per axis; a non-positive
     result raises GeometryError. The value at each site is the sliding-window
     sum over dilated taps plus bias.
     """
-    x = input.data
     w = layer.weight.data
     if w.dtype != x.dtype:
         raise ShapeError(f"input dtype {x.dtype} != weight dtype {w.dtype}")
     g = layer.groups
     c_out, cin_g, kh, kw = w.shape
-    if input.c != cin_g * g:
+    n, c, ih, iw = x.shape
+    if c != cin_g * g:
         raise ShapeError(
-            f"input has {input.c} channels but layer expects {cin_g * g} "
+            f"input has {c} channels but layer expects {cin_g * g} "
             f"(c_in/g={cin_g}, groups={g})"
         )
     sh, sw = layer.stride
     ph, pw = layer.padding
     dh, dw = layer.dilation
-    oh = conv_output_size(input.h, kh, sh, ph, dh)
-    ow = conv_output_size(input.w, kw, sw, pw, dw)
+    oh = conv_output_size(ih, kh, sh, ph, dh)
+    ow = conv_output_size(iw, kw, sw, pw, dw)
     if oh < 1 or ow < 1:
         raise GeometryError(
             f"kernel {kh}x{kw} (dilation {dh}x{dw}, padding {ph}x{pw}) does not fit "
-            f"input {input.h}x{input.w}: output would be {oh}x{ow}"
+            f"input {ih}x{iw}: output would be {oh}x{ow}"
         )
 
     if layer.is_depthwise:
@@ -331,28 +319,28 @@ def conv2d(input: Tensor4, layer: ConvLayer) -> Tensor4:
         # stride-1, unpadded kernel the reshape is a view of x and copies nothing
         ck = cin_g * kh * kw
         cols = _windows(x, kh, kw, sh, sw, ph, pw, dh, dw).transpose(0, 1, 4, 5, 2, 3)
-        out = np.matmul(w.reshape(g, c_out // g, ck), cols.reshape(input.n, g, ck, oh * ow))
-        out = out.reshape(input.n, c_out, oh, ow)
+        out = np.matmul(w.reshape(g, c_out // g, ck), cols.reshape(n, g, ck, oh * ow))
+        out = out.reshape(n, c_out, oh, ow)
 
     if layer.bias is not None:
         out += layer.bias[None, :, None, None]
-    return Tensor4(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # normalization, activations, pooling, linear
 # ---------------------------------------------------------------------------
 
-def batchnorm_infer(input: Tensor4, bn: BnParams) -> Tensor4:
+def batchnorm_infer(x: np.ndarray, bn: BnParams) -> np.ndarray:
     """Per-channel affine map (x - mean) / sqrt(var + eps) * gamma + beta, as x * scale + shift."""
-    if input.c != bn.channels:
-        raise ShapeError(f"input has {input.c} channels, BN has {bn.channels}")
-    dtype = input.dtype
+    if x.shape[1] != bn.channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, BN has {bn.channels}")
+    dtype = x.dtype
     scale = bn.gamma.astype(dtype) / np.sqrt(bn.running_var.astype(dtype) + dtype.type(bn.eps))
     shift = bn.beta.astype(dtype) - bn.running_mean.astype(dtype) * scale
-    out = input.data * scale[:, None, None]
+    out = x * scale[:, None, None]
     out += shift[:, None, None]
-    return Tensor4(out)
+    return out
 
 
 def _erf_f32(z: np.ndarray) -> np.ndarray:
@@ -374,26 +362,25 @@ def _erf_f32(z: np.ndarray) -> np.ndarray:
     return p
 
 
-def gelu(x: Tensor4) -> Tensor4:
+def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian-CDF form: 0.5 * x * (1 + erf(x / sqrt(2))).
 
     float64 uses scipy's erf. float32 uses a rational erf whose absolute error
     is below 1e-6 (4.4e-7 measured against the float64 erf); it keeps the
     float64 form's values at +-0, NaN and +-inf.
     """
-    d = x.data
-    if d.dtype != np.float32:
-        return Tensor4(0.5 * d * (1.0 + erf(d * d.dtype.type(_SQRT1_2))))
-    out = _erf_f32(d * np.float32(_SQRT1_2))
+    if x.dtype != np.float32:
+        return 0.5 * x * (1.0 + erf(x * x.dtype.type(_SQRT1_2)))
+    out = _erf_f32(x * np.float32(_SQRT1_2))
     out += 1
     out *= 0.5  # exact, so this equals (0.5 * x) * (1 + erf) as in the float64 form
-    out *= d
-    return Tensor4(out)
+    out *= x
+    return out
 
 
-def global_avg_pool(x: Tensor4) -> Tensor4:
+def global_avg_pool(x: np.ndarray) -> np.ndarray:
     """Mean over the spatial axes, keeping a 1x1 spatial footprint."""
-    return Tensor4(x.data.mean(axis=(2, 3), keepdims=True))
+    return x.mean(axis=(2, 3), keepdims=True)
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -407,7 +394,7 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return np.matmul(x[:, None, :], weight.T)[:, 0, :] + bias
 
 
-def grn(input: Tensor4, gamma: np.ndarray, beta: np.ndarray) -> Tensor4:
+def grn(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Global response normalization.
 
     Per sample: G_c = spatial L2 norm of channel c, N_c = G_c / (mean_c(G) + 1e-6),
@@ -415,14 +402,14 @@ def grn(input: Tensor4, gamma: np.ndarray, beta: np.ndarray) -> Tensor4:
     """
     gamma = np.asarray(gamma)
     beta = np.asarray(beta)
-    if gamma.shape != (input.c,) or beta.shape != (input.c,):
+    c = x.shape[1]
+    if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
-            f"grn gamma/beta must have shape ({input.c},), got {gamma.shape} and {beta.shape}"
+            f"grn gamma/beta must have shape ({c},), got {gamma.shape} and {beta.shape}"
         )
-    x = input.data
-    xf = x.reshape(x.shape[0], x.shape[1], -1)
+    xf = x.reshape(x.shape[0], c, -1)
     gx = np.sqrt(np.einsum("ncs,ncs->nc", xf, xf))       # (n, c), no x*x temporary
     nx = gx / (gx.mean(axis=1, keepdims=True) + x.dtype.type(1e-6))
     out = x * (1 + gamma * nx)[:, :, None, None]
     out += beta[:, None, None]
-    return Tensor4(out)
+    return out

@@ -50,9 +50,8 @@ def verify_reparam_merge(branches, rng: np.random.Generator, trials: int) -> flo
     merged = merge_dilated_reparam(branches)
 
     def trial():
-        x = Tensor4(rng.standard_normal((2, merged.in_channels, _SPATIAL, _SPATIAL))
-                    .astype(merged.weight.dtype))
-        return relative_error(conv2d(x, merged).data, reparam_forward(x, branches).data)
+        x = rng.standard_normal((2, merged.in_channels, _SPATIAL, _SPATIAL)).astype(merged.weight.dtype)
+        return relative_error(conv2d(x, merged), reparam_forward(x, branches))
 
     return _worst(trials, trial)
 
@@ -70,8 +69,8 @@ def verify_model(model: ModelInstance, rng: np.random.Generator,
     merged = merge_for_deploy(model)
 
     def block_trial(b, mb):
-        x = Tensor4(rng.standard_normal((2, b.channels, _SPATIAL, _SPATIAL)).astype(model.dtype))
-        return relative_error(block_forward(x, mb).data, block_forward(x, b).data)
+        x = rng.standard_normal((2, b.channels, _SPATIAL, _SPATIAL)).astype(model.dtype)
+        return relative_error(block_forward(x, mb), block_forward(x, b))
 
     def model_trial():
         x = Tensor4(rng.standard_normal(
@@ -119,14 +118,13 @@ def adhoc_scenario(
         large = ConvLayer(Tensor4(wl), padding=(large_kernel // 2,) * 2, groups=groups)
         dilated = ConvLayer(Tensor4(ws), padding=(eq // 2,) * 2,
                             dilation=(small_r, small_r), groups=groups)
-        x = Tensor4(rng.standard_normal((2, in_channels, _SPATIAL, _SPATIAL)).astype(dtype))
-        reference = conv2d(x, large).data + conv2d(x, dilated).data
+        x = rng.standard_normal((2, in_channels, _SPATIAL, _SPATIAL)).astype(dtype)
+        reference = conv2d(x, large) + conv2d(x, dilated)
         pad = large_kernel // 2 - eq // 2
-        expanded = dilate_kernel(dilated.weight, small_r).data
         merged_w = wl.copy()
-        merged_w[:, :, pad:large_kernel - pad, pad:large_kernel - pad] += expanded
+        merged_w[:, :, pad:large_kernel - pad, pad:large_kernel - pad] += dilate_kernel(ws, small_r)
         merged = ConvLayer(Tensor4(merged_w), padding=(large_kernel // 2,) * 2, groups=groups)
-        return relative_error(conv2d(x, merged).data, reference)
+        return relative_error(conv2d(x, merged), reference)
 
     return _worst(trials, trial)
 

@@ -75,8 +75,8 @@ class TestSeBlock:
     def test_zero_weights_halve_input(self, rng):
         c = 8
         se = SeBlock(np.zeros((2, 8)), np.zeros(2), np.zeros((8, 2)), np.zeros(8))
-        x = Tensor4(rng.standard_normal((2, c, 3, 3)))
-        np.testing.assert_allclose(se_forward(x, se).data, 0.5 * x.data, rtol=1e-15)
+        x = rng.standard_normal((2, c, 3, 3))
+        np.testing.assert_allclose(se_forward(x, se), 0.5 * x, rtol=1e-15)
 
     def test_quarter_reduction_enforced(self):
         with pytest.raises(ConfigError):
@@ -91,14 +91,14 @@ class TestSeBlock:
         se = make_se(rng, c)
         x = rng.standard_normal((2, c, 4, 4))
         want = se_naive(x, se.reduce_weight, se.reduce_bias, se.expand_weight, se.expand_bias)
-        np.testing.assert_allclose(se_forward(Tensor4(x), se).data, want,
+        np.testing.assert_allclose(se_forward(x, se), want,
                                    rtol=1e-12, atol=1e-12)
 
     def test_gate_strictly_inside_unit_interval(self, rng):
         c = 8
         se = make_se(rng, c)
-        x = Tensor4(np.abs(rng.standard_normal((3, c, 5, 5))) + 0.5)
-        gate = se_forward(x, se).data / x.data
+        x = np.abs(rng.standard_normal((3, c, 5, 5))) + 0.5
+        gate = se_forward(x, se) / x
         assert np.all(gate > 0.0) and np.all(gate < 1.0)
 
 
@@ -110,8 +110,8 @@ class TestFfnBlock:
             pw1=ffn.pw1, grn_gamma=ffn.grn_gamma, grn_beta=ffn.grn_beta,
             pw2=ConvLayer(Tensor4(np.zeros((c, 4 * c, 1, 1))), bias=np.zeros(c)),
         )
-        x = Tensor4(rng.standard_normal((1, c, 3, 3)))
-        np.testing.assert_array_equal(ffn_forward(x, zeroed).data, np.zeros((1, c, 3, 3)))
+        x = rng.standard_normal((1, c, 3, 3))
+        np.testing.assert_array_equal(ffn_forward(x, zeroed), np.zeros((1, c, 3, 3)))
 
     def test_expansion_ratio(self, rng):
         ffn = make_ffn(rng, 4)
@@ -126,9 +126,9 @@ class TestFfnBlock:
     def test_matches_composition_of_primitives(self, rng):
         c = 4
         ffn = make_ffn(rng, c)
-        x = Tensor4(rng.standard_normal((2, c, 5, 5)))
+        x = rng.standard_normal((2, c, 5, 5))
         manual = conv2d(grn(gelu(conv2d(x, ffn.pw1)), ffn.grn_gamma, ffn.grn_beta), ffn.pw2)
-        np.testing.assert_allclose(ffn_forward(x, ffn).data, manual.data, rtol=1e-12)
+        np.testing.assert_allclose(ffn_forward(x, ffn), manual, rtol=1e-12)
 
 
 class TestBlockForward:
@@ -146,16 +146,16 @@ class TestBlockForward:
             ffn=make_ffn(rng, c), branches=branches,
             post_ffn_bn=zero_affine,
         )
-        x = Tensor4(rng.standard_normal((2, c, 6, 6)))
-        np.testing.assert_allclose(block_forward(x, block).data, x.data, rtol=1e-12)
+        x = rng.standard_normal((2, c, 6, 6))
+        np.testing.assert_allclose(block_forward(x, block), x, rtol=1e-12)
 
     @pytest.mark.parametrize("maker", [make_lark_block, make_smak_block])
     def test_train_vs_merged_equivalence(self, rng, maker):
         c = 8
         block = maker(rng, c)
         merged = merge_block(block)
-        x = Tensor4(rng.standard_normal((2, c, 19, 19)))
-        err = relative_error(block_forward(x, merged).data, block_forward(x, block).data)
+        x = rng.standard_normal((2, c, 19, 19))
+        err = relative_error(block_forward(x, merged), block_forward(x, block))
         assert err <= 1e-10
 
     def test_smak_train_forward_is_conv_then_bn(self, rng):
@@ -163,11 +163,11 @@ class TestBlockForward:
         block = make_smak_block(rng, c)
         ((conv, bn),) = block.branches
         assert (conv.kernel_size, conv.dilation) == ((3, 3), (1, 1))
-        x = Tensor4(rng.standard_normal((2, c, 9, 9)))
+        x = rng.standard_normal((2, c, 9, 9))
         dw = batchnorm_infer(conv2d(x, conv), bn)
-        y = x.data + batchnorm_infer(se_forward(dw, block.se), block.post_dw_bn).data
-        want = y + batchnorm_infer(ffn_forward(Tensor4(y), block.ffn), block.post_ffn_bn).data
-        np.testing.assert_array_equal(block_forward(x, block).data, want)
+        y = x + batchnorm_infer(se_forward(dw, block.se), block.post_dw_bn)
+        want = y + batchnorm_infer(ffn_forward(y, block.ffn), block.post_ffn_bn)
+        np.testing.assert_array_equal(block_forward(x, block), want)
 
     def test_smak_merge_is_fuse_bn(self, rng):
         block = make_smak_block(rng, 8)
@@ -180,7 +180,7 @@ class TestBlockForward:
 
     def test_spatial_size_preserved(self, rng):
         block = make_lark_block(rng, 4, K=13)
-        x = Tensor4(rng.standard_normal((1, 4, 19, 19)))
+        x = rng.standard_normal((1, 4, 19, 19))
         assert block_forward(x, block).shape == (1, 4, 19, 19)
 
     def test_zero_branches_give_constant_map(self, rng):
@@ -190,14 +190,14 @@ class TestBlockForward:
             for conv, bn in random_branches(stock_branches(13), c, c, rng)
         )
         from urlknet import merge_dilated_reparam, reparam_forward
-        x1 = Tensor4(rng.standard_normal((1, c, 7, 7)))
-        x2 = Tensor4(rng.standard_normal((1, c, 7, 7)))
-        y1 = reparam_forward(x1, branches).data
-        y2 = reparam_forward(x2, branches).data
+        x1 = rng.standard_normal((1, c, 7, 7))
+        x2 = rng.standard_normal((1, c, 7, 7))
+        y1 = reparam_forward(x1, branches)
+        y2 = reparam_forward(x2, branches)
         np.testing.assert_allclose(y1, y2, rtol=1e-12)          # constant in the input
         merged = merge_dilated_reparam(branches)
         assert np.all(merged.weight.data == 0)
-        np.testing.assert_allclose(conv2d(x1, merged).data, y1, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(conv2d(x1, merged), y1, rtol=1e-10, atol=1e-12)
 
     def test_double_merge_rejected(self, rng):
         block = make_smak_block(rng, 4)
@@ -229,16 +229,16 @@ class TestDownsample:
 
     def test_stem_geometry_224(self, rng):
         stem = self._stem(rng, 3, 96)
-        out = downsample_forward(Tensor4(rng.standard_normal((1, 3, 224, 224))), stem)
+        out = downsample_forward(rng.standard_normal((1, 3, 224, 224)), stem)
         assert out.shape == (1, 96, 56, 56)
 
     def test_transition_doubles_channels(self, rng):
         tr = ((ConvLayer(Tensor4(rng.standard_normal((192, 96, 3, 3)) * 0.1),
                          stride=(2, 2), padding=(1, 1)), identity_bn(192)),)
-        out = downsample_forward(Tensor4(rng.standard_normal((1, 96, 56, 56))), tr)
+        out = downsample_forward(rng.standard_normal((1, 96, 56, 56)), tr)
         assert out.shape == (1, 192, 28, 28)
 
     def test_stem_on_audio_map(self, rng):
         stem = self._stem(rng, 1, 40)
-        out = downsample_forward(Tensor4(rng.standard_normal((1, 1, 128, 64))), stem)
+        out = downsample_forward(rng.standard_normal((1, 1, 128, 64)), stem)
         assert out.shape == (1, 40, 32, 16)

@@ -28,6 +28,7 @@ from urlknet.model import (
     iter_state,
     learnable_scalars,
 )
+from urlknet import tensor
 from urlknet.blocks import block_forward
 from urlknet.reparam import reparam_forward
 from urlknet.verify import relative_error
@@ -202,6 +203,17 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(model_a, Tensor4(np.zeros((1, 3, 64, 64), dtype=np.float32)))
 
+    @pytest.mark.parametrize("merged", [False, True], ids=["train", "merged"])
+    def test_forward_builds_no_tensor4(self, model_a, model_a_merged, monkeypatch, merged):
+        # the input is checked once where it enters; every op below forward runs on arrays
+        m = model_astype(model_a_merged if merged else model_a, np.float32)
+        x = Tensor4(np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32))
+        built, init = [], tensor.Tensor4.__init__
+        monkeypatch.setattr(tensor.Tensor4, "__init__",
+                            lambda self, data: built.append(data) or init(self, data))
+        forward(m, x)
+        assert len(built) == 0
+
 
 class TestMerge:
     def test_whole_model_equivalence(self, model_a, model_a_merged):
@@ -255,9 +267,29 @@ class TestReadOnlyArrays:
             forward(m, Tensor4(x))
             model_astype(m, np.float32)
         merge_for_deploy(train)
-        block_forward(Tensor4(xb), block)
-        block_forward(Tensor4(xb), merged_block)
-        reparam_forward(Tensor4(xb), block.branches)
+        block_forward(xb, block)
+        block_forward(xb, merged_block)
+        reparam_forward(xb, block.branches)
+        for a, b in zip(arrays, before, strict=True):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+    @pytest.mark.parametrize("merged", [False, True], ids=["train", "merged"])
+    def test_f32_forward_on_read_only_arrays(self, rng, model_a, model_a_merged, merged):
+        # the float32 GELU works in place and each residual add writes into the buffer
+        # its call allocated; neither may write into an input or a weight
+        m = model_astype(model_a_merged if merged else model_a, np.float32)
+        block = m.stages[0][0]
+        x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
+        xb = rng.standard_normal((2, block.channels, 16, 16)).astype(np.float32)
+        want = forward(m, Tensor4(x.copy())), block_forward(xb.copy(), block)
+        arrays = [x, xb, *(a for _, a in iter_state(m))]
+        before = [a.copy() for a in arrays]
+        for a in arrays:
+            a.setflags(write=False)
+        np.testing.assert_array_equal(forward(m, Tensor4(x)), want[0])
+        np.testing.assert_array_equal(block_forward(xb, block), want[1])
+        if not merged:
+            reparam_forward(xb, block.branches)
         for a, b in zip(arrays, before, strict=True):
             np.testing.assert_array_equal(a, b, strict=True)
 

@@ -48,19 +48,19 @@ def test_even_kernel_rejected():
 
 class TestDilateKernel:
     def test_rate_one_unchanged(self, rng):
-        w = Tensor4(rng.standard_normal((3, 2, 3, 3)))
+        w = rng.standard_normal((3, 2, 3, 3))
         assert dilate_kernel(w, 1) is w
 
     def test_depthwise_pattern(self, rng):
         w = rng.standard_normal((8, 1, 3, 3))
-        out = dilate_kernel(Tensor4(w), 2).data
+        out = dilate_kernel(w, 2)
         assert out.shape == (8, 1, 5, 5)
         np.testing.assert_array_equal(out[:, :, ::2, ::2], w)
         assert np.count_nonzero(out) == np.count_nonzero(w)
 
     def test_sparsity_per_slice(self, rng):
         w = rng.standard_normal((4, 3, 5, 5))
-        out = dilate_kernel(Tensor4(w), 3).data
+        out = dilate_kernel(w, 3)
         np.testing.assert_array_equal(out[:, :, ::3, ::3], w)
         for oc in range(4):
             for ic in range(3):
@@ -72,9 +72,9 @@ class TestDilateKernel:
         x = rng.standard_normal((2, 4, 19, 19))
         w = rng.standard_normal((4, 4, 3, 3))
         dil = ConvLayer(Tensor4(w), padding=(3, 3), dilation=(3, 3))
-        wide = ConvLayer(dilate_kernel(Tensor4(w), 3), padding=(3, 3))
+        wide = ConvLayer(Tensor4(dilate_kernel(w, 3)), padding=(3, 3))
         np.testing.assert_allclose(
-            conv2d(Tensor4(x), wide).data, conv2d(Tensor4(x), dil).data,
+            conv2d(x, wide), conv2d(x, dil),
             rtol=1e-12, atol=1e-12,
         )
 
@@ -85,15 +85,14 @@ class TestDilateKernel:
         x = rng.standard_normal((2, cin, 21, 21))
         w = rng.standard_normal((cout, cin // groups, k, k))
         pad = ((k - 1) * r) // 2
-        dil = conv2d(Tensor4(x), ConvLayer(Tensor4(w), padding=(pad, pad),
-                                           dilation=(r, r), groups=groups)).data
-        wide = dilate_kernel(Tensor4(w), r)
-        plain = conv2d(Tensor4(x), ConvLayer(wide, padding=(pad, pad), groups=groups)).data
+        dil = conv2d(x, ConvLayer(Tensor4(w), padding=(pad, pad), dilation=(r, r), groups=groups))
+        wide = Tensor4(dilate_kernel(w, r))
+        plain = conv2d(x, ConvLayer(wide, padding=(pad, pad), groups=groups))
         np.testing.assert_allclose(plain, dil, rtol=1e-12, atol=1e-12)
 
     def test_bad_rate(self):
         with pytest.raises(ConfigError):
-            dilate_kernel(Tensor4(np.zeros((1, 1, 3, 3))), 0)
+            dilate_kernel(np.zeros((1, 1, 3, 3)), 0)
 
 
 class TestFuseBn:
@@ -113,13 +112,13 @@ class TestFuseBn:
         assert fused.bias.item() == -4.0
 
     def test_composed_forward_equivalence(self, rng):
-        x = Tensor4(rng.standard_normal((2, 5, 9, 9)))
+        x = rng.standard_normal((2, 5, 9, 9))
         conv = ConvLayer(Tensor4(rng.standard_normal((4, 5, 3, 3))),
                          bias=rng.standard_normal(4), padding=(1, 1))
         bn = BnParams(rng.standard_normal(4), rng.standard_normal(4),
                       rng.standard_normal(4), rng.uniform(0.1, 2.0, 4), eps=1e-5)
-        composed = batchnorm_infer(conv2d(x, conv), bn).data
-        np.testing.assert_allclose(conv2d(x, fuse_bn(conv, bn)).data, composed,
+        composed = batchnorm_infer(conv2d(x, conv), bn)
+        np.testing.assert_allclose(conv2d(x, fuse_bn(conv, bn)), composed,
                                    rtol=1e-12, atol=1e-12)
 
     def test_idempotent_under_identity_stats(self, rng):
@@ -158,7 +157,7 @@ def assert_block_rejected(rng, branches, exc, match):
     with pytest.raises(exc, match=match):
         merge_dilated_reparam(branches)
     with pytest.raises(exc, match=match):
-        reparam_forward(Tensor4(rng.standard_normal((1, 2, 9, 9))), branches)
+        reparam_forward(rng.standard_normal((1, 2, 9, 9)), branches)
 
 
 class TestMerge:
@@ -200,7 +199,7 @@ class TestMerge:
             (ConvLayer(Tensor4(ws), padding=(3, 3), dilation=(3, 3), groups=2), identity),
         )
         merged = merge_dilated_reparam(branches).weight.data
-        expanded = dilate_kernel(Tensor4(ws), 3).data
+        expanded = dilate_kernel(ws, 3)
         pad = (13 - 7) // 2
         np.testing.assert_allclose(merged[:, :, pad:13 - pad, pad:13 - pad], expanded, rtol=1e-12)
         outside = merged.copy()
@@ -228,7 +227,7 @@ class TestMerge:
         with pytest.raises(ConfigError, match="agree on channels and groups"):
             merge_dilated_reparam([branches[0], bad])
         with pytest.raises(ConfigError, match="agree on channels and groups"):
-            reparam_forward(Tensor4(rng.standard_normal((1, 4, 9, 9))), [branches[0], bad])
+            reparam_forward(rng.standard_normal((1, 4, 9, 9)), [branches[0], bad])
 
     def test_principal_not_first_is_bit_identical(self, rng):
         # the principal is summed first whatever the declared order, so moving it
@@ -239,9 +238,9 @@ class TestMerge:
         assert a.weight.shape == (4, 2, 9, 9) and a.groups == 2 and a.padding == (4, 4)
         np.testing.assert_array_equal(a.weight.data, b.weight.data)
         np.testing.assert_array_equal(a.bias, b.bias)
-        x = Tensor4(rng.standard_normal((2, 4, 11, 11)))
-        np.testing.assert_array_equal(reparam_forward(x, declared).data,
-                                      reparam_forward(x, principal_first).data)
+        x = rng.standard_normal((2, 4, 11, 11))
+        np.testing.assert_array_equal(reparam_forward(x, declared),
+                                      reparam_forward(x, principal_first))
 
     def test_branch_channel_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError, match="agree on channels"):
@@ -281,12 +280,12 @@ class TestMerge:
 
     def test_reparam_forward_matches_manual_sum(self, rng):
         branches = random_branches(((9, 1), (3, 2), (3, 4)), 3, 3, rng)
-        x = Tensor4(rng.standard_normal((2, 3, 15, 15)))
+        x = rng.standard_normal((2, 3, 15, 15))
         manual = sum(
-            (batchnorm_infer(conv2d(x, conv), bn).data for conv, bn in branches),
+            (batchnorm_infer(conv2d(x, conv), bn) for conv, bn in branches),
             start=np.zeros((2, 3, 15, 15)),
         )
-        got = reparam_forward(x, branches).data
+        got = reparam_forward(x, branches)
         np.testing.assert_allclose(got, manual, rtol=1e-12, atol=1e-12)
 
     def test_merged_conv_matches_naive_oracle(self, rng):
@@ -296,7 +295,7 @@ class TestMerge:
         x = rng.standard_normal((1, 2, 12, 12))
         want = conv2d_naive(x, merged.weight.data, merged.bias,
                             padding=merged.padding, groups=2)
-        got = conv2d(Tensor4(x), merged).data
+        got = conv2d(x, merged)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        reference = reparam_forward(Tensor4(x), branches).data
+        reference = reparam_forward(x, branches)
         assert relative_error(got, reference) <= 1e-10

@@ -30,18 +30,18 @@ class TestTensor4:
 
     def test_shape_properties(self):
         t = Tensor4(np.zeros((2, 3, 4, 5)))
-        assert (t.n, t.c, t.h, t.w) == (2, 3, 4, 5)
+        assert t.shape == (2, 3, 4, 5)
         assert t.dtype == np.float64
 
 
 class TestConv2d:
     def test_identity_kernel(self):
-        x = Tensor4(np.ones((1, 1, 3, 3)))
+        x = np.ones((1, 1, 3, 3))
         layer = ConvLayer(Tensor4(np.ones((1, 1, 1, 1))))
-        np.testing.assert_array_equal(conv2d(x, layer).data, x.data)
+        np.testing.assert_array_equal(conv2d(x, layer), x)
 
     def test_stride2_shape_224(self):
-        x = Tensor4(np.zeros((1, 3, 224, 224)))
+        x = np.zeros((1, 3, 224, 224))
         layer = ConvLayer(Tensor4(np.zeros((8, 3, 3, 3))), stride=(2, 2), padding=(1, 1))
         assert conv2d(x, layer).shape == (1, 8, 112, 112)
 
@@ -49,7 +49,7 @@ class TestConv2d:
         x = rng.standard_normal((2, 4, 19, 19))
         w = rng.standard_normal((4, 1, 3, 3))
         layer = ConvLayer(Tensor4(w), padding=(3, 3), dilation=(3, 3), groups=4)
-        got = conv2d(Tensor4(x), layer).data
+        got = conv2d(x, layer)
         want = conv2d_naive(x, w, padding=(3, 3), dilation=(3, 3), groups=4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -81,7 +81,7 @@ class TestConv2d:
         wt = rng.standard_normal((c, 1, k, k))
         b = rng.standard_normal(c)
         layer = ConvLayer(Tensor4(wt), bias=b, stride=s, padding=pad, dilation=r, groups=c)
-        got = conv2d(Tensor4(x), layer).data
+        got = conv2d(x, layer)
         want = conv2d_naive(x, wt, b, s, pad, r, c)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -96,7 +96,7 @@ class TestConv2d:
         monkeypatch.setattr(tensor, "_tap_span", lambda *a: spans.append(a) or span(*a))
         monkeypatch.setattr(tensor, "_tap_index", lambda *a: tables.append(a) or table(*a))
         layer = ConvLayer(Tensor4(rng.standard_normal((2, 1, k, k))), padding=k // 2, groups=2)
-        conv2d(Tensor4(rng.standard_normal((1, 2, h, w))), layer)
+        conv2d(rng.standard_normal((1, 2, h, w)), layer)
         assert (bool(spans), bool(tables)) == (shift_add, not shift_add)
 
     @pytest.mark.parametrize("h,k,r", [(8, 13, 1), (4, 7, 2), (2, 13, 1)])
@@ -104,8 +104,8 @@ class TestConv2d:
         x = rng.standard_normal((8, 16, h, h)).astype(np.float32)
         wt = rng.standard_normal((16, 1, k, k)).astype(np.float32)
         layer = ConvLayer(Tensor4(wt), padding=r * (k - 1) // 2, dilation=r, groups=16)
-        batched = conv2d(Tensor4(x), layer).data
-        singles = [conv2d(Tensor4(x[i:i + 1]), layer).data for i in range(8)]
+        batched = conv2d(x, layer)
+        singles = [conv2d(x[i:i + 1], layer) for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -140,7 +140,7 @@ class TestConv2d:
         wt = rng.standard_normal((c, 1, k, k))
         b = rng.standard_normal(c)
         layer = ConvLayer(Tensor4(wt), bias=b, stride=s, padding=p, dilation=r, groups=c)
-        got = conv2d(Tensor4(x), layer).data
+        got = conv2d(x, layer)
         assert spans
         np.testing.assert_allclose(got, conv2d_naive(x, wt, b, s, p, r, c), rtol=1e-12, atol=1e-12)
 
@@ -150,8 +150,8 @@ class TestConv2d:
         x0 = x.copy()
         wt = rng.standard_normal((c, 1, k, k)).astype(np.float32)
         layer = ConvLayer(Tensor4(wt), padding=r * (k - 1) // 2, dilation=r, groups=c)
-        batched = conv2d(Tensor4(x), layer).data
-        singles = [conv2d(Tensor4(x[i:i + 1]), layer).data for i in range(8)]
+        batched = conv2d(x, layer)
+        singles = [conv2d(x[i:i + 1], layer) for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
         np.testing.assert_array_equal(x, x0)
         assert batched.flags.c_contiguous
@@ -162,8 +162,8 @@ class TestConv2d:
         x = rng.standard_normal((8, 16, 12, 12)).astype(np.float32)
         wt = rng.standard_normal((24, 16 // g, k, k)).astype(np.float32)
         layer = ConvLayer(Tensor4(wt), stride=s, padding=p, groups=g)
-        batched = conv2d(Tensor4(x), layer).data
-        singles = [conv2d(Tensor4(x[i:i + 1]), layer).data for i in range(8)]
+        batched = conv2d(x, layer)
+        singles = [conv2d(x[i:i + 1], layer) for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
 
     @pytest.mark.parametrize("stride,padding,dilation,groups,cin,cout", [
@@ -179,26 +179,26 @@ class TestConv2d:
         b = rng.standard_normal(cout)
         layer = ConvLayer(Tensor4(w), bias=b, stride=stride, padding=padding,
                           dilation=dilation, groups=groups)
-        got = conv2d(Tensor4(x), layer).data
+        got = conv2d(x, layer)
         want = conv2d_naive(x, w, b, stride, padding, dilation, groups)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_pointwise_matches_naive(self, rng):
         x = rng.standard_normal((2, 5, 7, 7))
         w = rng.standard_normal((3, 5, 1, 1))
-        got = conv2d(Tensor4(x), ConvLayer(Tensor4(w))).data
+        got = conv2d(x, ConvLayer(Tensor4(w)))
         np.testing.assert_allclose(got, conv2d_naive(x, w), rtol=1e-12, atol=1e-12)
 
     def test_grouped_equals_independent_slices(self, rng):
         g, cin, cout = 2, 6, 4
         x = rng.standard_normal((1, cin, 9, 9))
         w = rng.standard_normal((cout, cin // g, 3, 3))
-        whole = conv2d(Tensor4(x), ConvLayer(Tensor4(w), padding=(1, 1), groups=g)).data
+        whole = conv2d(x, ConvLayer(Tensor4(w), padding=(1, 1), groups=g))
         parts = []
         for gi in range(g):
             xs = x[:, gi * (cin // g):(gi + 1) * (cin // g)]
             ws = w[gi * (cout // g):(gi + 1) * (cout // g)]
-            parts.append(conv2d(Tensor4(xs), ConvLayer(Tensor4(ws), padding=(1, 1))).data)
+            parts.append(conv2d(xs, ConvLayer(Tensor4(ws), padding=(1, 1))))
         np.testing.assert_allclose(whole, np.concatenate(parts, axis=1), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -215,42 +215,42 @@ class TestConv2d:
                           padding=(p, p), dilation=(r, r))
         if oh < 1 or ow < 1:
             with pytest.raises(GeometryError):
-                conv2d(Tensor4(np.zeros((1, 3, h, w))), layer)
+                conv2d(np.zeros((1, 3, h, w)), layer)
         else:
-            assert conv2d(Tensor4(np.zeros((1, 3, h, w))), layer).shape == (1, 2, oh, ow)
+            assert conv2d(np.zeros((1, 3, h, w)), layer).shape == (1, 2, oh, ow)
 
     def test_kernel_too_big_raises(self):
         layer = ConvLayer(Tensor4(np.zeros((1, 1, 7, 7))))
         with pytest.raises(GeometryError):
-            conv2d(Tensor4(np.zeros((1, 1, 4, 4))), layer)
+            conv2d(np.zeros((1, 1, 4, 4)), layer)
 
     def test_channel_mismatch(self):
         layer = ConvLayer(Tensor4(np.zeros((2, 3, 1, 1))))
         with pytest.raises(ShapeError):
-            conv2d(Tensor4(np.zeros((1, 4, 3, 3))), layer)
+            conv2d(np.zeros((1, 4, 3, 3)), layer)
 
     def test_dtype_mismatch(self):
         layer = ConvLayer(Tensor4(np.zeros((1, 1, 1, 1), dtype=np.float32)))
         with pytest.raises(ShapeError):
-            conv2d(Tensor4(np.zeros((1, 1, 2, 2))), layer)
+            conv2d(np.zeros((1, 1, 2, 2)), layer)
 
     def test_purity_bit_identical(self, rng):
-        x = Tensor4(rng.standard_normal((2, 4, 10, 10)))
+        x = rng.standard_normal((2, 4, 10, 10))
         layer = ConvLayer(Tensor4(rng.standard_normal((4, 4, 3, 3))), padding=(1, 1))
-        np.testing.assert_array_equal(conv2d(x, layer).data, conv2d(x, layer).data)
+        np.testing.assert_array_equal(conv2d(x, layer), conv2d(x, layer))
 
 
 class TestBatchNorm:
     def test_identity_statistics(self, rng):
-        x = Tensor4(rng.standard_normal((2, 3, 4, 4)))
+        x = rng.standard_normal((2, 3, 4, 4))
         bn = BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=1e-15)
-        np.testing.assert_allclose(batchnorm_infer(x, bn).data, x.data, rtol=1e-12)
+        np.testing.assert_allclose(batchnorm_infer(x, bn), x, rtol=1e-12)
 
     def test_constant_input_closed_form(self):
-        x = Tensor4(np.full((1, 2, 3, 3), 5.0))
+        x = np.full((1, 2, 3, 3), 5.0)
         bn = BnParams(np.array([2.0, 0.5]), np.array([1.0, -1.0]),
                       np.array([3.0, 7.0]), np.array([4.0, 1.0]), eps=0.25)
-        out = batchnorm_infer(x, bn).data
+        out = batchnorm_infer(x, bn)
         expect0 = (5.0 - 3.0) / np.sqrt(4.25) * 2.0 + 1.0
         expect1 = (5.0 - 7.0) / np.sqrt(1.25) * 0.5 - 1.0
         np.testing.assert_allclose(out[0, 0], expect0)
@@ -262,13 +262,13 @@ class TestBatchNorm:
         mean, var = rng.standard_normal(5), rng.uniform(0.1, 2.0, 5)
         bn = BnParams(gamma, beta, mean, var, eps=1e-5)
         want = batchnorm_naive(x, gamma, beta, mean, var, 1e-5)
-        np.testing.assert_allclose(batchnorm_infer(Tensor4(x), bn).data, want,
+        np.testing.assert_allclose(batchnorm_infer(x, bn), want,
                                    rtol=1e-14, atol=1e-14)
 
     def test_channel_mismatch(self):
         bn = BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
         with pytest.raises(ShapeError):
-            batchnorm_infer(Tensor4(np.zeros((1, 2, 2, 2))), bn)
+            batchnorm_infer(np.zeros((1, 2, 2, 2)), bn)
 
     def test_negative_var_rejected(self):
         with pytest.raises(ShapeError):
@@ -278,16 +278,16 @@ class TestBatchNorm:
 class TestActivationsAndPooling:
     def test_gelu_exact_erf_form(self):
         from math import erf, sqrt
-        x = Tensor4(np.array([1.0, -1.0, 0.0, 2.5]).reshape(1, 1, 2, 2))
-        got = gelu(x).data.ravel()
+        x = np.array([1.0, -1.0, 0.0, 2.5]).reshape(1, 1, 2, 2)
+        got = gelu(x).ravel()
         want = [0.5 * v * (1 + erf(v / sqrt(2))) for v in (1.0, -1.0, 0.0, 2.5)]
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
     def test_global_avg_pool_hand_value(self):
-        x = Tensor4(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]).reshape(1, 2, 2, 2))
+        x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]).reshape(1, 2, 2, 2)
         out = global_avg_pool(x)
         assert out.shape == (1, 2, 1, 1)
-        np.testing.assert_allclose(out.data.ravel(), [2.5, 6.5])
+        np.testing.assert_allclose(out.ravel(), [2.5, 6.5])
 
     def test_linear_vector_and_batch(self, rng):
         w = rng.standard_normal((3, 5))
@@ -304,26 +304,26 @@ class TestActivationsAndPooling:
 
 class TestGrn:
     def test_zero_gamma_beta_is_identity(self, rng):
-        x = Tensor4(rng.standard_normal((2, 3, 4, 4)))
-        np.testing.assert_array_equal(grn(x, np.zeros(3), np.zeros(3)).data, x.data)
+        x = rng.standard_normal((2, 3, 4, 4))
+        np.testing.assert_array_equal(grn(x, np.zeros(3), np.zeros(3)), x)
 
     def test_single_channel_closed_form(self, rng):
-        x = Tensor4(rng.standard_normal((1, 1, 5, 5)))
+        x = rng.standard_normal((1, 1, 5, 5))
         gamma, beta = np.array([0.7]), np.array([-0.2])
-        out = grn(x, gamma, beta).data
-        np.testing.assert_allclose(out, 0.7 * x.data + (-0.2) + x.data, rtol=1e-5)
+        out = grn(x, gamma, beta)
+        np.testing.assert_allclose(out, 0.7 * x + (-0.2) + x, rtol=1e-5)
 
     def test_matches_scalar_oracle(self, rng):
         x = rng.standard_normal((2, 4, 5, 5))
         gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
         np.testing.assert_allclose(
-            grn(Tensor4(x), gamma, beta).data, grn_naive(x, gamma, beta),
+            grn(x, gamma, beta), grn_naive(x, gamma, beta),
             rtol=1e-12, atol=1e-12,
         )
 
     def test_param_length_mismatch(self):
         with pytest.raises(ShapeError):
-            grn(Tensor4(np.zeros((1, 3, 2, 2))), np.zeros(2), np.zeros(2))
+            grn(np.zeros((1, 3, 2, 2)), np.zeros(2), np.zeros(2))
 
 
 class TestElementwiseForms:
@@ -340,7 +340,7 @@ class TestElementwiseForms:
         x = np.concatenate([rng.standard_normal(4096) * 3, np.linspace(-12, 12, 4097)])
         x32 = x.astype(np.float32)
         want = 0.5 * x32.astype(np.float64) * (1.0 + erf(x32.astype(np.float64) / np.sqrt(2.0)))
-        got = gelu(Tensor4(x32.reshape(1, 1, 1, -1))).data.ravel()
+        got = gelu(x32.reshape(1, 1, 1, -1)).ravel()
         assert got.dtype == np.float32
         # erf error <= 1e-6 gives <= 0.5e-6 |x|; float32 rounding adds a few 1e-8 |x|
         assert (np.abs(got - want) <= 1e-6 * np.abs(x32)).all()
@@ -350,7 +350,7 @@ class TestElementwiseForms:
         x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -30.0, 30.0, -3e38, 3e38],
                      dtype=np.float32).reshape(1, 1, 1, -1)
         with np.errstate(invalid="ignore"):
-            got = gelu(Tensor4(x)).data
+            got = gelu(x)
             want = 0.5 * x * (1.0 + erf(x * np.float32(np.sqrt(0.5))))
         np.testing.assert_array_equal(got, want)
         num = ~np.isnan(want)
@@ -364,7 +364,7 @@ class TestElementwiseForms:
         gamma, beta, mean = (rng.standard_normal(c) for _ in range(3))
         var = rng.uniform(0.01, 5.0, c)
         bn = BnParams(gamma, beta, mean, var, eps=1e-5)
-        np.testing.assert_allclose(batchnorm_infer(Tensor4(x), bn).data,
+        np.testing.assert_allclose(batchnorm_infer(x, bn),
                                    batchnorm_naive(x, gamma, beta, mean, var, 1e-5),
                                    rtol=1e-12, atol=1e-12)
 
@@ -373,7 +373,7 @@ class TestElementwiseForms:
         c = shape[1]
         x = rng.standard_normal(shape) * 3
         gamma, beta = rng.standard_normal(c), rng.standard_normal(c)
-        np.testing.assert_allclose(grn(Tensor4(x), gamma, beta).data, grn_naive(x, gamma, beta),
+        np.testing.assert_allclose(grn(x, gamma, beta), grn_naive(x, gamma, beta),
                                    rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("op", ["gelu", "grn", "batchnorm_infer"])
@@ -386,7 +386,7 @@ class TestElementwiseForms:
             "grn": lambda t: grn(t, gamma, beta),
             "batchnorm_infer": lambda t: batchnorm_infer(t, BnParams(gamma, beta, mean, var)),
         }[op]
-        batched = fn(Tensor4(x)).data
+        batched = fn(x)
         assert batched.dtype == np.float32
-        singles = [fn(Tensor4(x[i:i + 1])).data for i in range(8)]
+        singles = [fn(x[i:i + 1]) for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
