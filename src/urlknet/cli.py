@@ -85,10 +85,8 @@ def cmd_verify(args) -> int:
         target = "adhoc"
     else:
         require_trials(args.trials)  # before the build, which takes seconds and GBs for XL
-        model = build_named(args.model, seed=args.seed)
-        if args.f32:
-            model = model_astype(model, np.float32)
-        checks = verify_model(model, rng, args.trials)
+        checks = verify_model(build_named(args.model, seed=args.seed, dtype=dtype), rng,
+                              args.trials)
         target = args.model
     worst = float(np.max([err for _, err in checks]))  # NaN kept: fails the tolerance
     ok = worst <= tolerance
@@ -141,6 +139,11 @@ def _environment() -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process so far (Linux reports KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def _bench_once(model, args) -> dict:
     rng = np.random.default_rng(args.seed)
     x = Tensor4(rng.standard_normal(
@@ -167,8 +170,7 @@ def _bench_once(model, args) -> dict:
         "min_ms": min(per_run_ms),
         "p10_ms": float(np.percentile(per_run_ms, 10)),
         "p90_ms": float(np.percentile(per_run_ms, 90)),
-        # peak resident set of this process so far (Linux reports KiB)
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": _peak_rss_mb(),
         "throughput_ips": args.batch * 1000.0 / median_ms,
         # seed-determined; lets callers confirm two runs computed identical outputs
         "logits_checksum": float(logits.sum()),
@@ -183,9 +185,7 @@ def cmd_bench(args) -> int:
     dtype = np.float64 if args.f64 else np.float32
     cfg = arch_config(args.model)
     _bench_guard(args, cfg.width, param_breakdown(cfg)["total"], np.dtype(dtype).itemsize)
-    train = build_named(args.model, seed=args.seed)
-    if dtype != np.float64:
-        train = model_astype(train, dtype)
+    train = build_named(args.model, seed=args.seed, dtype=dtype)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "bench",
@@ -265,17 +265,21 @@ def cmd_forward(args) -> int:
         "input_shape": list(arr.shape),
         "logits_shape": list(logits.shape),
         "nonfinite_logits": int(np.count_nonzero(~np.isfinite(logits))),
+        "peak_rss_mb": _peak_rss_mb(),
         "output": args.output,
     })
     return EXIT_OK
 
 
 def cmd_export(args) -> int:
-    model = build_named(args.model, seed=args.seed)
     if args.mode == MERGED_MODE:
-        model = merge_for_deploy(model)
-    if args.f32:
-        model = model_astype(model, np.float32)
+        # merged in f64, then cast: the f32 merged bytes are pinned to that order
+        model = merge_for_deploy(build_named(args.model, seed=args.seed))
+        if args.f32:
+            model = model_astype(model, np.float32)
+    else:
+        model = build_named(args.model, seed=args.seed,
+                            dtype=np.float32 if args.f32 else np.float64)
     container.save_model(args.out, model)
     _emit({
         "schema_version": SCHEMA_VERSION,

@@ -308,23 +308,35 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD) -> np.
     return x
 
 
-def build_model(cfg: ArchConfig, seed: int = 0, name: str = "custom") -> ModelInstance:
+def _cast(init: str, arr: np.ndarray, dtype) -> np.ndarray:
+    """arr in dtype (f32/f64); a BN eps stays as it is, f64, as _arrays writes it."""
+    return arr if init == "eps" else arr.astype(np.dtype(dtype).type, copy=False)
+
+
+def build_model(cfg: ArchConfig, seed: int = 0, name: str = "custom",
+                dtype=np.float64) -> ModelInstance:
     """Deterministically initialize a train-structure model from a seed.
 
     Conv/linear/GRN parameters draw from a +-2 sigma truncated normal with
     std 0.02 in layout order, so equal seeds give bit-identical parameters.
-    BN starts at identity statistics.
+    BN starts at identity statistics. Each tensor but the BN eps is drawn in
+    f64 and cast to dtype at once, so the result is bit-identical to
+    model_astype(build_model(cfg, seed, name), dtype) without ever holding
+    the whole f64 model.
     """
     rng = np.random.default_rng(seed)
     arrays = [
-        _trunc_normal(rng, shape) if init == "normal" else np.full(shape, _FILLS[init])
+        _cast(init, _trunc_normal(rng, shape) if init == "normal" else np.full(shape, _FILLS[init]),
+              dtype)
         for _, shape, init in _layout(cfg, merged=False)
     ]
     return _assemble(name, cfg, False, arrays)
 
 
-def build_named(name: str, seed: int = 0, in_channels: int = 3, num_classes: int = 1000) -> ModelInstance:
-    return build_model(arch_config(name, in_channels, num_classes), seed=seed, name=name)
+def build_named(name: str, seed: int = 0, in_channels: int = 3, num_classes: int = 1000,
+                dtype=np.float64) -> ModelInstance:
+    return build_model(arch_config(name, in_channels, num_classes), seed=seed, name=name,
+                       dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +396,7 @@ def merge_for_deploy(model: ModelInstance) -> ModelInstance:
 
 def model_astype(model: ModelInstance, dtype) -> ModelInstance:
     """Convert every parameter array to the given element width (f32/f64)."""
-    dtype = np.dtype(dtype)
-    arrays = [
-        arr if init == "eps" else arr.astype(dtype.type, copy=False)
-        for _, init, arr in _tensors(model)
-    ]
+    arrays = [_cast(init, arr, dtype) for _, init, arr in _tensors(model)]
     return _assemble(model.name, model.config, model.merged, arrays)
 
 

@@ -184,9 +184,26 @@ class TestWeightsCommands:
         assert code == 0
         assert rep["logits_shape"] == [1, 1000]
         assert rep["nonfinite_logits"] == 0
+        assert set(rep) == {"schema_version", "command", "model", "mode", "input_shape",
+                            "logits_shape", "nonfinite_logits", "peak_rss_mb", "output"}
+        # the process holds at least the interpreter, numpy and the model
+        assert 10.0 < rep["peak_rss_mb"] < 8192.0
         _, logits = load_tensor(out)
         reference = forward(build_named("A", seed=0), Tensor4(x))
         np.testing.assert_array_equal(logits, reference)
+
+    @pytest.mark.parametrize("mode,digest", [
+        ("train-structure", "569b653245f0b1e8b3729c2837cd9cfa9d245120e7ec9e8946c5ff07bcebf479"),
+        ("merged", "af8946cbf8fc2c2b5364b6814acfb91b5f3abf8302ef1622490b6453752427e5"),
+    ])
+    def test_export_f32_bytes_pinned(self, capsys, tmp_path, mode, digest):
+        # train-structure f32 is built in f32, merged f32 is merged in f64 and then cast;
+        # both give the bytes of model_astype on the f64 build (the save_model pins)
+        out = tmp_path / "a.urlk"
+        code, _ = run(capsys, ["export", "--model", "A", "--mode", mode, "--f32",
+                               "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_forward_counts_nonfinite_logits(self, capsys, tmp_path):
         # head weights near the f32 maximum overflow the logits; the run still succeeds

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,12 +26,6 @@ from urlknet.model import ArchConfig, iter_state
 TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, num_classes=10)
 # stage 3 lays out LarK, SmaK, SmaK like S, so SmaK blocks sit past stage 1
 TOY3 = ArchConfig(depths=(1, 1, 3, 1), width=8, stage3_lark=1, num_classes=10)
-
-
-def root_buffer(arr):
-    while arr.base is not None:
-        arr = arr.base
-    return arr
 
 
 def state_dict(model):
@@ -59,10 +55,16 @@ class TestRoundTrip:
         for (n1, a1), (n2, a2) in zip(iter_state(model), iter_state(loaded)):
             assert n1 == n2 and a1.dtype == a2.dtype
             np.testing.assert_array_equal(a1, a2)
-        # every tensor is aligned and a view of the one buffer the payload was read into
-        _, tensors = read_container(path)
-        assert all(arr.flags.aligned for _, arr in tensors)
-        assert len({id(root_buffer(arr)) for _, arr in tensors}) == 1
+        # the payload is held once: nothing the size of a second copy is allocated on the way
+        payload_bytes = sum(arr.nbytes for _, arr in iter_state(model))
+        tracemalloc.start()
+        try:
+            _, tensors = read_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * payload_bytes, (peak, payload_bytes)
+        assert all(arr.flags.aligned and arr.flags.c_contiguous for _, arr in tensors)
 
     def test_misaligned_tensor_is_copied_aligned(self, tmp_path):
         # the f64 tensor starts 12 bytes into the payload
@@ -72,6 +74,24 @@ class TestRoundTrip:
         _, tensors = read_container(path)
         assert [arr.flags.aligned for _, arr in tensors] == [True, True]
         np.testing.assert_array_equal(tensors[1][1], wide)
+
+    # 24-byte runs split the payload between tensors and leave "mid" a buffer of its own
+    @pytest.mark.parametrize("run_bytes", [container._RUN_BYTES, 24])
+    def test_zero_element_tensors_roundtrip(self, tmp_path, monkeypatch, run_bytes):
+        # empty tensors first, between and last: each reads back with its shape and dtype
+        monkeypatch.setattr(container, "_RUN_BYTES", run_bytes)
+        path = tmp_path / "empty.urlk"
+        written = [("lead", np.zeros((0, 4), dtype=np.float32)),
+                   ("mid", np.arange(4, dtype=np.float64)),
+                   ("gap", np.zeros((2, 0, 3))),
+                   ("tail", np.zeros(0, dtype=np.float32))]
+        write_container(path, written)
+        _, tensors = read_container(path)
+        assert [name for name, _ in tensors] == [name for name, _ in written]
+        for (_, a), (_, b) in zip(written, tensors):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert b.flags.aligned and b.flags.c_contiguous
+            np.testing.assert_array_equal(a, b)
 
     def test_forward_after_roundtrip_is_bitwise_equal(self, tmp_path):
         model = build_named("A", seed=1)
@@ -120,6 +140,16 @@ class TestMalformedFiles:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(FormatError):
+            read_container(path)
+
+    def test_file_shrunk_after_size_check(self, tmp_path, monkeypatch):
+        path = tmp_path / "shrunk.urlk"
+        save_tensor(path, "x", np.ones((4, 4)))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-40])
+        # the manifest checks see the full size; the tensor read then comes up short
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=size))
+        with pytest.raises(FormatError, match="shrank while tensor 'x' was read"):
             read_container(path)
 
     def test_truncated_manifest(self, tmp_path):

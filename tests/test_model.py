@@ -326,6 +326,16 @@ class TestDtypeConversion:
         assert logits.dtype == np.float32
         assert np.all(np.isfinite(logits))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_build_in_dtype_equals_cast(self, model_a, dtype):
+        # each tensor but eps is cast as it is drawn: same draw, same bytes, f64 eps
+        built = build_named("A", seed=0, dtype=dtype)
+        cast = model_astype(model_a, dtype)
+        for (n1, a1), (n2, a2) in zip(iter_state(built), iter_state(cast), strict=True):
+            assert n1 == n2 and a1.dtype == a2.dtype
+            np.testing.assert_array_equal(a1, a2)
+        assert built.dtype == dtype and built.head_bn.eps == model_a.head_bn.eps
+
     def test_eps_survives_conversion(self, model_a):
         m32 = model_astype(model_a, np.float32)
         assert m32.head_bn.eps == model_a.head_bn.eps
