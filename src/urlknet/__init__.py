@@ -30,7 +30,6 @@ from .tensor import (
     conv2d,
     conv_output_size,
     gelu,
-    global_avg_pool,
     grn,
     linear,
 )
@@ -61,7 +60,7 @@ from .model import (
     build_model,
     build_named,
     forward,
-    forward_trace,
+    forward_stages,
     merge_for_deploy,
     model_astype,
     param_breakdown,

@@ -430,6 +430,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # numpy would reject a negative seed only mid-command, after a build or a write began
+        if getattr(args, "seed", 0) < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except UrlkError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -16,6 +16,10 @@ BN folds into the FFN's second 1x1 conv. Parameter counts always describe the
 deploy form and include the classifier head; BN running statistics are
 buffers, not parameters, and are excluded.
 
+forward_stages returns the four stage maps, which a dense-prediction head
+reads; forward runs the classifier head (global mean pool, BN, linear) on the
+last of them.
+
 _layout(cfg, merged) is the single source of tensor names, their order in
 the weight container, their shapes and their init. Building (draws in layout
 order), loading (name and shape validation), dtype conversion, saving
@@ -40,7 +44,7 @@ from .blocks import (
 )
 from .errors import ConfigError, FormatError, GeometryError, ShapeError, StateError
 from .reparam import stock_branches
-from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, global_avg_pool, linear
+from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, linear
 
 TRAIN_MODE = "train-structure"
 MERGED_MODE = "merged"
@@ -343,16 +347,8 @@ def build_named(name: str, seed: int = 0, in_channels: int = 3, num_classes: int
 # forward
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Full forward result: the four stages' (n, c, h, w) feature-map arrays plus the logits."""
-
-    stage_outputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    logits: np.ndarray
-
-
-def forward_trace(model: ModelInstance, x: Tensor4) -> ForwardTrace:
-    """Stage outputs and logits; checks x's channels and dtype once, then every op runs on x.data."""
+def forward_stages(model: ModelInstance, x: Tensor4) -> tuple:
+    """The four (n, c, h, w) stage maps; checks x's channels and dtype once, then runs on x.data."""
     if x.shape[1] != model.config.in_channels:
         raise ShapeError(
             f"input has {x.shape[1]} channels, model expects {model.config.in_channels}"
@@ -368,14 +364,14 @@ def forward_trace(model: ModelInstance, x: Tensor4) -> ForwardTrace:
         for b in stage:
             cur = block_forward(cur, b)
         outs.append(cur)
-    pooled = batchnorm_infer(global_avg_pool(cur), model.head_bn)
-    logits = linear(pooled[:, :, 0, 0], model.head_weight, model.head_bias)
-    return ForwardTrace(stage_outputs=tuple(outs), logits=logits)
+    return tuple(outs)
 
 
 def forward(model: ModelInstance, x: Tensor4) -> np.ndarray:
-    """Class logits, shape (batch, num_classes)."""
-    return forward_trace(model, x).logits
+    """Class logits, shape (batch, num_classes): the head on the pooled last stage."""
+    pooled = forward_stages(model, x)[-1].mean(axis=(2, 3), keepdims=True)
+    pooled = batchnorm_infer(pooled, model.head_bn)
+    return linear(pooled[:, :, 0, 0], model.head_weight, model.head_bias)
 
 
 # ---------------------------------------------------------------------------

@@ -328,7 +328,7 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# normalization, activations, pooling, linear
+# normalization, activations, linear
 # ---------------------------------------------------------------------------
 
 def batchnorm_infer(x: np.ndarray, bn: BnParams) -> np.ndarray:
@@ -376,11 +376,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     out *= 0.5  # exact, so this equals (0.5 * x) * (1 + erf) as in the float64 form
     out *= x
     return out
-
-
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Mean over the spatial axes, keeping a 1x1 spatial footprint."""
-    return x.mean(axis=(2, 3), keepdims=True)
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:

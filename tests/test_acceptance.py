@@ -18,9 +18,8 @@ from urlknet import (
     build_named,
     equivalent_kernel_size,
     forward,
-    forward_trace,
+    forward_stages,
     merge_for_deploy,
-    model_astype,
     param_breakdown,
 )
 from urlknet.cli import main as cli_main
@@ -113,17 +112,15 @@ def test_criterion_6_geometry_suite():
     t0 = time.perf_counter()
     ok = True
     for name in INSTANCE_NAMES:
-        model = model_astype(build_named(name, seed=0), np.float32)
-        gc.collect()
+        model = build_named(name, seed=0, dtype=np.float32)
         c = model.config.width
         x = Tensor4(np.random.default_rng(0).standard_normal((1, 3, 224, 224)).astype(np.float32))
-        trace = forward_trace(model, x)
         want = [(1, c, 56, 56), (1, 2 * c, 28, 28), (1, 4 * c, 14, 14), (1, 8 * c, 7, 7)]
-        got = [t.shape for t in trace.stage_outputs]
+        got = [t.shape for t in forward_stages(model, x)]
         if got != want:
             print(f"  {name}: stage shapes {got} != {want}")
             ok = False
-        del model, trace
+        del model
         gc.collect()
     elapsed = time.perf_counter() - t0
     check(6, "224x224 input yields Cx56^2, 2Cx28^2, 4Cx14^2, 8Cx7^2 stages everywhere",

@@ -517,10 +517,12 @@ class TestBadInputs:
         ["verify", "--adhoc", "K=9", "k=3", "r=2", "--trials", "1", "--tolerance", "inf"],
         ["bench", "--model", "A", "--res", "-64"],
         ["bench", "--model", "A", "--batch", "-1"],
+        ["verify", "--adhoc", "K=13", "--seed", "-1"],
+        ["bench", "--model", "A", "--seed", "-1"],
     ], ids=["trials-0", "trials-negative", "adhoc-trials-0", "adhoc-K-not-int", "adhoc-groups-0",
             "adhoc-in-negative", "adhoc-K-even", "adhoc-k-even", "adhoc-r-0", "model-and-adhoc",
             "tolerance-nan", "tolerance-negative", "tolerance-inf", "bench-res-negative",
-            "bench-batch-negative"])
+            "bench-batch-negative", "verify-seed-negative", "bench-seed-negative"])
     def test_bad_count_or_size_exits_2_without_traceback(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
@@ -556,6 +558,14 @@ class TestBadInputs:
         assert listing == ([] if where == "missing-directory" else ["d", "d/keep.txt"])
         if where == "directory":
             assert (folder / "keep.txt").read_text() == "kept"
+
+    def test_export_negative_seed_exits_2_before_writing(self, capsys, tmp_path):
+        out = tmp_path / "x.urlk"
+        code = main(["export", "--model", "A", "--seed", "-1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: --seed") and "Traceback" not in captured.err
+        assert list(tmp_path.iterdir()) == []
 
     def test_forward_rejects_all_nan_input(self, capsys, tmp_path):
         weights = tmp_path / "a.urlk"

@@ -15,7 +15,7 @@ from urlknet import (
     build_model,
     build_named,
     forward,
-    forward_trace,
+    forward_stages,
     merge_for_deploy,
     model_astype,
     param_breakdown,
@@ -28,7 +28,7 @@ from urlknet.model import (
     iter_state,
     learnable_scalars,
 )
-from urlknet import tensor
+from urlknet import model as model_module, tensor
 from urlknet.blocks import block_forward
 from urlknet.reparam import reparam_forward
 from urlknet.verify import relative_error
@@ -163,10 +163,9 @@ class TestBuild:
 class TestForward:
     def test_stage_geometry_224(self, model_a):
         x = Tensor4(np.random.default_rng(0).standard_normal((1, 3, 224, 224)))
-        trace = forward_trace(model_a, x)
-        assert [t.shape for t in trace.stage_outputs] == [
+        assert [t.shape for t in forward_stages(model_a, x)] == [
             (1, 40, 56, 56), (1, 80, 28, 28), (1, 160, 14, 14), (1, 320, 7, 7)]
-        assert trace.logits.shape == (1, 1000)
+        assert forward(model_a, x).shape == (1, 1000)
 
     def test_batch_independence(self, model_a):
         rng = np.random.default_rng(5)
@@ -178,13 +177,11 @@ class TestForward:
 
     def test_input_divisible_by_32_scales_to_one_32nd(self, model_a):
         x = Tensor4(np.zeros((1, 3, 96, 64)))
-        trace = forward_trace(model_a, x)
-        assert trace.stage_outputs[3].shape[2:] == (3, 2)
+        assert forward_stages(model_a, x)[3].shape[2:] == (3, 2)
 
     def test_tiny_input_collapses_to_single_site(self, model_a):
         # same-padded convs never underflow: a 16x16 input legally reaches 1x1
-        trace = forward_trace(model_a, Tensor4(np.zeros((1, 3, 16, 16))))
-        assert trace.stage_outputs[3].shape[2:] == (1, 1)
+        assert forward_stages(model_a, Tensor4(np.zeros((1, 3, 16, 16))))[3].shape[2:] == (1, 1)
 
     def test_geometry_error_names_stage(self, model_a):
         # force an underflow by stripping the padding from one transition conv
@@ -213,6 +210,20 @@ class TestForward:
                             lambda self, data: built.append(data) or init(self, data))
         forward(m, x)
         assert len(built) == 0
+
+    def test_forward_calls_blocks_through_module_globals(self, model_a_merged, monkeypatch):
+        # perfbench traces by swapping these module attributes and writes into a merged
+        # kernel; a walk that bound them when it was defined would escape the trace
+        calls = {"downsample_forward": 0, "block_forward": 0}
+        for fn in calls:
+            def counted(*args, fn=fn, inner=getattr(model_module, fn)):
+                calls[fn] += 1
+                return inner(*args)
+            monkeypatch.setattr(model_module, fn, counted)
+        forward(model_a_merged, Tensor4(np.zeros((1, 3, 32, 32))))
+        assert calls == {"downsample_forward": 4, "block_forward": 12}
+        weight = model_a_merged.stages[1][0].dw_conv.weight.data
+        assert isinstance(weight, np.ndarray) and weight.flags.writeable
 
 
 class TestMerge:

@@ -11,7 +11,6 @@ from urlknet import (
     conv2d,
     conv_output_size,
     gelu,
-    global_avg_pool,
     grn,
     linear,
 )
@@ -282,12 +281,6 @@ class TestActivationsAndPooling:
         got = gelu(x).ravel()
         want = [0.5 * v * (1 + erf(v / sqrt(2))) for v in (1.0, -1.0, 0.0, 2.5)]
         np.testing.assert_allclose(got, want, rtol=1e-15)
-
-    def test_global_avg_pool_hand_value(self):
-        x = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]]).reshape(1, 2, 2, 2)
-        out = global_avg_pool(x)
-        assert out.shape == (1, 2, 1, 1)
-        np.testing.assert_allclose(out.ravel(), [2.5, 6.5])
 
     def test_linear_vector_and_batch(self, rng):
         w = rng.standard_normal((3, 5))
