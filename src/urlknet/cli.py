@@ -1,8 +1,10 @@
 """Command-line harness: verify, bench, params, forward, export, import, embed.
 
 Exit codes: 0 success, 1 verification tolerance failure, 2 usage/config/format
-error. Reports are JSON on stdout with a schema_version field; every command
-is deterministic given --seed except the wall-clock fields of bench reports.
+error. Each command returns (exit code, report); main writes the report as
+JSON on stdout, led by schema_version and the command name. Every command is
+deterministic given --seed except the wall-clock fields of bench and forward
+reports.
 """
 
 import argparse
@@ -25,9 +27,9 @@ from .model import (
     REFERENCE_PARAMS_M,
     TRAIN_MODE,
     arch_config,
-    build_from_state,
     build_named,
     forward,
+    iter_state,
     merge_for_deploy,
     model_astype,
     param_breakdown,
@@ -45,10 +47,6 @@ EXIT_USAGE = 2
 _MEMORY_BUDGET_BYTES = 8 << 30
 
 
-def _emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
-
-
 def _parse_adhoc(pairs):
     spec = {"in": 4, "out": 4, "groups": 1, "K": 13, "k": 3, "r": 3}
     for pair in pairs:
@@ -64,7 +62,7 @@ def _parse_adhoc(pairs):
     return spec
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, dict]:
     if (args.model is None) == (args.adhoc is None):
         raise ConfigError("verify needs exactly one of --model NAME and --adhoc key=value ...")
     dtype = np.float32 if args.f32 else np.float64
@@ -90,9 +88,7 @@ def cmd_verify(args) -> int:
         target = args.model
     worst = float(np.max([err for _, err in checks]))  # NaN kept: fails the tolerance
     ok = worst <= tolerance
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
+    return EXIT_OK if ok else EXIT_VERIFY_FAIL, {
         "target": target,
         "dtype": "f32" if args.f32 else "f64",
         "seed": args.seed,
@@ -104,8 +100,7 @@ def cmd_verify(args) -> int:
         ],
         "max_rel_err": worst,
         "pass": ok,
-    })
-    return EXIT_OK if ok else EXIT_VERIFY_FAIL
+    }
 
 
 def _bench_guard(args, width: int, n_params: int, itemsize: int) -> None:
@@ -177,7 +172,7 @@ def _bench_once(model, args) -> dict:
     }
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> tuple[int, dict]:
     if args.runs < 5:
         raise ConfigError(f"at least 5 timed runs are required, got {args.runs}")
     if args.batch < 1 or args.res < 1:
@@ -187,8 +182,6 @@ def cmd_bench(args) -> int:
     _bench_guard(args, cfg.width, param_breakdown(cfg)["total"], np.dtype(dtype).itemsize)
     train = build_named(args.model, seed=args.seed, dtype=dtype)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "bench",
         "dtype": "f64" if args.f64 else "f32",
         "seed": args.seed,
         "environment": _environment(),
@@ -205,26 +198,22 @@ def cmd_bench(args) -> int:
     else:
         model = merge_for_deploy(train) if args.mode == MERGED_MODE else train
         report.update(_bench_once(model, args))
-    _emit(report)
-    return EXIT_OK
+    return EXIT_OK, report
 
 
-def cmd_params(args) -> int:
+def cmd_params(args) -> tuple[int, dict]:
     breakdown = param_breakdown(arch_config(args.model))
     total = breakdown["total"]
     reference_m = REFERENCE_PARAMS_M[args.model]
     deviation = (total / 1e6 - reference_m) / reference_m * 100.0
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "params",
+    return EXIT_OK, {
         "model": args.model,
         "per_module": {k: v for k, v in breakdown.items() if k != "total"},
         "total": total,
         "total_m": total / 1e6,
         "reference_m": reference_m,
         "deviation_pct": deviation,
-    })
-    return EXIT_OK
+    }
 
 
 def _read_input_tensor(path: str, what: str, ndim: int, dtype=None) -> np.ndarray:
@@ -246,7 +235,7 @@ def _read_input_tensor(path: str, what: str, ndim: int, dtype=None) -> np.ndarra
     return arr
 
 
-def cmd_forward(args) -> int:
+def cmd_forward(args) -> tuple[int, dict]:
     model = container.load_model(args.weights)
     if model.name != args.model:
         raise FormatError(
@@ -257,9 +246,7 @@ def cmd_forward(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         logits = forward(model, Tensor4(arr))
     container.save_tensor(args.output, "logits", logits)
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "forward",
+    return EXIT_OK, {
         "model": model.name,
         "mode": model.mode,
         "input_shape": list(arr.shape),
@@ -267,11 +254,10 @@ def cmd_forward(args) -> int:
         "nonfinite_logits": int(np.count_nonzero(~np.isfinite(logits))),
         "peak_rss_mb": _peak_rss_mb(),
         "output": args.output,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[int, dict]:
     if args.mode == MERGED_MODE:
         # merged in f64, then cast: the f32 merged bytes are pinned to that order
         model = merge_for_deploy(build_named(args.model, seed=args.seed))
@@ -281,32 +267,27 @@ def cmd_export(args) -> int:
         model = build_named(args.model, seed=args.seed,
                             dtype=np.float32 if args.f32 else np.float64)
     container.save_model(args.out, model)
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "export",
+    return EXIT_OK, {
         "model": model.name,
         "mode": model.mode,
         "dtype": "f32" if args.f32 else "f64",
         "seed": args.seed,
         "out": args.out,
         "size_bytes": Path(args.out).stat().st_size,
-    })
-    return EXIT_OK
+    }
 
 
-def cmd_import(args) -> int:
-    manifest, tensors = container.read_container(args.weights)
-    model = build_from_state(manifest.get("model_name", ""), manifest.get("mode", ""), dict(tensors))
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "import",
+def cmd_import(args) -> tuple[int, dict]:
+    model = container.load_model(args.weights)
+    # a loaded model holds exactly the file's tensors, so these counts are the manifest's
+    state = [arr for _, arr in iter_state(model)]
+    return EXIT_OK, {
         "model": model.name,
         "mode": model.mode,
-        "tensors": len(tensors),
-        "payload_bytes": sum(t["byte_length"] for t in manifest["tensors"]),
+        "tensors": len(state),
+        "payload_bytes": sum(arr.nbytes for arr in state),
         "param_count": param_count(model),
-    })
-    return EXIT_OK
+    }
 
 
 def _parse_grid(text):
@@ -319,7 +300,7 @@ def _parse_grid(text):
         raise ConfigError(f"grid must look like 4x4, got {text!r}") from None
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> tuple[int, dict]:
     if args.modality == "time-series":
         if args.input.endswith(".csv"):
             data = dataio.read_timeseries_csv(args.input, batch=args.batch)
@@ -345,14 +326,7 @@ def cmd_embed(args) -> int:
         arr = _read_input_tensor(args.input, "video input (B, N_F, 3, h, w)", 5)
         emb = modality.embed_video(arr, _parse_grid(args.grid))
     container.save_tensor(args.out, "embedding", emb)
-    _emit({
-        "schema_version": SCHEMA_VERSION,
-        "command": "embed",
-        "modality": args.modality,
-        "shape": list(emb.shape),
-        "out": args.out,
-    })
-    return EXIT_OK
+    return EXIT_OK, {"modality": args.modality, "shape": list(emb.shape), "out": args.out}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,13 +407,16 @@ def main(argv=None) -> int:
         # numpy would reject a negative seed only mid-command, after a build or a write began
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        code, report = args.func(args)
     except UrlkError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as e:
         print(f"error: not enough memory: {e}", file=sys.stderr)
         return EXIT_USAGE
+    print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, **report},
+                     indent=2))
+    return code
 
 
 if __name__ == "__main__":

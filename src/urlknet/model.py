@@ -442,7 +442,8 @@ def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
 
     The architecture comes from the instance name; input channels and class
     count are inferred from the stem and head tensor shapes. Missing tensors,
-    extra tensors, or shape mismatches raise FormatError.
+    extra tensors, shape mismatches, mixed dtypes or a BN eps not in f64
+    raise FormatError.
     """
     if mode not in (TRAIN_MODE, MERGED_MODE):
         raise FormatError(f"unknown mode {mode!r}")
@@ -466,6 +467,14 @@ def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
             raise FormatError(
                 f"tensor {tname!r} has shape {tuple(arrays[tname].shape)}, expected {shape}"
             )
+    # one dtype for the model, and every BN eps in f64, as save_model writes them
+    dtypes = {arrays[tname].dtype.name for tname, _, init in layout if init != "eps"}
+    eps_dtypes = {arrays[tname].dtype.name for tname, _, init in layout if init == "eps"}
+    if len(dtypes) != 1 or eps_dtypes != {"float64"}:
+        raise FormatError(
+            f"container tensors are {sorted(dtypes)} and BN eps {sorted(eps_dtypes)}; "
+            "a model holds one dtype, with every eps in float64"
+        )
     extra = sorted(arrays.keys() - {tname for tname, _, _ in layout})
     if extra:
         raise FormatError(

@@ -5,6 +5,8 @@ import os
 import platform
 import shlex
 import struct
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +19,7 @@ from urlknet import (ConfigError, Tensor4, arch_config, build_named, forward, mo
                      param_breakdown)
 from urlknet import cli
 from urlknet.cli import build_parser, main
-from urlknet.container import MAGIC, load_tensor, save_model
+from urlknet.container import MAGIC, load_tensor, read_container, save_model
 from urlknet.dataio import write_raw_array
 
 
@@ -243,6 +245,25 @@ class TestWeightsCommands:
         assert code == 2
         code, _ = run(capsys, ["import", "--weights", str(tmp_path / "missing.urlk")])
         assert code == 2
+
+    def test_import_rejects_mixed_dtypes(self, capsys, mixed_dtype_weights):
+        # import loads as forward does: a file that imports also runs, and its counts are the file's
+        code = main(["import", "--weights", str(mixed_dtype_weights)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("mode,f32", [("train-structure", False), ("merged", True)])
+    def test_import_counts_match_manifest(self, capsys, tmp_path, mode, f32):
+        weights = tmp_path / "a.urlk"
+        run(capsys, ["export", "--model", "A", "--mode", mode, *(["--f32"] if f32 else []),
+                     "--out", str(weights)])
+        code, summary = run(capsys, ["import", "--weights", str(weights)])
+        assert code == 0
+        manifest, _ = read_container(weights)
+        assert summary["tensors"] == len(manifest["tensors"])
+        assert summary["payload_bytes"] == sum(t["byte_length"] for t in manifest["tensors"])
 
     @pytest.mark.parametrize("case", ["list", "tensors-int", "duplicate", "version-true"])
     def test_import_rejects_malformed_manifest(self, capsys, tmp_path, case):
@@ -593,6 +614,62 @@ class TestBadInputs:
         assert code == 2 and captured.out == ""
         assert "NaN or infinite" in captured.err and "Traceback" not in captured.err
         assert not out.exists()
+
+
+def _envelope_argv(tmp_path, case):
+    """Write what one command reads; return (argv, expected exit code)."""
+    weights, x = tmp_path / "a.urlk", tmp_path / "x.raw"
+    if case in ("import", "forward"):
+        save_model(weights, build_named("A", seed=0))
+    if case == "forward":
+        write_raw_array(x, np.random.default_rng(0).standard_normal((1, 3, 32, 32)), dtype="f64")
+    out = str(tmp_path / "out.urlk")
+    return {
+        "verify": (["verify", "--adhoc", "K=13", "k=3", "r=3", "--trials", "1"], 0),
+        "verify-fail": (["verify", "--adhoc", "K=13", "k=3", "r=3", "--trials", "1",
+                         "--tolerance", "0"], 1),
+        "bench": (["bench", "--model", "A", "--batch", "1", "--res", "32", "--runs", "5"], 0),
+        "params": (["params", "--model", "A"], 0),
+        "export": (["export", "--model", "A", "--out", out], 0),
+        "import": (["import", "--weights", str(weights)], 0),
+        "forward": (["forward", "--model", "A", "--weights", str(weights), "--input", str(x),
+                     "--output", out], 0),
+        "embed": (["embed", *_embed_argv(tmp_path, "audio"), "--out", out], 0),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["verify", "verify-fail", "bench", "params", "export",
+                                  "import", "forward", "embed"])
+def test_every_report_starts_with_the_envelope(capsys, tmp_path, case):
+    argv, expected = _envelope_argv(tmp_path, case)
+    code, report = run(capsys, argv)
+    assert code == expected
+    assert list(report)[:2] == ["schema_version", "command"]
+    assert (report["schema_version"], report["command"]) == (1, argv[0])
+
+
+@pytest.mark.parametrize("case", ["params", "verify-fail", "import-missing"])
+def test_module_entry_point(tmp_path, case):
+    # the process entry: `python -m urlknet.cli` exits with main's code
+    argv = {
+        "params": ["params", "--model", "A"],
+        "verify-fail": ["verify", "--adhoc", "K=13", "k=3", "r=3", "--tolerance", "0",
+                        "--trials", "1"],
+        "import-missing": ["import", "--weights", str(tmp_path / "missing.urlk")],
+    }[case]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "urlknet.cli", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    if case == "import-missing":
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        return
+    report = json.loads(proc.stdout)
+    assert proc.returncode == (1 if case == "verify-fail" else 0) and proc.stderr == ""
+    assert list(report)[:2] == ["schema_version", "command"] and report["command"] == argv[0]
+    if case == "verify-fail":
+        assert report["pass"] is False
 
 
 def _readme_block(heading: str, lang: str) -> str:

@@ -210,6 +210,11 @@ class TestMalformedFiles:
         with pytest.raises(FormatError, match="mode"):
             load_model(path)
 
+    def test_mixed_dtypes_rejected(self, mixed_dtype_weights):
+        # a model holds one dtype, with every BN eps in f64 as save_model writes it
+        with pytest.raises(FormatError, match="one dtype"):
+            load_model(mixed_dtype_weights)
+
 
 def write_raw_manifest(path, manifest, payload=b""):
     blob = json.dumps(manifest).encode()
