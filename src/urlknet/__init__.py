@@ -9,7 +9,7 @@ The package is organized around ten modules:
 * modality  — time-series / audio / point-cloud / video embedding maps
 * container — the URLKWT01 weight container: save/load models and tensors
 * dataio    — raw arrays with a JSON sidecar, and time-series CSV
-* verify    — merge-equivalence suites and the relative-error metric
+* verify    — block, model and ad-hoc merge checks and the relative-error metric
 * errors    — the UrlkError hierarchy every module raises
 * cli       — the `urlk` command-line harness
 """

@@ -417,16 +417,6 @@ def param_count(model: ModelInstance) -> int:
     return param_breakdown(model.config)["total"]
 
 
-def learnable_scalars(model: ModelInstance) -> int:
-    """Parameters actually carried by this instance in its current mode.
-
-    Counts conv/linear weights and biases plus BN and GRN affine pairs; BN
-    running statistics are excluded. For a merged model this equals
-    param_count(model).
-    """
-    return sum(arr.size for _, init, arr in _tensors(model) if init not in _BUFFERS)
-
-
 # ---------------------------------------------------------------------------
 # state-dict walking (weight container interface)
 # ---------------------------------------------------------------------------

@@ -175,21 +175,3 @@ def merge_dilated_reparam(branches: Sequence[tuple[ConvLayer, BnParams]]) -> Con
         dilation=(1, 1),
         groups=groups,
     )
-
-
-def random_branches(spec: Sequence[tuple[int, int]], channels: int, groups: int,
-                    rng: np.random.Generator) -> tuple[tuple[ConvLayer, BnParams], ...]:
-    """One branch per (k, r): random float64 weights (scale 0.5) and BN stats (var in [0.1, 2))."""
-    out = []
-    cin_g = channels // groups
-    for k, r in spec:
-        conv = ConvLayer(Tensor4(rng.standard_normal((channels, cin_g, k, k)) * 0.5),
-                         padding=((k - 1) * r // 2,) * 2, dilation=(r, r), groups=groups)
-        bn = BnParams(
-            gamma=rng.standard_normal(channels),
-            beta=rng.standard_normal(channels),
-            running_mean=rng.standard_normal(channels),
-            running_var=rng.uniform(0.1, 2.0, channels),
-        )
-        out.append((conv, bn))
-    return tuple(out)

@@ -11,15 +11,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import ModelInstance, forward, merge_for_deploy
-from .reparam import (
-    dilate_kernel,
-    equivalent_kernel_size,
-    merge_dilated_reparam,
-    random_branches,
-    reparam_forward,
-)
+from .reparam import dilate_kernel, equivalent_kernel_size
 from .blocks import block_forward
-from .tensor import BnParams, ConvLayer, Tensor4, conv2d
+from .tensor import ConvLayer, Tensor4, conv2d
 
 # side of the random (2, c, 19, 19) inputs of the block-level checks
 _SPATIAL = 19
@@ -43,17 +37,6 @@ def _worst(trials: int, trial) -> float:
     """Max of trial() over trials calls; a NaN error is kept, so it fails any tolerance."""
     require_trials(trials)
     return float(np.max([trial() for _ in range(trials)]))
-
-
-def verify_reparam_merge(branches, rng: np.random.Generator, trials: int) -> float:
-    """Max relative error between merged-layer and branch-sum forwards, in the branches' dtype."""
-    merged = merge_dilated_reparam(branches)
-
-    def trial():
-        x = rng.standard_normal((2, merged.in_channels, _SPATIAL, _SPATIAL)).astype(merged.weight.dtype)
-        return relative_error(conv2d(x, merged), reparam_forward(x, branches))
-
-    return _worst(trials, trial)
 
 
 def verify_model(model: ModelInstance, rng: np.random.Generator,
@@ -127,26 +110,3 @@ def adhoc_scenario(
         return relative_error(conv2d(x, merged), reference)
 
     return _worst(trials, trial)
-
-
-def random_sweep_branches(rng: np.random.Generator) -> tuple[tuple[ConvLayer, BnParams], ...]:
-    """One random block for the merge-equivalence sweep: its geometry, then its weights.
-
-    K in {9, 11, 13, 15}; 1-6 branches; depthwise, grouped, or dense.
-    """
-    K = int(rng.choice([9, 11, 13, 15]))
-    channels = int(rng.choice([4, 8]))
-    groups = int(rng.choice([channels, 2, 1]))  # depthwise / grouped / dense
-    n_extra = int(rng.integers(0, 6))           # plus the principal branch
-    spec = [(K, 1)]
-    for _ in range(n_extra):
-        k = int(rng.choice([3, 5, 7]))
-        max_r = (K - 1) // (k - 1)
-        r = int(rng.integers(1, max_r + 1))
-        spec.append((k, r))
-    return random_branches(spec, channels, groups, rng)
-
-
-def merge_equivalence_sweep(n_configs: int, rng: np.random.Generator) -> float:
-    """Max relative error over a float64 randomized sweep, one trial per block configuration."""
-    return _worst(n_configs, lambda: verify_reparam_merge(random_sweep_branches(rng), rng, 1))

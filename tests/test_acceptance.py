@@ -30,7 +30,8 @@ from urlknet.modality import (
     embed_time_series,
     embed_video,
 )
-from urlknet.verify import adhoc_scenario, merge_equivalence_sweep, relative_error
+from urlknet.verify import adhoc_scenario, relative_error
+from helpers import merge_equivalence_sweep
 
 
 def check(number: int, description: str, ok: bool, detail: str = ""):

@@ -23,8 +23,9 @@ from urlknet import (
     merge_block,
     se_forward,
 )
-from urlknet.reparam import random_branches, stock_branches
+from urlknet.reparam import stock_branches
 from urlknet.verify import relative_error
+from helpers import random_branches
 from oracles import se_naive
 
 

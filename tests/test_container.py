@@ -22,8 +22,8 @@ from urlknet.container import (
     write_container,
 )
 from urlknet.model import ArchConfig, iter_state
+from helpers import TOY
 
-TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, num_classes=10)
 # stage 3 lays out LarK, SmaK, SmaK like S, so SmaK blocks sit past stage 1
 TOY3 = ArchConfig(depths=(1, 1, 3, 1), width=8, stage3_lark=1, num_classes=10)
 

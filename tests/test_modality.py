@@ -158,7 +158,13 @@ class TestVideo:
     (embed_pointcloud, (np.zeros((1, 5, 2)),), "B, P >= 1"),
     (embed_video, (np.zeros((1, 4, 1, 2, 2)),), "must be \\(B, N_F, 3, h, w\\)"),
     (embed_video, (np.zeros((1, 2, 3, 2, 2)), (-1, -2)), "sides must be positive"),
-], ids=["ts-rank", "ts-sides", "audio-empty", "pointcloud-xy", "video-rgb", "video-grid-sign"])
+    # the three below are caught where the map is wrapped as a Tensor4, not by the embedder
+    (embed_video, (np.zeros((1, 4, 3, 0, 5)),), "all dimensions must be >= 1"),
+    (embed_time_series, (np.zeros((1, 8, 4), dtype=np.int64), 1, np.eye(4, dtype=np.int64), (4, 8)),
+     "unsupported dtype int64"),
+    (embed_audio, (np.zeros((2, 8, 3), dtype=np.float16),), "unsupported dtype float16"),
+], ids=["ts-rank", "ts-sides", "audio-empty", "pointcloud-xy", "video-rgb", "video-grid-sign",
+        "video-empty-frame", "ts-int64", "audio-f16"])
 def test_embedder_checks_its_input(embed, args, message):
     # the ShapeError branches the per-modality classes above do not reach
     with pytest.raises(ShapeError, match=message):

@@ -26,14 +26,12 @@ from urlknet.model import (
     REFERENCE_PARAMS_M,
     _layout,
     iter_state,
-    learnable_scalars,
 )
 from urlknet import model as model_module, tensor
 from urlknet.blocks import block_forward
 from urlknet.reparam import reparam_forward
 from urlknet.verify import relative_error
-
-TOY = ArchConfig(depths=(1, 1, 1, 1), width=8, stage3_lark=1, num_classes=10)
+from helpers import TOY, learnable_scalars
 
 
 @pytest.fixture(scope="module")

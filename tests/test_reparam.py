@@ -16,8 +16,8 @@ from urlknet import (
     reparam_forward,
     stock_branches,
 )
-from urlknet.reparam import random_branches
-from urlknet.verify import relative_error, verify_reparam_merge
+from urlknet.verify import relative_error
+from helpers import random_branches, verify_reparam_merge
 from oracles import conv2d_naive
 
 

@@ -1,37 +1,29 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from urlknet import ConfigError, Tensor4, build_named, stock_branches
+from urlknet import ConfigError, build_model, build_named
 from urlknet import cli, verify
-from urlknet.reparam import random_branches
-from urlknet.verify import (
-    adhoc_scenario,
-    merge_equivalence_sweep,
-    verify_model,
-    verify_reparam_merge,
-)
+from urlknet.verify import adhoc_scenario, verify_model
+from helpers import TOY
 
 
 def test_nan_branch_weight_gives_nan(rng):
-    branches = list(random_branches(stock_branches(13), 4, 4, rng))
-    conv, bn = branches[1]
-    w = conv.weight.data.copy()
-    w[0, 0, 0, 0] = np.nan
-    branches[1] = (replace(conv, weight=Tensor4(w)), bn)
+    model = build_model(TOY, seed=0)
+    conv, _ = model.stages[1][0].branches[1]
+    conv.weight.data[0, 0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"):
-        assert math.isnan(verify_reparam_merge(branches, rng, 3))
+        checks = dict(verify_model(model, rng, 2))
+    assert math.isnan(checks.pop("stage2.block0")) and math.isnan(checks.pop("model"))
+    assert all(err <= 1e-10 for err in checks.values())
 
 
 @pytest.mark.parametrize("check", [
-    lambda rng: verify_reparam_merge(random_branches(stock_branches(13), 4, 4, rng), rng, 0),
     lambda rng: verify_model(build_named("A", seed=0), rng, 0),
     lambda rng: adhoc_scenario(4, 4, 1, 13, 3, 3, rng=rng, trials=0),
-    lambda rng: merge_equivalence_sweep(0, rng),
-], ids=["verify_reparam_merge", "verify_model", "adhoc_scenario", "merge_equivalence_sweep"])
+], ids=["verify_model", "adhoc_scenario"])
 def test_zero_trials_raise(rng, check):
     with pytest.raises(ConfigError, match="trials must be >= 1"):
         check(rng)
