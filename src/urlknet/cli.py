@@ -35,7 +35,6 @@ from .model import (
     param_breakdown,
     param_count,
 )
-from .tensor import Tensor4
 from .verify import adhoc_scenario, require_trials, verify_model
 
 SCHEMA_VERSION = 1
@@ -141,8 +140,8 @@ def _peak_rss_mb() -> float:
 
 def _bench_once(model, args) -> dict:
     rng = np.random.default_rng(args.seed)
-    x = Tensor4(rng.standard_normal(
-        (args.batch, model.config.in_channels, args.res, args.res)).astype(model.dtype))
+    x = rng.standard_normal(
+        (args.batch, model.config.in_channels, args.res, args.res)).astype(model.dtype)
     warmup = max(2, args.warmup)
     logits = None
     for _ in range(warmup):
@@ -244,7 +243,7 @@ def cmd_forward(args) -> tuple[int, dict]:
     arr = _read_input_tensor(args.input, "model input (n, c, h, w)", 4, model.dtype)
     # logits that overflow are counted in the report, not warned about on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        logits = forward(model, Tensor4(arr))
+        logits = forward(model, arr)
     container.save_tensor(args.output, "logits", logits)
     return EXIT_OK, {
         "model": model.name,

@@ -53,7 +53,6 @@ import numpy as np
 from .dataio import DTYPES, parse_shape
 from .errors import FormatError
 from .model import ModelInstance, build_from_state, iter_state
-from .tensor import Tensor4
 
 MAGIC = b"URLKWT01"
 FORMAT_VERSION = 1
@@ -245,10 +244,9 @@ def load_model(path: str | Path) -> ModelInstance:
     )
 
 
-def save_tensor(path: str | Path, name: str, value: Tensor4 | np.ndarray) -> None:
+def save_tensor(path: str | Path, name: str, value: np.ndarray) -> None:
     """Store a single array (embedding map, model input, logits) as a container."""
-    arr = value.data if isinstance(value, Tensor4) else np.asarray(value)
-    write_container(path, [(name, arr)], model_name="", mode="data")
+    write_container(path, [(name, value)], model_name="", mode="data")
 
 
 def load_tensor(path: str | Path) -> tuple[str, np.ndarray]:

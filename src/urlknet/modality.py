@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor4
+from .tensor import checked_array
 
 POINTCLOUD_RESOLUTION = 224
 
@@ -34,7 +34,7 @@ def most_square_grid(n: int) -> tuple[int, int]:
     return 1, n
 
 
-def embed_time_series(data, nodes: int, projection, target_hw: tuple[int, int]) -> Tensor4:
+def embed_time_series(data, nodes: int, projection, target_hw: tuple[int, int]) -> np.ndarray:
     """(B, L, D) -> (B*n, L, D/n) -> project -> (B*n, 1, H, W).
 
     The node split acts on the feature axis: sample b, node j lands at batch
@@ -61,16 +61,16 @@ def embed_time_series(data, nodes: int, projection, target_hw: tuple[int, int]) 
         )
     split = data.reshape(b, l, nodes, d // nodes).transpose(0, 2, 1, 3)
     projected = split.reshape(b * nodes, l, d // nodes) @ proj.T
-    return Tensor4(projected.reshape(b * nodes, 1, h, w))
+    return checked_array(projected.reshape(b * nodes, 1, h, w))
 
 
-def embed_audio(data) -> Tensor4:
+def embed_audio(data) -> np.ndarray:
     """(B, T, F) spectrogram batch -> (B, 1, T, F); values unchanged."""
     data = np.asarray(data)
     if data.ndim != 3 or min(data.shape) < 1:
         raise ShapeError(f"audio data must be (B, T, F), got shape {data.shape}")
     b, t, f = data.shape
-    return Tensor4(data.reshape(b, 1, t, f))
+    return checked_array(data.reshape(b, 1, t, f))
 
 
 def _rasterize_views(points: np.ndarray, res: int) -> np.ndarray:
@@ -83,7 +83,7 @@ def _rasterize_views(points: np.ndarray, res: int) -> np.ndarray:
     return out
 
 
-def embed_pointcloud(data) -> Tensor4:
+def embed_pointcloud(data) -> np.ndarray:
     """(B, P, 3) XYZ coordinates -> (B, 3, 224, 224) three-view occupancy projections.
 
     Per sample: min-max normalize all coordinates jointly into the unit cube,
@@ -115,10 +115,10 @@ def embed_pointcloud(data) -> Tensor4:
             view = _rasterize_views(unit, res)
             view /= view.max(axis=(1, 2), keepdims=True)
         maps.append(view)
-    return Tensor4(np.stack(maps))
+    return checked_array(np.stack(maps))
 
 
-def embed_video(data, grid: tuple[int, int] | None = None) -> Tensor4:
+def embed_video(data, grid: tuple[int, int] | None = None) -> np.ndarray:
     """(B, N_F, 3, h, w) -> (B, 3, rows*h, cols*w); frame t fills grid cell (t//cols, t%cols).
 
     The (rows, cols) grid defaults to most_square_grid(N_F).
@@ -133,4 +133,4 @@ def embed_video(data, grid: tuple[int, int] | None = None) -> Tensor4:
     if rows * cols != nf:
         raise ShapeError(f"grid {rows}x{cols} does not hold N_F={nf} frames")
     tiled = data.reshape(b, rows, cols, 3, h, w).transpose(0, 3, 1, 4, 2, 5)
-    return Tensor4(tiled.reshape(b, 3, rows * h, cols * w))
+    return checked_array(tiled.reshape(b, 3, rows * h, cols * w))

@@ -44,7 +44,7 @@ from .blocks import (
 )
 from .errors import ConfigError, FormatError, GeometryError, ShapeError, StateError
 from .reparam import stock_branches
-from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, linear
+from .tensor import BnParams, ConvLayer, batchnorm_infer, checked_array, linear
 
 TRAIN_MODE = "train-structure"
 MERGED_MODE = "merged"
@@ -228,8 +228,7 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
         return BnParams(gamma, beta, mean, var, eps=float(eps[0]))
 
     def conv(stride=1, padding=0, dilation=1, groups=1, bias=False) -> ConvLayer:
-        weight = Tensor4(take())
-        return ConvLayer(weight, take() if bias else None, stride, padding, dilation, groups)
+        return ConvLayer(take(), take() if bias else None, stride, padding, dilation, groups)
 
     def block(K: int, c: int) -> BlockSpec:
         if merged:
@@ -347,15 +346,16 @@ def build_named(name: str, seed: int = 0, in_channels: int = 3, num_classes: int
 # forward
 # ---------------------------------------------------------------------------
 
-def forward_stages(model: ModelInstance, x: Tensor4) -> tuple:
-    """The four (n, c, h, w) stage maps; checks x's channels and dtype once, then runs on x.data."""
+def forward_stages(model: ModelInstance, x) -> tuple:
+    """The four (n, c, h, w) stage maps of any array-like x, checked once on entry."""
+    x = checked_array(x)
     if x.shape[1] != model.config.in_channels:
         raise ShapeError(
             f"input has {x.shape[1]} channels, model expects {model.config.in_channels}"
         )
     if x.dtype != model.dtype:
         raise ShapeError(f"input dtype {x.dtype} != model dtype {model.dtype}")
-    cur, outs = x.data, []
+    cur, outs = x, []
     for s, (down, stage) in enumerate(zip(model.downsamples, model.stages), start=1):
         try:
             cur = downsample_forward(cur, down)
@@ -367,7 +367,7 @@ def forward_stages(model: ModelInstance, x: Tensor4) -> tuple:
     return tuple(outs)
 
 
-def forward(model: ModelInstance, x: Tensor4) -> np.ndarray:
+def forward(model: ModelInstance, x) -> np.ndarray:
     """Class logits, shape (batch, num_classes): the head on the pooled last stage."""
     pooled = forward_stages(model, x)[-1].mean(axis=(2, 3), keepdims=True)
     pooled = batchnorm_infer(pooled, model.head_bn)
@@ -431,9 +431,9 @@ def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
     """Reconstruct a ModelInstance from named tensors (the container's contents).
 
     The architecture comes from the instance name; input channels and class
-    count are inferred from the stem and head tensor shapes. Missing tensors,
-    extra tensors, shape mismatches, mixed dtypes or a BN eps not in f64
-    raise FormatError.
+    count are inferred from the stem and head tensor shapes. An empty one of
+    these, missing tensors, extra tensors, shape mismatches, mixed dtypes or a
+    BN eps not in f64 raise FormatError.
     """
     if mode not in (TRAIN_MODE, MERGED_MODE):
         raise FormatError(f"unknown mode {mode!r}")
@@ -448,6 +448,9 @@ def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
         in_channels, num_classes = arrays[first].shape[1], arrays[last].shape[0]
     except (KeyError, IndexError):
         raise FormatError(f"container lacks a well-formed {first} or {last}") from None
+    for tname, size in ((first, in_channels), (last, num_classes)):
+        if size < 1:
+            raise FormatError(f"tensor {tname!r} has an empty dimension: {arrays[tname].shape}")
     config = arch_config(name, in_channels=in_channels, num_classes=num_classes)
     layout = list(_layout(config, merged))
     for tname, shape, _ in layout:

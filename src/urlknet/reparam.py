@@ -17,12 +17,13 @@ layer reproduces the branch-sum forward to ~1e-10 relative error in float64.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import BnParams, ConvLayer, Tensor4, batchnorm_infer, conv2d
+from .tensor import BnParams, ConvLayer, batchnorm_infer, conv2d
 
 
 def equivalent_kernel_size(k: int, r: int) -> int:
@@ -65,13 +66,10 @@ def fuse_bn(conv: ConvLayer, bn: BnParams) -> ConvLayer:
     dtype = conv.weight.dtype
     scale = (bn.gamma / np.sqrt(bn.running_var + bn.eps)).astype(dtype, copy=False)
     bias0 = conv.bias if conv.bias is not None else np.zeros(conv.out_channels, dtype=dtype)
-    return ConvLayer(
-        weight=Tensor4(conv.weight.data * scale[:, None, None, None]),
+    return replace(
+        conv,
+        weight=conv.weight.data * scale[:, None, None, None],
         bias=(bn.beta.astype(dtype, copy=False) + (bias0 - bn.running_mean.astype(dtype, copy=False)) * scale),
-        stride=conv.stride,
-        padding=conv.padding,
-        dilation=conv.dilation,
-        groups=conv.groups,
     )
 
 
@@ -167,11 +165,4 @@ def merge_dilated_reparam(branches: Sequence[tuple[ConvLayer, BnParams]]) -> Con
         pad = (K - expanded.shape[2]) // 2
         kernel[:, :, pad:K - pad, pad:K - pad] += expanded
         bias += fused.bias
-    return ConvLayer(
-        weight=Tensor4(kernel),
-        bias=bias,
-        stride=(1, 1),
-        padding=(K // 2, K // 2),
-        dilation=(1, 1),
-        groups=groups,
-    )
+    return ConvLayer(kernel, bias, padding=K // 2, groups=groups)

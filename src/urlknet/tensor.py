@@ -1,9 +1,9 @@
-"""Numeric primitives on (n, c, h, w) arrays, and the Tensor4 boundary type.
+"""Numeric primitives on (n, c, h, w) arrays, and the one input check.
 
-The ops take and return plain numpy arrays; Tensor4 checks an array once,
-where it enters the package (a forward input, an embedder output, a conv
-weight). The reference numeric type is float64; float32 storage exists for
-the benchmarking paths. All ops are pure functions of their arrays: they
+The ops take and return plain numpy arrays; `checked_array` checks an array
+once, where it enters the package (a forward input, an embedder output, a
+conv weight). The reference numeric type is float64; float32 storage exists
+for the benchmarking paths. All ops are pure functions of their arrays: they
 never mutate their inputs and identical inputs produce bit-identical outputs.
 
 Convolution comes in three forms: two for depthwise convs and one matmul for
@@ -75,26 +75,25 @@ def _as_pair(value, name: str) -> tuple[int, int]:
     return int(value), int(value)
 
 
-class Tensor4:
-    """Checked dense (batch, channel, row, col) array of float64 or float32.
+def checked_array(data) -> np.ndarray:
+    """data as a C-contiguous (n, c, h, w) float64 or float32 array; ShapeError otherwise."""
+    arr = np.asarray(data)
+    if arr.dtype not in SUPPORTED_DTYPES:
+        raise ShapeError(f"unsupported dtype {arr.dtype}; expected float64 or float32")
+    if arr.ndim != 4:
+        raise ShapeError(f"expected a 4-D (n, c, h, w) array, got shape {arr.shape}")
+    if min(arr.shape) < 1:
+        raise ShapeError(f"all dimensions must be >= 1, got shape {arr.shape}")
+    return np.ascontiguousarray(arr)
 
-    Wraps a C-contiguous numpy array at the package boundary; the ops below
-    forward run on the bare `.data` array. The dtype doubles as the
-    element-width flag: float64 is the reference type, float32 the
-    benchmarking type.
-    """
+
+class Tensor4:
+    """A checked_array held as `.data`: ConvLayer's weight, readable wherever an array is."""
 
     __slots__ = ("data",)
 
     def __init__(self, data) -> None:
-        arr = np.asarray(data)
-        if arr.dtype not in SUPPORTED_DTYPES:
-            raise ShapeError(f"unsupported dtype {arr.dtype}; expected float64 or float32")
-        if arr.ndim != 4:
-            raise ShapeError(f"expected a 4-D (n, c, h, w) array, got shape {arr.shape}")
-        if min(arr.shape) < 1:
-            raise ShapeError(f"all dimensions must be >= 1, got shape {arr.shape}")
-        self.data = np.ascontiguousarray(arr)
+        self.data = checked_array(data)
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -104,8 +103,8 @@ class Tensor4:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def __repr__(self) -> str:
-        return f"Tensor4(shape={self.shape}, dtype={self.dtype.name})"
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.data, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ class ConvLayer:
     length c_out. A layer is depthwise iff groups == c_in == c_out.
     """
 
-    weight: Tensor4
+    weight: Tensor4  # given as any array; __post_init__ checks and wraps it
     bias: np.ndarray | None = None
     stride: tuple[int, int] = (1, 1)
     padding: tuple[int, int] = (0, 0)
@@ -124,6 +123,7 @@ class ConvLayer:
     groups: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "weight", Tensor4(self.weight))
         object.__setattr__(self, "stride", _as_pair(self.stride, "stride"))
         object.__setattr__(self, "padding", _as_pair(self.padding, "padding"))
         object.__setattr__(self, "dilation", _as_pair(self.dilation, "dilation"))

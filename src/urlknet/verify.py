@@ -7,13 +7,15 @@ correct merge lands around 1e-13; float32 runs sit near 1e-7.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
 from .model import ModelInstance, forward, merge_for_deploy
 from .reparam import dilate_kernel, equivalent_kernel_size
 from .blocks import block_forward
-from .tensor import ConvLayer, Tensor4, conv2d
+from .tensor import ConvLayer, conv2d
 
 # side of the random (2, c, 19, 19) inputs of the block-level checks
 _SPATIAL = 19
@@ -56,8 +58,7 @@ def verify_model(model: ModelInstance, rng: np.random.Generator,
         return relative_error(block_forward(x, mb), block_forward(x, b))
 
     def model_trial():
-        x = Tensor4(rng.standard_normal(
-            (1, model.config.in_channels, 64, 64)).astype(model.dtype))
+        x = rng.standard_normal((1, model.config.in_channels, 64, 64)).astype(model.dtype)
         return relative_error(forward(merged, x), forward(model, x))
 
     checks = []
@@ -94,19 +95,22 @@ def adhoc_scenario(
     if eq > large_kernel:
         raise ConfigError(f"(k-1)*r+1 = {eq} exceeds K={large_kernel}")
     cin_g = in_channels // groups
+    # the large kernel, the small kernel and the input of each trial, drawn in that order
+    shapes = ((out_channels, cin_g, large_kernel, large_kernel),
+              (out_channels, cin_g, small_k, small_k), (2, in_channels, _SPATIAL, _SPATIAL))
+    for shape in shapes:  # standard_normal draws float64, and numpy addresses at most intp bytes
+        if math.prod(shape) * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"a float64 array of shape {shape} is larger than numpy can address")
 
     def trial():
-        wl = rng.standard_normal((out_channels, cin_g, large_kernel, large_kernel)).astype(dtype)
-        ws = rng.standard_normal((out_channels, cin_g, small_k, small_k)).astype(dtype)
-        large = ConvLayer(Tensor4(wl), padding=(large_kernel // 2,) * 2, groups=groups)
-        dilated = ConvLayer(Tensor4(ws), padding=(eq // 2,) * 2,
-                            dilation=(small_r, small_r), groups=groups)
-        x = rng.standard_normal((2, in_channels, _SPATIAL, _SPATIAL)).astype(dtype)
+        wl, ws, x = (rng.standard_normal(shape).astype(dtype) for shape in shapes)
+        large = ConvLayer(wl, padding=large_kernel // 2, groups=groups)
+        dilated = ConvLayer(ws, padding=eq // 2, dilation=small_r, groups=groups)
         reference = conv2d(x, large) + conv2d(x, dilated)
         pad = large_kernel // 2 - eq // 2
         merged_w = wl.copy()
         merged_w[:, :, pad:large_kernel - pad, pad:large_kernel - pad] += dilate_kernel(ws, small_r)
-        merged = ConvLayer(Tensor4(merged_w), padding=(large_kernel // 2,) * 2, groups=groups)
+        merged = ConvLayer(merged_w, padding=large_kernel // 2, groups=groups)
         return relative_error(conv2d(x, merged), reference)
 
     return _worst(trials, trial)

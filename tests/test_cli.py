@@ -540,10 +540,12 @@ class TestBadInputs:
         ["bench", "--model", "A", "--batch", "-1"],
         ["verify", "--adhoc", "K=13", "--seed", "-1"],
         ["bench", "--model", "A", "--seed", "-1"],
+        ["verify", "--adhoc", "in=4000000", "out=4000000", "K=99999", "k=3", "r=3", "--trials", "1"],
     ], ids=["trials-0", "trials-negative", "adhoc-trials-0", "adhoc-K-not-int", "adhoc-groups-0",
             "adhoc-in-negative", "adhoc-K-even", "adhoc-k-even", "adhoc-r-0", "model-and-adhoc",
             "tolerance-nan", "tolerance-negative", "tolerance-inf", "bench-res-negative",
-            "bench-batch-negative", "verify-seed-negative", "bench-seed-negative"])
+            "bench-batch-negative", "verify-seed-negative", "bench-seed-negative",
+            "adhoc-beyond-address-space"])
     def test_bad_count_or_size_exits_2_without_traceback(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()

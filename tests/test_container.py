@@ -196,6 +196,20 @@ class TestMalformedFiles:
         with pytest.raises(FormatError, match="unexpected"):
             load_model(path)
 
+    @pytest.mark.parametrize("empty", ["stem.conv1.weight", "head.fc"])
+    def test_empty_stem_or_head_dimension(self, tmp_path, empty):
+        # input channels and class count are read from these shapes; a 0 there is a bad file
+        arrays = state_dict(build_named("A", seed=0))
+        if empty == "head.fc":
+            arrays["head.fc.weight"] = np.zeros((0, arrays["head.fc.weight"].shape[1]))
+            arrays["head.fc.bias"] = np.zeros(0)
+        else:
+            arrays[empty] = np.zeros((20, 0, 3, 3))
+        path = tmp_path / "empty.urlk"
+        write_container(path, list(arrays.items()), model_name="A", mode="train-structure")
+        with pytest.raises(FormatError, match=f"tensor '{empty}.*empty dimension"):
+            load_model(path)
+
     def test_unknown_model_name(self, tmp_path):
         path = tmp_path / "who.urlk"
         model = build_named("A", seed=0)

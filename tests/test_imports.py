@@ -58,3 +58,17 @@ def test_every_public_definition_is_used():
         and not re.search(rf"\b{stmt.name}\b", readme)
     ]
     assert unused == []
+
+
+def test_tensor4_is_named_only_in_tensor_py():
+    # arrays cross every package boundary bare; only ConvLayer keeps its weight in a Tensor4
+    named = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("tensor.py", "__init__.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "Tensor4")
+        or (isinstance(node, ast.Attribute) and node.attr == "Tensor4")
+        or (isinstance(node, ast.alias) and "Tensor4" in (node.name, node.asname))
+    ]
+    assert named == []

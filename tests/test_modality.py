@@ -17,7 +17,7 @@ class TestTimeSeries:
         data = rng.standard_normal((1, 32, 4))
         out = embed_time_series(data, 1, np.eye(4), (8, 16))
         assert out.shape == (1, 1, 8, 16)
-        np.testing.assert_array_equal(np.sort(out.data.ravel()), np.sort(data.ravel()))
+        np.testing.assert_array_equal(np.sort(out.ravel()), np.sort(data.ravel()))
 
     def test_node_split_expands_batch(self, rng):
         data = rng.standard_normal((3, 8, 4))
@@ -25,14 +25,14 @@ class TestTimeSeries:
         assert out.shape == (6, 1, 4, 4)
         # node j of sample b sits at row b*2 + j and carries features [2j, 2j+2)
         np.testing.assert_array_equal(
-            out.data[2, 0].ravel(), data[1, :, 0:2].ravel())
+            out[2, 0].ravel(), data[1, :, 0:2].ravel())
         np.testing.assert_array_equal(
-            out.data[3, 0].ravel(), data[1, :, 2:4].ravel())
+            out[3, 0].ravel(), data[1, :, 2:4].ravel())
 
     def test_random_projection_matches_step_oracle(self, rng):
         data = rng.standard_normal((2, 6, 6))
         proj = rng.standard_normal((3, 3))
-        got = embed_time_series(data, 2, proj, (9, 2)).data
+        got = embed_time_series(data, 2, proj, (9, 2))
         want = time_series_embed_naive(data, 2, proj, (9, 2))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -53,8 +53,8 @@ class TestTimeSeries:
         data = rng.standard_normal((4, 8, 4))
         perm = np.array([2, 0, 3, 1])
         proj = rng.standard_normal((4, 4))
-        straight = embed_time_series(data, 1, proj, (8, 4)).data
-        shuffled = embed_time_series(data[perm], 1, proj, (8, 4)).data
+        straight = embed_time_series(data, 1, proj, (8, 4))
+        shuffled = embed_time_series(data[perm], 1, proj, (8, 4))
         np.testing.assert_array_equal(shuffled, straight[perm])
 
 
@@ -66,7 +66,7 @@ class TestAudio:
     def test_roundtrip_recovers_input(self, rng):
         data = rng.standard_normal((2, 7, 5))
         out = embed_audio(data)
-        np.testing.assert_array_equal(out.data[:, 0], data)
+        np.testing.assert_array_equal(out[:, 0], data)
 
     def test_rank_checked(self, rng):
         with pytest.raises(ShapeError, match="must be \\(B, T, F\\)"):
@@ -78,19 +78,19 @@ class TestPointCloud:
         out = embed_pointcloud(np.array([[[0.3, -1.0, 2.0]]]))
         assert out.shape == (1, 3, 224, 224)
         for v in range(3):
-            channel = out.data[0, v]
+            channel = out[0, v]
             assert channel[112, 112] == 1.0
             assert channel.sum() == 1.0
 
     def test_translation_invariance(self, rng):
         # the joint min-max normalization cancels any constant offset
         cloud = rng.standard_normal((1, 50, 3))
-        a = embed_pointcloud(cloud).data
-        b = embed_pointcloud(cloud + 37.5).data
+        a = embed_pointcloud(cloud)
+        b = embed_pointcloud(cloud + 37.5)
         np.testing.assert_array_equal(a, b)
 
     def test_channels_normalized_to_one(self, rng):
-        out = embed_pointcloud(rng.standard_normal((2, 300, 3))).data
+        out = embed_pointcloud(rng.standard_normal((2, 300, 3)))
         for bi in range(2):
             for v in range(3):
                 assert out[bi, v].max() == 1.0
@@ -98,8 +98,8 @@ class TestPointCloud:
 
     def test_deterministic(self, rng):
         cloud = rng.standard_normal((1, 40, 3))
-        a = embed_pointcloud(cloud).data
-        b = embed_pointcloud(cloud).data
+        a = embed_pointcloud(cloud)
+        b = embed_pointcloud(cloud)
         np.testing.assert_array_equal(a, b)
 
     def test_nonfinite_rejected(self):
@@ -109,8 +109,8 @@ class TestPointCloud:
     def test_batch_shuffle_commutes(self, rng):
         clouds = rng.standard_normal((3, 25, 3))
         perm = np.array([1, 2, 0])
-        a = embed_pointcloud(clouds).data
-        b = embed_pointcloud(clouds[perm]).data
+        a = embed_pointcloud(clouds)
+        b = embed_pointcloud(clouds[perm])
         np.testing.assert_array_equal(b, a[perm])
 
 
@@ -123,11 +123,11 @@ class TestVideo:
     def test_single_frame_unchanged(self, rng):
         frames = rng.standard_normal((2, 1, 3, 5, 7))
         out = embed_video(frames)
-        np.testing.assert_array_equal(out.data, frames[:, 0])
+        np.testing.assert_array_equal(out, frames[:, 0])
 
     def test_quadrant_layout(self):
         frames = np.stack([np.full((3, 2, 2), float(v)) for v in (1, 2, 3, 4)])[None]
-        out = embed_video(frames).data[0, 0]
+        out = embed_video(frames)[0, 0]
         np.testing.assert_array_equal(out, np.array([
             [1, 1, 2, 2],
             [1, 1, 2, 2],
@@ -138,7 +138,7 @@ class TestVideo:
     def test_values_are_a_permutation(self, rng):
         frames = rng.standard_normal((1, 6, 3, 4, 4))
         out = embed_video(frames, grid=(2, 3))
-        np.testing.assert_array_equal(np.sort(out.data.ravel()), np.sort(frames.ravel()))
+        np.testing.assert_array_equal(np.sort(out.ravel()), np.sort(frames.ravel()))
 
     def test_bad_grid(self, rng):
         with pytest.raises(ShapeError, match="does not hold N_F=6"):
@@ -158,7 +158,7 @@ class TestVideo:
     (embed_pointcloud, (np.zeros((1, 5, 2)),), "B, P >= 1"),
     (embed_video, (np.zeros((1, 4, 1, 2, 2)),), "must be \\(B, N_F, 3, h, w\\)"),
     (embed_video, (np.zeros((1, 2, 3, 2, 2)), (-1, -2)), "sides must be positive"),
-    # the three below are caught where the map is wrapped as a Tensor4, not by the embedder
+    # the three below are caught by checked_array on the returned map, not the input checks
     (embed_video, (np.zeros((1, 4, 3, 0, 5)),), "all dimensions must be >= 1"),
     (embed_time_series, (np.zeros((1, 8, 4), dtype=np.int64), 1, np.eye(4, dtype=np.int64), (4, 8)),
      "unsupported dtype int64"),
@@ -169,3 +169,15 @@ def test_embedder_checks_its_input(embed, args, message):
     # the ShapeError branches the per-modality classes above do not reach
     with pytest.raises(ShapeError, match=message):
         embed(*args)
+
+
+@pytest.mark.parametrize("embed,args", [
+    (embed_time_series, (np.zeros((1, 8, 4)), 1, np.eye(4), (4, 8))),
+    (embed_audio, (np.zeros((2, 8, 3), dtype=np.float32),)),
+    (embed_pointcloud, (np.arange(6.0).reshape(1, 2, 3),)),
+    (embed_video, (np.zeros((1, 4, 3, 2, 2)),)),
+], ids=["time-series", "audio", "pointcloud", "video"])
+def test_embedder_returns_a_plain_array(embed, args):
+    # an embedding map is the same plain (n, c, h, w) array a forward takes
+    out = embed(*args)
+    assert type(out) is np.ndarray and out.ndim == 4 and out.flags.c_contiguous

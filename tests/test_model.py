@@ -198,6 +198,22 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(model_a, Tensor4(np.zeros((1, 3, 64, 64), dtype=np.float32)))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+    def test_plain_array_input_matches_tensor4(self, dtype):
+        # a Tensor4 input reads as its array, so both spellings run the same forward
+        m = build_model(TOY, seed=0, dtype=dtype)
+        x = np.random.default_rng(2).standard_normal((2, 3, 32, 32)).astype(dtype)
+        np.testing.assert_array_equal(forward(m, x), forward(m, Tensor4(x)))
+
+    @pytest.mark.parametrize("x,message", [
+        (np.zeros((3, 64, 64)), "4-D"),
+        (np.zeros((1, 3, 64, 64), dtype=np.int64), "unsupported dtype int64"),
+        (np.zeros((0, 3, 64, 64)), "all dimensions must be >= 1"),
+    ], ids=["3d", "int64", "empty-batch"])
+    def test_forward_stages_checks_a_plain_array(self, model_a, x, message):
+        with pytest.raises(ShapeError, match=message):
+            forward_stages(model_a, x)
+
     @pytest.mark.parametrize("merged", [False, True], ids=["train", "merged"])
     def test_forward_builds_no_tensor4(self, model_a, model_a_merged, monkeypatch, merged):
         # the input is checked once where it enters; every op below forward runs on arrays

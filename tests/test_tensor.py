@@ -32,6 +32,17 @@ class TestTensor4:
         assert t.shape == (2, 3, 4, 5)
         assert t.dtype == np.float64
 
+    def test_reads_as_its_array_without_a_copy(self):
+        t = Tensor4(np.zeros((1, 2, 3, 3), dtype=np.float32))
+        assert np.asarray(t) is t.data
+        assert np.asarray(t, dtype=np.float64).dtype == np.float64
+
+    def test_conv_layer_takes_a_plain_array(self, rng):
+        w = rng.standard_normal((4, 2, 3, 3))
+        bare, wrapped = ConvLayer(w, groups=2), ConvLayer(Tensor4(w), groups=2)
+        assert type(bare.weight) is Tensor4
+        np.testing.assert_array_equal(bare.weight.data, wrapped.weight.data)
+
 
 class TestConv2d:
     def test_identity_kernel(self):
