@@ -25,7 +25,6 @@ from .errors import (
 from .tensor import (
     BnParams,
     ConvLayer,
-    Tensor4,
     batchnorm_infer,
     conv2d,
     conv_output_size,

@@ -215,8 +215,8 @@ def cmd_params(args) -> tuple[int, dict]:
     }
 
 
-def _read_input_tensor(path: str, what: str, ndim: int, dtype=None) -> np.ndarray:
-    """A finite ndim-D array from a container tensor or raw file, cast to dtype if given."""
+def _read_input_tensor(path: str, dtype=None) -> np.ndarray:
+    """A finite array from a container tensor or raw file, cast to dtype if given."""
     p = Path(path)
     if not p.is_file():
         raise FormatError(f"cannot read {path}: it does not exist or is not a file")
@@ -229,8 +229,6 @@ def _read_input_tensor(path: str, what: str, ndim: int, dtype=None) -> np.ndarra
             arr = arr.astype(dtype, copy=False)
     if not np.isfinite(arr).all():
         raise FormatError(f"input file {path} holds NaN or infinite values as {arr.dtype}")
-    if arr.ndim != ndim:
-        raise FormatError(f"{what} must be {ndim}-D, got shape {arr.shape}")
     return arr
 
 
@@ -240,7 +238,7 @@ def cmd_forward(args) -> tuple[int, dict]:
         raise FormatError(
             f"weights file holds model {model.name!r}, command asked for {args.model!r}"
         )
-    arr = _read_input_tensor(args.input, "model input (n, c, h, w)", 4, model.dtype)
+    arr = _read_input_tensor(args.input, model.dtype)
     # logits that overflow are counted in the report, not warned about on stderr
     with np.errstate(over="ignore", invalid="ignore"):
         logits = forward(model, arr)
@@ -301,29 +299,20 @@ def _parse_grid(text):
 
 def cmd_embed(args) -> tuple[int, dict]:
     if args.modality == "time-series":
+        if args.height is None or args.width is None:
+            raise ConfigError("time-series embedding needs explicit --height and --width")
         if args.input.endswith(".csv"):
             data = dataio.read_timeseries_csv(args.input, batch=args.batch)
         else:
-            data = _read_input_tensor(args.input, "time-series input (B, L, D)", 3)
-        d = data.shape[2]
-        if args.nodes < 1 or d % args.nodes:
-            raise ConfigError(f"--nodes {args.nodes} must divide feature width {d}")
-        if args.projection:
-            projection = _read_input_tensor(args.projection, "projection (latent, D/n)", 2,
-                                            np.float64)
-        else:
-            projection = np.eye(d // args.nodes)
-        if args.height is None or args.width is None:
-            raise ConfigError("time-series embedding needs explicit --height and --width")
+            data = _read_input_tensor(args.input)
+        projection = _read_input_tensor(args.projection, np.float64) if args.projection else None
         emb = modality.embed_time_series(data, args.nodes, projection, (args.height, args.width))
     elif args.modality == "audio":
-        emb = modality.embed_audio(_read_input_tensor(args.input, "audio input (B, T, F)", 3))
+        emb = modality.embed_audio(_read_input_tensor(args.input))
     elif args.modality == "pointcloud":
-        emb = modality.embed_pointcloud(
-            _read_input_tensor(args.input, "point-cloud input (B, P, 3)", 3))
+        emb = modality.embed_pointcloud(_read_input_tensor(args.input))
     else:
-        arr = _read_input_tensor(args.input, "video input (B, N_F, 3, h, w)", 5)
-        emb = modality.embed_video(arr, _parse_grid(args.grid))
+        emb = modality.embed_video(_read_input_tensor(args.input), _parse_grid(args.grid))
     container.save_tensor(args.out, "embedding", emb)
     return EXIT_OK, {"modality": args.modality, "shape": list(emb.shape), "out": args.out}
 

@@ -39,8 +39,8 @@ def embed_time_series(data, nodes: int, projection, target_hw: tuple[int, int]) 
 
     The node split acts on the feature axis: sample b, node j lands at batch
     row b*n + j. The (D', D/n) projection maps the D/n node features to D'
-    values per step; the (L, D') plane then reshapes row-major into the
-    target map, so H*W must equal L*D'.
+    values per step (None: the float64 identity, D' = D/n); the (L, D') plane
+    then reshapes row-major into the target map, so H*W must equal L*D'.
     """
     data = np.asarray(data)
     if data.ndim != 3:
@@ -48,9 +48,9 @@ def embed_time_series(data, nodes: int, projection, target_hw: tuple[int, int]) 
     b, l, d = data.shape
     if nodes < 1 or d % nodes != 0:
         raise ShapeError(f"node count {nodes} must divide feature width {d}")
-    proj = np.asarray(projection)
+    proj = np.eye(d // nodes) if projection is None else np.asarray(projection)
     if proj.ndim != 2 or proj.shape[1] != d // nodes:
-        raise ShapeError(f"projection must map {d // nodes} -> D', got shape {proj.shape}")
+        raise ShapeError(f"projection must map {d // nodes} -> D' (2-D), got shape {proj.shape}")
     h, w = int(target_hw[0]), int(target_hw[1])
     if min(h, w) < 1:
         raise ShapeError(f"target map sides must be positive, got {h}x{w}")

@@ -13,7 +13,7 @@ import numpy as np
 
 from urlknet.model import _BUFFERS, ArchConfig, ModelInstance, _tensors
 from urlknet.reparam import merge_dilated_reparam, reparam_forward
-from urlknet.tensor import BnParams, ConvLayer, Tensor4, conv2d
+from urlknet.tensor import BnParams, ConvLayer, conv2d
 from urlknet.verify import _SPATIAL, _worst, relative_error
 
 # one block per stage: every block kind and transition, built and run in well under a second
@@ -26,7 +26,7 @@ def random_branches(spec: Sequence[tuple[int, int]], channels: int, groups: int,
     out = []
     cin_g = channels // groups
     for k, r in spec:
-        conv = ConvLayer(Tensor4(rng.standard_normal((channels, cin_g, k, k)) * 0.5),
+        conv = ConvLayer(rng.standard_normal((channels, cin_g, k, k)) * 0.5,
                          padding=((k - 1) * r // 2,) * 2, dilation=(r, r), groups=groups)
         bn = BnParams(
             gamma=rng.standard_normal(channels),

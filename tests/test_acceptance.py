@@ -13,7 +13,6 @@ import pytest
 
 from urlknet import (
     ShapeError,
-    Tensor4,
     arch_config,
     build_named,
     equivalent_kernel_size,
@@ -80,7 +79,7 @@ def test_criterion_4_whole_model_equivalence_all_instances():
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(5):
-            x = Tensor4(rng.standard_normal((1, 3, 64, 64)))
+            x = rng.standard_normal((1, 3, 64, 64))
             worst = max(worst, relative_error(forward(merged, x), forward(model, x)))
         details.append(f"{name}:{worst:.1e}")
         worst_overall = max(worst_overall, worst)
@@ -115,7 +114,7 @@ def test_criterion_6_geometry_suite():
     for name in INSTANCE_NAMES:
         model = build_named(name, seed=0, dtype=np.float32)
         c = model.config.width
-        x = Tensor4(np.random.default_rng(0).standard_normal((1, 3, 224, 224)).astype(np.float32))
+        x = np.random.default_rng(0).standard_normal((1, 3, 224, 224)).astype(np.float32)
         want = [(1, c, 56, 56), (1, 2 * c, 28, 28), (1, 4 * c, 14, 14), (1, 8 * c, 7, 7)]
         got = [t.shape for t in forward_stages(model, x)]
         if got != want:

@@ -11,7 +11,6 @@ from urlknet import (
     FfnBlock,
     SeBlock,
     StateError,
-    Tensor4,
     batchnorm_infer,
     block_forward,
     conv2d,
@@ -40,11 +39,11 @@ def make_se(rng, c):
 
 def make_ffn(rng, c, scale=0.2):
     return FfnBlock(
-        pw1=ConvLayer(Tensor4(rng.standard_normal((4 * c, c, 1, 1)) * scale),
+        pw1=ConvLayer(rng.standard_normal((4 * c, c, 1, 1)) * scale,
                       bias=rng.standard_normal(4 * c) * scale),
         grn_gamma=rng.standard_normal(4 * c) * scale,
         grn_beta=rng.standard_normal(4 * c) * scale,
-        pw2=ConvLayer(Tensor4(rng.standard_normal((c, 4 * c, 1, 1)) * scale),
+        pw2=ConvLayer(rng.standard_normal((c, 4 * c, 1, 1)) * scale,
                       bias=rng.standard_normal(c) * scale),
     )
 
@@ -109,7 +108,7 @@ class TestFfnBlock:
         ffn = make_ffn(rng, c)
         zeroed = FfnBlock(
             pw1=ffn.pw1, grn_gamma=ffn.grn_gamma, grn_beta=ffn.grn_beta,
-            pw2=ConvLayer(Tensor4(np.zeros((c, 4 * c, 1, 1))), bias=np.zeros(c)),
+            pw2=ConvLayer(np.zeros((c, 4 * c, 1, 1)), bias=np.zeros(c)),
         )
         x = rng.standard_normal((1, c, 3, 3))
         np.testing.assert_array_equal(ffn_forward(x, zeroed), np.zeros((1, c, 3, 3)))
@@ -119,9 +118,9 @@ class TestFfnBlock:
         assert ffn.pw1.out_channels == 16
         with pytest.raises(ConfigError):
             FfnBlock(
-                pw1=ConvLayer(Tensor4(np.zeros((8, 4, 1, 1))), bias=np.zeros(8)),
+                pw1=ConvLayer(np.zeros((8, 4, 1, 1)), bias=np.zeros(8)),
                 grn_gamma=np.zeros(8), grn_beta=np.zeros(8),
-                pw2=ConvLayer(Tensor4(np.zeros((4, 8, 1, 1))), bias=np.zeros(4)),
+                pw2=ConvLayer(np.zeros((4, 8, 1, 1)), bias=np.zeros(4)),
             )
 
     def test_matches_composition_of_primitives(self, rng):
@@ -139,7 +138,7 @@ class TestBlockForward:
         c = 4
         zero_affine = BnParams(np.zeros(c), np.zeros(c), np.zeros(c), np.ones(c))
         branches = tuple(
-            (replace(conv, weight=Tensor4(np.zeros_like(conv.weight.data))), identity_bn(c))
+            (replace(conv, weight=np.zeros_like(conv.weight)), identity_bn(c))
             for conv, _ in random_branches(stock_branches(13), c, c, rng)
         )
         block = BlockSpec(
@@ -175,7 +174,7 @@ class TestBlockForward:
         ((conv, bn),) = block.branches
         want = fuse_bn(conv, bn)
         got = merge_block(block).dw_conv
-        np.testing.assert_array_equal(got.weight.data, want.weight.data)
+        np.testing.assert_array_equal(np.asarray(got.weight), np.asarray(want.weight))
         np.testing.assert_array_equal(got.bias, want.bias)
         assert (got.padding, got.dilation, got.groups) == (want.padding, want.dilation, want.groups)
 
@@ -187,7 +186,7 @@ class TestBlockForward:
     def test_zero_branches_give_constant_map(self, rng):
         c = 4
         branches = tuple(
-            (replace(conv, weight=Tensor4(np.zeros_like(conv.weight.data))), bn)
+            (replace(conv, weight=np.zeros_like(conv.weight)), bn)
             for conv, bn in random_branches(stock_branches(13), c, c, rng)
         )
         from urlknet import merge_dilated_reparam, reparam_forward
@@ -197,7 +196,7 @@ class TestBlockForward:
         y2 = reparam_forward(x2, branches)
         np.testing.assert_allclose(y1, y2, rtol=1e-12)          # constant in the input
         merged = merge_dilated_reparam(branches)
-        assert np.all(merged.weight.data == 0)
+        assert np.all(np.asarray(merged.weight) == 0)
         np.testing.assert_allclose(conv2d(x1, merged), y1, rtol=1e-10, atol=1e-12)
 
     def test_double_merge_rejected(self, rng):
@@ -222,9 +221,9 @@ class TestBlockForward:
 class TestDownsample:
     def _stem(self, rng, cin, c):
         return (
-            (ConvLayer(Tensor4(rng.standard_normal((c // 2, cin, 3, 3)) * 0.1),
+            (ConvLayer(rng.standard_normal((c // 2, cin, 3, 3)) * 0.1,
                        stride=(2, 2), padding=(1, 1)), identity_bn(c // 2)),
-            (ConvLayer(Tensor4(rng.standard_normal((c, c // 2, 3, 3)) * 0.1),
+            (ConvLayer(rng.standard_normal((c, c // 2, 3, 3)) * 0.1,
                        stride=(2, 2), padding=(1, 1)), identity_bn(c)),
         )
 
@@ -234,7 +233,7 @@ class TestDownsample:
         assert out.shape == (1, 96, 56, 56)
 
     def test_transition_doubles_channels(self, rng):
-        tr = ((ConvLayer(Tensor4(rng.standard_normal((192, 96, 3, 3)) * 0.1),
+        tr = ((ConvLayer(rng.standard_normal((192, 96, 3, 3)) * 0.1,
                          stride=(2, 2), padding=(1, 1)), identity_bn(192)),)
         out = downsample_forward(rng.standard_normal((1, 96, 56, 56)), tr)
         assert out.shape == (1, 192, 28, 28)

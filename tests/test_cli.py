@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy
 
-from urlknet import (ConfigError, Tensor4, arch_config, build_named, forward, model_astype,
+from urlknet import (ConfigError, arch_config, build_named, forward, model_astype,
                      param_breakdown)
 from urlknet import cli
 from urlknet.cli import build_parser, main
@@ -191,7 +191,7 @@ class TestWeightsCommands:
         # the process holds at least the interpreter, numpy and the model
         assert 10.0 < rep["peak_rss_mb"] < 8192.0
         _, logits = load_tensor(out)
-        reference = forward(build_named("A", seed=0), Tensor4(x))
+        reference = forward(build_named("A", seed=0), x)
         np.testing.assert_array_equal(logits, reference)
 
     @pytest.mark.parametrize("mode,digest", [
@@ -502,6 +502,23 @@ def _bad_input(tmp_path, case):
         write_raw_array(raw, np.zeros((1, 8, 2)))
         write_raw_array(tmp_path / "p.raw", np.zeros(()))
         return [*ts, "--input", str(raw), "--projection", str(tmp_path / "p.raw")], "2-D"
+    # each wrong rank reaches the embedder, which names the shape it expects
+    if case == "ts-rank-2":
+        write_raw_array(raw, np.zeros((8, 2)))
+        return [*ts, "--input", str(raw)], "(B, L, D)"
+    if case == "ts-nodes-3":
+        write_raw_array(raw, np.zeros((1, 8, 4)))
+        return [*ts, "--nodes", "3", "--input", str(raw)], "must divide feature width 4"
+    if case == "projection-rank-3":
+        write_raw_array(raw, np.zeros((1, 8, 2)))
+        write_raw_array(tmp_path / "p.raw", np.zeros((1, 2, 2)))
+        return [*ts, "--input", str(raw), "--projection", str(tmp_path / "p.raw")], "2-D"
+    if case == "audio-rank-2":
+        write_raw_array(raw, np.zeros((4, 4)))
+        return ["--modality", "audio", "--input", str(raw)], "(B, T, F)"
+    if case == "video-rank-4":
+        write_raw_array(raw, np.zeros((2, 3, 4, 4)))
+        return ["--modality", "video", "--input", str(raw)], "(B, N_F, 3, h, w)"
     raise AssertionError(case)
 
 
@@ -511,7 +528,8 @@ class TestBadInputs:
         "sidecar-bool-shape", "sidecar-overflow-shape", "manifest-overflow-shape",
         "projection-nan", "projection-data-missing", "csv-missing", "csv-not-utf8", "csv-nan",
         "raw-inf", "video-negative-grid", "ts-negative-map", "projection-0d",
-        "pointcloud-empty-batch",
+        "pointcloud-empty-batch", "ts-rank-2", "ts-nodes-3", "projection-rank-3", "audio-rank-2",
+        "video-rank-4",
     ])
     def test_embed_exits_2_without_traceback(self, capsys, tmp_path, case):
         args, message = _bad_input(tmp_path, case)
@@ -601,6 +619,21 @@ class TestBadInputs:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "NaN or infinite" in captured.err
+        assert not out.exists()
+
+    def test_forward_rejects_3d_input(self, capsys, tmp_path):
+        # the rank is checked once, by forward
+        weights = tmp_path / "a.urlk"
+        save_model(weights, build_named("A", seed=0))
+        x = tmp_path / "x.raw"
+        write_raw_array(x, np.zeros((3, 64, 64)))
+        out = tmp_path / "logits.urlk"
+        code = main(["forward", "--model", "A", "--weights", str(weights),
+                     "--input", str(x), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "4-D" in captured.err
         assert not out.exists()
 
     def test_forward_rejects_input_that_overflows_model_dtype(self, capsys, tmp_path):

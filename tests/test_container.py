@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from urlknet import FormatError, Tensor4, build_model, build_named, forward, merge_for_deploy, model_astype
+from urlknet import FormatError, build_model, build_named, forward, merge_for_deploy, model_astype
 from urlknet import container
 from urlknet.container import (
     MAGIC,
@@ -98,7 +98,7 @@ class TestRoundTrip:
         path = tmp_path / "w.urlk"
         save_model(path, model)
         loaded = load_model(path)
-        x = Tensor4(np.random.default_rng(9).standard_normal((1, 3, 64, 64)))
+        x = np.random.default_rng(9).standard_normal((1, 3, 64, 64))
         np.testing.assert_array_equal(forward(loaded, x), forward(model, x))
 
     def test_single_tensor_roundtrip(self, tmp_path):
@@ -415,5 +415,5 @@ class TestCustomChannels:
         loaded = load_model(path)
         assert loaded.config.in_channels == 1
         assert loaded.config.num_classes == 35
-        x = Tensor4(np.random.default_rng(4).standard_normal((1, 1, 128, 64)))
+        x = np.random.default_rng(4).standard_normal((1, 1, 128, 64))
         np.testing.assert_array_equal(forward(loaded, x), forward(model, x))

@@ -49,6 +49,13 @@ class TestTimeSeries:
         with pytest.raises(ShapeError, match="projection must map 4"):
             embed_time_series(rng.standard_normal((1, 8, 4)), 1, np.eye(3), (8, 3))
 
+    def test_no_projection_is_the_identity(self, rng):
+        data = rng.standard_normal((2, 8, 6)).astype(np.float32)
+        none = embed_time_series(data, 2, None, (8, 3))
+        eye = embed_time_series(data, 2, np.eye(3), (8, 3))
+        assert none.dtype == eye.dtype == np.float64
+        np.testing.assert_array_equal(none, eye)
+
     def test_batch_shuffle_commutes(self, rng):
         data = rng.standard_normal((4, 8, 4))
         perm = np.array([2, 0, 3, 1])

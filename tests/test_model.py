@@ -10,7 +10,6 @@ from urlknet import (
     GeometryError,
     ShapeError,
     StateError,
-    Tensor4,
     arch_config,
     build_model,
     build_named,
@@ -28,6 +27,7 @@ from urlknet.model import (
     iter_state,
 )
 from urlknet import model as model_module, tensor
+from urlknet.tensor import Tensor4
 from urlknet.blocks import block_forward
 from urlknet.reparam import reparam_forward
 from urlknet.verify import relative_error
@@ -160,7 +160,7 @@ class TestBuild:
 
 class TestForward:
     def test_stage_geometry_224(self, model_a):
-        x = Tensor4(np.random.default_rng(0).standard_normal((1, 3, 224, 224)))
+        x = np.random.default_rng(0).standard_normal((1, 3, 224, 224))
         assert [t.shape for t in forward_stages(model_a, x)] == [
             (1, 40, 56, 56), (1, 80, 28, 28), (1, 160, 14, 14), (1, 320, 7, 7)]
         assert forward(model_a, x).shape == (1, 1000)
@@ -168,18 +168,18 @@ class TestForward:
     def test_batch_independence(self, model_a):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 3, 64, 64))
-        both = forward(model_a, Tensor4(x))
-        one = forward(model_a, Tensor4(x[0:1]))
-        two = forward(model_a, Tensor4(x[1:2]))
+        both = forward(model_a, x)
+        one = forward(model_a, x[0:1])
+        two = forward(model_a, x[1:2])
         np.testing.assert_array_equal(both, np.concatenate([one, two]))
 
     def test_input_divisible_by_32_scales_to_one_32nd(self, model_a):
-        x = Tensor4(np.zeros((1, 3, 96, 64)))
+        x = np.zeros((1, 3, 96, 64))
         assert forward_stages(model_a, x)[3].shape[2:] == (3, 2)
 
     def test_tiny_input_collapses_to_single_site(self, model_a):
         # same-padded convs never underflow: a 16x16 input legally reaches 1x1
-        assert forward_stages(model_a, Tensor4(np.zeros((1, 3, 16, 16))))[3].shape[2:] == (1, 1)
+        assert forward_stages(model_a, np.zeros((1, 3, 16, 16)))[3].shape[2:] == (1, 1)
 
     def test_geometry_error_names_stage(self, model_a):
         # force an underflow by stripping the padding from one transition conv
@@ -188,15 +188,15 @@ class TestForward:
         bad_transition = ((dc_replace(conv, padding=(0, 0)), bn),)
         bad_model = dc_replace(model_a, downsamples=(*model_a.downsamples[:3], bad_transition))
         with pytest.raises(GeometryError, match="transition4"):
-            forward(bad_model, Tensor4(np.zeros((1, 3, 32, 32))))
+            forward(bad_model, np.zeros((1, 3, 32, 32)))
 
     def test_wrong_channel_count(self, model_a):
         with pytest.raises(ShapeError):
-            forward(model_a, Tensor4(np.zeros((1, 4, 64, 64))))
+            forward(model_a, np.zeros((1, 4, 64, 64)))
 
     def test_wrong_dtype(self, model_a):
         with pytest.raises(ShapeError):
-            forward(model_a, Tensor4(np.zeros((1, 3, 64, 64), dtype=np.float32)))
+            forward(model_a, np.zeros((1, 3, 64, 64), dtype=np.float32))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     def test_plain_array_input_matches_tensor4(self, dtype):
@@ -244,7 +244,7 @@ class TestMerge:
     def test_whole_model_equivalence(self, model_a, model_a_merged):
         rng = np.random.default_rng(11)
         for _ in range(3):
-            x = Tensor4(rng.standard_normal((1, 3, 64, 64)))
+            x = rng.standard_normal((1, 3, 64, 64))
             err = relative_error(forward(model_a_merged, x), forward(model_a, x))
             assert err <= 1e-9
 
@@ -289,7 +289,7 @@ class TestReadOnlyArrays:
         for a in arrays:
             a.setflags(write=False)
         for m in (train, merged):
-            forward(m, Tensor4(x))
+            forward(m, x)
             model_astype(m, np.float32)
         merge_for_deploy(train)
         block_forward(xb, block)
@@ -306,12 +306,12 @@ class TestReadOnlyArrays:
         block = m.stages[0][0]
         x = rng.standard_normal((2, 3, 64, 64)).astype(np.float32)
         xb = rng.standard_normal((2, block.channels, 16, 16)).astype(np.float32)
-        want = forward(m, Tensor4(x.copy())), block_forward(xb.copy(), block)
+        want = forward(m, x.copy()), block_forward(xb.copy(), block)
         arrays = [x, xb, *(a for _, a in iter_state(m))]
         before = [a.copy() for a in arrays]
         for a in arrays:
             a.setflags(write=False)
-        np.testing.assert_array_equal(forward(m, Tensor4(x)), want[0])
+        np.testing.assert_array_equal(forward(m, x), want[0])
         np.testing.assert_array_equal(block_forward(xb, block), want[1])
         if not merged:
             reparam_forward(xb, block.branches)
@@ -346,7 +346,7 @@ class TestDtypeConversion:
     def test_f32_roundtrip_forward(self, model_a):
         m32 = model_astype(model_a, np.float32)
         assert m32.dtype == np.float32
-        x = Tensor4(np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32))
+        x = np.random.default_rng(0).standard_normal((1, 3, 64, 64)).astype(np.float32)
         logits = forward(m32, x)
         assert logits.dtype == np.float32
         assert np.all(np.isfinite(logits))
@@ -368,6 +368,6 @@ class TestDtypeConversion:
     def test_f32_close_to_f64(self, model_a):
         m32 = model_astype(model_a, np.float32)
         x64 = np.random.default_rng(2).standard_normal((1, 3, 64, 64))
-        y64 = forward(model_a, Tensor4(x64))
-        y32 = forward(m32, Tensor4(x64.astype(np.float32)))
+        y64 = forward(model_a, x64)
+        y32 = forward(m32, x64.astype(np.float32))
         assert relative_error(y32.astype(np.float64), y64) < 1e-3

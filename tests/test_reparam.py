@@ -6,7 +6,6 @@ from urlknet import (
     ConfigError,
     ConvLayer,
     ShapeError,
-    Tensor4,
     batchnorm_infer,
     conv2d,
     dilate_kernel,
@@ -71,8 +70,8 @@ class TestDilateKernel:
         # expanded kernel at r=1 must replay the dilated layer
         x = rng.standard_normal((2, 4, 19, 19))
         w = rng.standard_normal((4, 4, 3, 3))
-        dil = ConvLayer(Tensor4(w), padding=(3, 3), dilation=(3, 3))
-        wide = ConvLayer(Tensor4(dilate_kernel(w, 3)), padding=(3, 3))
+        dil = ConvLayer(w, padding=(3, 3), dilation=(3, 3))
+        wide = ConvLayer(dilate_kernel(w, 3), padding=(3, 3))
         np.testing.assert_allclose(
             conv2d(x, wide), conv2d(x, dil),
             rtol=1e-12, atol=1e-12,
@@ -85,8 +84,8 @@ class TestDilateKernel:
         x = rng.standard_normal((2, cin, 21, 21))
         w = rng.standard_normal((cout, cin // groups, k, k))
         pad = ((k - 1) * r) // 2
-        dil = conv2d(x, ConvLayer(Tensor4(w), padding=(pad, pad), dilation=(r, r), groups=groups))
-        wide = Tensor4(dilate_kernel(w, r))
+        dil = conv2d(x, ConvLayer(w, padding=(pad, pad), dilation=(r, r), groups=groups))
+        wide = dilate_kernel(w, r)
         plain = conv2d(x, ConvLayer(wide, padding=(pad, pad), groups=groups))
         np.testing.assert_allclose(plain, dil, rtol=1e-12, atol=1e-12)
 
@@ -97,23 +96,23 @@ class TestDilateKernel:
 
 class TestFuseBn:
     def test_identity_statistics_keep_layer(self, rng):
-        conv = ConvLayer(Tensor4(rng.standard_normal((3, 3, 3, 3))), padding=(1, 1))
+        conv = ConvLayer(rng.standard_normal((3, 3, 3, 3)), padding=(1, 1))
         bn = BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=1e-15)
         fused = fuse_bn(conv, bn)
-        np.testing.assert_allclose(fused.weight.data, conv.weight.data, rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(fused.weight), np.asarray(conv.weight), rtol=1e-12)
         np.testing.assert_allclose(fused.bias, np.zeros(3), atol=1e-12)
 
     def test_closed_form_scalar_case(self):
-        conv = ConvLayer(Tensor4(np.ones((1, 1, 1, 1))), bias=np.zeros(1))
+        conv = ConvLayer(np.ones((1, 1, 1, 1)), bias=np.zeros(1))
         bn = BnParams(np.array([2.0]), np.array([0.0]), np.array([4.0]),
                       np.array([3.0]), eps=1.0)
         fused = fuse_bn(conv, bn)
-        assert fused.weight.data.item() == 1.0
+        assert np.asarray(fused.weight).item() == 1.0
         assert fused.bias.item() == -4.0
 
     def test_composed_forward_equivalence(self, rng):
         x = rng.standard_normal((2, 5, 9, 9))
-        conv = ConvLayer(Tensor4(rng.standard_normal((4, 5, 3, 3))),
+        conv = ConvLayer(rng.standard_normal((4, 5, 3, 3)),
                          bias=rng.standard_normal(4), padding=(1, 1))
         bn = BnParams(rng.standard_normal(4), rng.standard_normal(4),
                       rng.standard_normal(4), rng.uniform(0.1, 2.0, 4), eps=1e-5)
@@ -122,32 +121,32 @@ class TestFuseBn:
                                    rtol=1e-12, atol=1e-12)
 
     def test_idempotent_under_identity_stats(self, rng):
-        conv = ConvLayer(Tensor4(rng.standard_normal((2, 2, 3, 3))), bias=rng.standard_normal(2))
+        conv = ConvLayer(rng.standard_normal((2, 2, 3, 3)), bias=rng.standard_normal(2))
         identity = BnParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), eps=1e-15)
         once = fuse_bn(conv, identity)
         twice = fuse_bn(once, identity)
-        np.testing.assert_allclose(twice.weight.data, once.weight.data, rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(twice.weight), np.asarray(once.weight), rtol=1e-12)
         np.testing.assert_allclose(twice.bias, once.bias, rtol=1e-12, atol=1e-15)
 
     def test_linear_in_gamma(self, rng):
-        conv = ConvLayer(Tensor4(rng.standard_normal((3, 2, 3, 3))))
+        conv = ConvLayer(rng.standard_normal((3, 2, 3, 3)))
         gamma = rng.standard_normal(3)
         rest = dict(beta=np.zeros(3), running_mean=rng.standard_normal(3),
                     running_var=rng.uniform(0.5, 1.5, 3), eps=1e-5)
         f1 = fuse_bn(conv, BnParams(gamma=gamma, **rest))
         f2 = fuse_bn(conv, BnParams(gamma=2 * gamma, **rest))
-        np.testing.assert_allclose(f2.weight.data, 2 * f1.weight.data, rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(f2.weight), 2 * np.asarray(f1.weight), rtol=1e-12)
         np.testing.assert_allclose(f2.bias, 2 * f1.bias, rtol=1e-12)
 
     def test_channel_mismatch(self):
-        conv = ConvLayer(Tensor4(np.zeros((3, 1, 1, 1))))
+        conv = ConvLayer(np.zeros((3, 1, 1, 1)))
         bn = BnParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2))
         with pytest.raises(Exception):
             fuse_bn(conv, bn)
 
 
 def one_branch(rng, k, r, c=2, groups=2):
-    conv = ConvLayer(Tensor4(rng.standard_normal((c, c // groups, k, k))),
+    conv = ConvLayer(rng.standard_normal((c, c // groups, k, k)),
                      padding=((k - 1) * r // 2,) * 2, dilation=(r, r), groups=groups)
     return conv, BnParams(np.ones(c), np.zeros(c), np.zeros(c), np.ones(c))
 
@@ -163,10 +162,10 @@ def assert_block_rejected(rng, branches, exc, match):
 class TestMerge:
     def test_single_principal_branch_keeps_kernel(self, rng):
         w = rng.standard_normal((3, 1, 5, 5))
-        branch = (ConvLayer(Tensor4(w), padding=(2, 2), groups=3),
+        branch = (ConvLayer(w, padding=(2, 2), groups=3),
                   BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=1e-15))
         merged = merge_dilated_reparam([branch])
-        np.testing.assert_allclose(merged.weight.data, w, rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(merged.weight), w, rtol=1e-12)
         assert merged.padding == (2, 2)
 
     def test_k9_figure_config_merges_to_9x9(self, rng):
@@ -195,10 +194,10 @@ class TestMerge:
         ws = rng.standard_normal((2, 1, 3, 3))
         identity = BnParams(np.ones(2), np.zeros(2), np.zeros(2), np.ones(2), eps=1e-15)
         branches = (
-            (ConvLayer(Tensor4(wp), padding=(6, 6), groups=2), identity),
-            (ConvLayer(Tensor4(ws), padding=(3, 3), dilation=(3, 3), groups=2), identity),
+            (ConvLayer(wp, padding=(6, 6), groups=2), identity),
+            (ConvLayer(ws, padding=(3, 3), dilation=(3, 3), groups=2), identity),
         )
-        merged = merge_dilated_reparam(branches).weight.data
+        merged = np.asarray(merge_dilated_reparam(branches).weight)
         expanded = dilate_kernel(ws, 3)
         pad = (13 - 7) // 2
         np.testing.assert_allclose(merged[:, :, pad:13 - pad, pad:13 - pad], expanded, rtol=1e-12)
@@ -216,12 +215,12 @@ class TestMerge:
         canon_b = sorted(shuffled, key=key)
         ka = merge_dilated_reparam(canon_a)
         kb = merge_dilated_reparam(canon_b)
-        np.testing.assert_array_equal(ka.weight.data, kb.weight.data)
+        np.testing.assert_array_equal(np.asarray(ka.weight), np.asarray(kb.weight))
         np.testing.assert_array_equal(ka.bias, kb.bias)
 
     def test_mixed_groups_rejected(self, rng):
         branches = list(random_branches(((9, 1), (3, 2)), 4, 4, rng))
-        bad = (ConvLayer(Tensor4(rng.standard_normal((4, 2, 3, 3))),
+        bad = (ConvLayer(rng.standard_normal((4, 2, 3, 3)),
                          padding=(2, 2), dilation=(2, 2), groups=2),
                branches[1][1])
         with pytest.raises(ConfigError, match="agree on channels and groups"):
@@ -236,7 +235,7 @@ class TestMerge:
         principal_first = (declared[1], declared[0], declared[2])
         a, b = merge_dilated_reparam(declared), merge_dilated_reparam(principal_first)
         assert a.weight.shape == (4, 2, 9, 9) and a.groups == 2 and a.padding == (4, 4)
-        np.testing.assert_array_equal(a.weight.data, b.weight.data)
+        np.testing.assert_array_equal(np.asarray(a.weight), np.asarray(b.weight))
         np.testing.assert_array_equal(a.bias, b.bias)
         x = rng.standard_normal((2, 4, 11, 11))
         np.testing.assert_array_equal(reparam_forward(x, declared),
@@ -246,13 +245,13 @@ class TestMerge:
         with pytest.raises(ConfigError, match="agree on channels"):
             merge_dilated_reparam([one_branch(rng, 9, 1, c=4), one_branch(rng, 3, 2, c=2)])
         # 2 -> 4 channels: every branch must also map c to the same c
-        wide = ConvLayer(Tensor4(rng.standard_normal((4, 1, 9, 9))), padding=(4, 4), groups=2)
+        wide = ConvLayer(rng.standard_normal((4, 1, 9, 9)), padding=(4, 4), groups=2)
         with pytest.raises(ConfigError, match="agree on channels"):
             merge_dilated_reparam([(wide, one_branch(rng, 9, 1, c=4)[1])])
 
     def test_strided_branch_rejected(self, rng):
         # a stride-2 branch would change the map size, and the merged conv has stride 1
-        conv = ConvLayer(Tensor4(rng.standard_normal((2, 1, 3, 3))), stride=(2, 2),
+        conv = ConvLayer(rng.standard_normal((2, 1, 3, 3)), stride=(2, 2),
                          padding=(1, 1), groups=2)
         branches = [one_branch(rng, 9, 1), (conv, one_branch(rng, 3, 1)[1])]
         assert_block_rejected(rng, branches, ConfigError, "stride must be 1")
@@ -267,7 +266,7 @@ class TestMerge:
     def test_branch_rule_checked(self, rng, shape, padding, dilation, bn_c, exc, match):
         # a principal plus one malformed branch: each per-branch rule is checked
         # by both merge_dilated_reparam and reparam_forward, not when the pair is built
-        conv = ConvLayer(Tensor4(rng.standard_normal((2, 1, *shape))), padding=padding,
+        conv = ConvLayer(rng.standard_normal((2, 1, *shape)), padding=padding,
                          dilation=dilation, groups=2)
         bn = BnParams(np.ones(bn_c), np.zeros(bn_c), np.zeros(bn_c), np.ones(bn_c))
         assert_block_rejected(rng, [one_branch(rng, 9, 1), (conv, bn)], exc, match)
@@ -293,7 +292,7 @@ class TestMerge:
         branches = random_branches(((9, 1), (3, 3)), 2, 2, rng)
         merged = merge_dilated_reparam(branches)
         x = rng.standard_normal((1, 2, 12, 12))
-        want = conv2d_naive(x, merged.weight.data, merged.bias,
+        want = conv2d_naive(x, np.asarray(merged.weight), merged.bias,
                             padding=merged.padding, groups=2)
         got = conv2d(x, merged)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -6,7 +6,6 @@ from urlknet import (
     ConvLayer,
     GeometryError,
     ShapeError,
-    Tensor4,
     batchnorm_infer,
     conv2d,
     conv_output_size,
@@ -15,6 +14,7 @@ from urlknet import (
     linear,
 )
 from urlknet import tensor
+from urlknet.tensor import Tensor4
 from oracles import batchnorm_naive, conv2d_naive, grn_naive
 
 
@@ -47,18 +47,18 @@ class TestTensor4:
 class TestConv2d:
     def test_identity_kernel(self):
         x = np.ones((1, 1, 3, 3))
-        layer = ConvLayer(Tensor4(np.ones((1, 1, 1, 1))))
+        layer = ConvLayer(np.ones((1, 1, 1, 1)))
         np.testing.assert_array_equal(conv2d(x, layer), x)
 
     def test_stride2_shape_224(self):
         x = np.zeros((1, 3, 224, 224))
-        layer = ConvLayer(Tensor4(np.zeros((8, 3, 3, 3))), stride=(2, 2), padding=(1, 1))
+        layer = ConvLayer(np.zeros((8, 3, 3, 3)), stride=(2, 2), padding=(1, 1))
         assert conv2d(x, layer).shape == (1, 8, 112, 112)
 
     def test_depthwise_dilated_matches_naive(self, rng):
         x = rng.standard_normal((2, 4, 19, 19))
         w = rng.standard_normal((4, 1, 3, 3))
-        layer = ConvLayer(Tensor4(w), padding=(3, 3), dilation=(3, 3), groups=4)
+        layer = ConvLayer(w, padding=(3, 3), dilation=(3, 3), groups=4)
         got = conv2d(x, layer)
         want = conv2d_naive(x, w, padding=(3, 3), dilation=(3, 3), groups=4)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -90,7 +90,7 @@ class TestConv2d:
         x = rng.standard_normal((2, c, h, w))
         wt = rng.standard_normal((c, 1, k, k))
         b = rng.standard_normal(c)
-        layer = ConvLayer(Tensor4(wt), bias=b, stride=s, padding=pad, dilation=r, groups=c)
+        layer = ConvLayer(wt, bias=b, stride=s, padding=pad, dilation=r, groups=c)
         got = conv2d(x, layer)
         want = conv2d_naive(x, wt, b, s, pad, r, c)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -105,7 +105,7 @@ class TestConv2d:
         span, table = tensor._tap_span, tensor._tap_index
         monkeypatch.setattr(tensor, "_tap_span", lambda *a: spans.append(a) or span(*a))
         monkeypatch.setattr(tensor, "_tap_index", lambda *a: tables.append(a) or table(*a))
-        layer = ConvLayer(Tensor4(rng.standard_normal((2, 1, k, k))), padding=k // 2, groups=2)
+        layer = ConvLayer(rng.standard_normal((2, 1, k, k)), padding=k // 2, groups=2)
         conv2d(rng.standard_normal((1, 2, h, w)), layer)
         assert (bool(spans), bool(tables)) == (shift_add, not shift_add)
 
@@ -113,7 +113,7 @@ class TestConv2d:
     def test_depthwise_small_map_batch_invariant_f32(self, rng, h, k, r):
         x = rng.standard_normal((8, 16, h, h)).astype(np.float32)
         wt = rng.standard_normal((16, 1, k, k)).astype(np.float32)
-        layer = ConvLayer(Tensor4(wt), padding=r * (k - 1) // 2, dilation=r, groups=16)
+        layer = ConvLayer(wt, padding=r * (k - 1) // 2, dilation=r, groups=16)
         batched = conv2d(x, layer)
         singles = [conv2d(x[i:i + 1], layer) for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
@@ -149,7 +149,7 @@ class TestConv2d:
         x = rng.standard_normal((2, c, h, w))
         wt = rng.standard_normal((c, 1, k, k))
         b = rng.standard_normal(c)
-        layer = ConvLayer(Tensor4(wt), bias=b, stride=s, padding=p, dilation=r, groups=c)
+        layer = ConvLayer(wt, bias=b, stride=s, padding=p, dilation=r, groups=c)
         got = conv2d(x, layer)
         assert spans
         np.testing.assert_allclose(got, conv2d_naive(x, wt, b, s, p, r, c), rtol=1e-12, atol=1e-12)
@@ -159,7 +159,7 @@ class TestConv2d:
         x = rng.standard_normal((8, c, h, h)).astype(np.float32)
         x0 = x.copy()
         wt = rng.standard_normal((c, 1, k, k)).astype(np.float32)
-        layer = ConvLayer(Tensor4(wt), padding=r * (k - 1) // 2, dilation=r, groups=c)
+        layer = ConvLayer(wt, padding=r * (k - 1) // 2, dilation=r, groups=c)
         batched = conv2d(x, layer)
         singles = [conv2d(x[i:i + 1], layer) for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
@@ -171,7 +171,7 @@ class TestConv2d:
     def test_matmul_form_batch_invariant_f32(self, rng, k, s, p, g):
         x = rng.standard_normal((8, 16, 12, 12)).astype(np.float32)
         wt = rng.standard_normal((24, 16 // g, k, k)).astype(np.float32)
-        layer = ConvLayer(Tensor4(wt), stride=s, padding=p, groups=g)
+        layer = ConvLayer(wt, stride=s, padding=p, groups=g)
         batched = conv2d(x, layer)
         singles = [conv2d(x[i:i + 1], layer) for i in range(8)]
         np.testing.assert_array_equal(batched, np.concatenate(singles))
@@ -187,7 +187,7 @@ class TestConv2d:
         x = rng.standard_normal((2, cin, 11, 13))
         w = rng.standard_normal((cout, cin // groups, 3, 3))
         b = rng.standard_normal(cout)
-        layer = ConvLayer(Tensor4(w), bias=b, stride=stride, padding=padding,
+        layer = ConvLayer(w, bias=b, stride=stride, padding=padding,
                           dilation=dilation, groups=groups)
         got = conv2d(x, layer)
         want = conv2d_naive(x, w, b, stride, padding, dilation, groups)
@@ -196,19 +196,19 @@ class TestConv2d:
     def test_pointwise_matches_naive(self, rng):
         x = rng.standard_normal((2, 5, 7, 7))
         w = rng.standard_normal((3, 5, 1, 1))
-        got = conv2d(x, ConvLayer(Tensor4(w)))
+        got = conv2d(x, ConvLayer(w))
         np.testing.assert_allclose(got, conv2d_naive(x, w), rtol=1e-12, atol=1e-12)
 
     def test_grouped_equals_independent_slices(self, rng):
         g, cin, cout = 2, 6, 4
         x = rng.standard_normal((1, cin, 9, 9))
         w = rng.standard_normal((cout, cin // g, 3, 3))
-        whole = conv2d(x, ConvLayer(Tensor4(w), padding=(1, 1), groups=g))
+        whole = conv2d(x, ConvLayer(w, padding=(1, 1), groups=g))
         parts = []
         for gi in range(g):
             xs = x[:, gi * (cin // g):(gi + 1) * (cin // g)]
             ws = w[gi * (cout // g):(gi + 1) * (cout // g)]
-            parts.append(conv2d(xs, ConvLayer(Tensor4(ws), padding=(1, 1))))
+            parts.append(conv2d(xs, ConvLayer(ws, padding=(1, 1))))
         np.testing.assert_allclose(whole, np.concatenate(parts, axis=1), rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -221,7 +221,7 @@ class TestConv2d:
         r = int(rng.integers(1, 4))
         oh = conv_output_size(h, k, s, p, r)
         ow = conv_output_size(w, k, s, p, r)
-        layer = ConvLayer(Tensor4(np.zeros((2, 3, k, k))), stride=(s, s),
+        layer = ConvLayer(np.zeros((2, 3, k, k)), stride=(s, s),
                           padding=(p, p), dilation=(r, r))
         if oh < 1 or ow < 1:
             with pytest.raises(GeometryError):
@@ -230,23 +230,23 @@ class TestConv2d:
             assert conv2d(np.zeros((1, 3, h, w)), layer).shape == (1, 2, oh, ow)
 
     def test_kernel_too_big_raises(self):
-        layer = ConvLayer(Tensor4(np.zeros((1, 1, 7, 7))))
+        layer = ConvLayer(np.zeros((1, 1, 7, 7)))
         with pytest.raises(GeometryError):
             conv2d(np.zeros((1, 1, 4, 4)), layer)
 
     def test_channel_mismatch(self):
-        layer = ConvLayer(Tensor4(np.zeros((2, 3, 1, 1))))
+        layer = ConvLayer(np.zeros((2, 3, 1, 1)))
         with pytest.raises(ShapeError):
             conv2d(np.zeros((1, 4, 3, 3)), layer)
 
     def test_dtype_mismatch(self):
-        layer = ConvLayer(Tensor4(np.zeros((1, 1, 1, 1), dtype=np.float32)))
+        layer = ConvLayer(np.zeros((1, 1, 1, 1), dtype=np.float32))
         with pytest.raises(ShapeError):
             conv2d(np.zeros((1, 1, 2, 2)), layer)
 
     def test_purity_bit_identical(self, rng):
         x = rng.standard_normal((2, 4, 10, 10))
-        layer = ConvLayer(Tensor4(rng.standard_normal((4, 4, 3, 3))), padding=(1, 1))
+        layer = ConvLayer(rng.standard_normal((4, 4, 3, 3)), padding=(1, 1))
         np.testing.assert_array_equal(conv2d(x, layer), conv2d(x, layer))
 
 

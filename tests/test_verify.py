@@ -13,7 +13,7 @@ from helpers import TOY
 def test_nan_branch_weight_gives_nan(rng):
     model = build_model(TOY, seed=0)
     conv, _ = model.stages[1][0].branches[1]
-    conv.weight.data[0, 0, 0, 0] = np.nan
+    np.asarray(conv.weight)[0, 0, 0, 0] = np.nan
     with np.errstate(invalid="ignore"):
         checks = dict(verify_model(model, rng, 2))
     assert math.isnan(checks.pop("stage2.block0")) and math.isnan(checks.pop("model"))
