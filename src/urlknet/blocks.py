@@ -66,8 +66,6 @@ class SeBlock:
 
 def se_forward(x: np.ndarray, se: SeBlock) -> np.ndarray:
     """Multiply x by its per-sample channel gate sigmoid(expand(relu(reduce(gap(x)))))."""
-    if x.shape[1] != se.channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, SE expects {se.channels}")
     pooled = x.mean(axis=(2, 3))                                       # (n, C)
     hidden = np.maximum(linear(pooled, se.reduce_weight, se.reduce_bias), 0)
     gate = expit(linear(hidden, se.expand_weight, se.expand_bias))
@@ -98,14 +96,8 @@ class FfnBlock:
             if layer.kernel_size != (1, 1):
                 raise ConfigError(f"FFN {name} must be a 1x1 conv")
 
-    @property
-    def channels(self) -> int:
-        return self.pw1.in_channels
-
 
 def ffn_forward(x: np.ndarray, ffn: FfnBlock) -> np.ndarray:
-    if x.shape[1] != ffn.channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, FFN expects {ffn.channels}")
     h = gelu(conv2d(x, ffn.pw1))
     h = grn(h, ffn.grn_gamma, ffn.grn_beta)
     return conv2d(h, ffn.pw2)
@@ -146,8 +138,6 @@ class BlockSpec:
 
 def block_forward(x: np.ndarray, b: BlockSpec) -> np.ndarray:
     """y = x + BN(SE(DW(x))); out = y + BN(FFN(y)). Shape preserved."""
-    if x.shape[1] != b.channels:
-        raise ShapeError(f"input has {x.shape[1]} channels, block expects {b.channels}")
     dw = conv2d(x, b.dw_conv) if b.merged else reparam_forward(x, b.branches)
     # each residual add goes into the branch output this call just allocated
     y = batchnorm_infer(se_forward(dw, b.se), b.post_dw_bn)

@@ -347,20 +347,13 @@ def build_named(name: str, seed: int = 0, in_channels: int = 3, num_classes: int
 # ---------------------------------------------------------------------------
 
 def forward_stages(model: ModelInstance, x) -> tuple:
-    """The four (n, c, h, w) stage maps of any array-like x, checked once on entry."""
-    x = checked_array(x)
-    if x.shape[1] != model.config.in_channels:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels, model expects {model.config.in_channels}"
-        )
-    if x.dtype != model.dtype:
-        raise ShapeError(f"input dtype {x.dtype} != model dtype {model.dtype}")
-    cur, outs = x, []
+    """Four (n, c, h, w) stage maps of array-like x; its stem's conv2d checks channels and dtype."""
+    cur, outs = checked_array(x), []
     for s, (down, stage) in enumerate(zip(model.downsamples, model.stages), start=1):
         try:
             cur = downsample_forward(cur, down)
-        except GeometryError as e:
-            raise GeometryError(f"{'stem' if s == 1 else f'transition{s}'}: {e}") from None
+        except (GeometryError, ShapeError) as e:
+            raise type(e)(f"{'stem' if s == 1 else f'transition{s}'}: {e}") from None
         for b in stage:
             cur = block_forward(cur, b)
         outs.append(cur)
@@ -384,8 +377,6 @@ def merge_for_deploy(model: ModelInstance) -> ModelInstance:
     Unchanged parameter arrays (downsamples, SE, pw1, GRN, head) are shared
     between the two instances, not copied.
     """
-    if model.merged:
-        raise StateError("model is already merged")
     stages = tuple(tuple(merge_block(b) for b in stage) for stage in model.stages)
     return replace(model, stages=stages)
 

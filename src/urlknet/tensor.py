@@ -386,6 +386,8 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """
     if x.ndim != 2 or x.shape[1] != weight.shape[1]:
         raise ShapeError(f"linear input must be (n, {weight.shape[1]}), got shape {x.shape}")
+    if np.shape(bias) != weight.shape[:1]:
+        raise ShapeError(f"linear bias must have shape {weight.shape[:1]}, got {np.shape(bias)}")
     return np.matmul(x[:, None, :], weight.T)[:, 0, :] + bias
 
 

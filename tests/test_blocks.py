@@ -10,9 +10,11 @@ from urlknet import (
     ConvLayer,
     FfnBlock,
     SeBlock,
+    ShapeError,
     StateError,
     batchnorm_infer,
     block_forward,
+    build_model,
     conv2d,
     downsample_forward,
     ffn_forward,
@@ -20,11 +22,12 @@ from urlknet import (
     gelu,
     grn,
     merge_block,
+    merge_for_deploy,
     se_forward,
 )
 from urlknet.reparam import stock_branches
 from urlknet.verify import relative_error
-from helpers import random_branches
+from helpers import TOY, random_branches
 from oracles import se_naive
 
 
@@ -216,6 +219,19 @@ class TestBlockForward:
             replace(merged, dw_conv=None)               # no depthwise stage at all
         with pytest.raises(StateError):
             replace(merged, branches=block.branches)    # fused conv and branches
+
+
+@pytest.mark.parametrize("merged", [False, True], ids=["train", "merged"])
+@pytest.mark.parametrize("fn,part", [
+    (block_forward, lambda b: b), (se_forward, lambda b: b.se), (ffn_forward, lambda b: b.ffn),
+], ids=["block", "se", "ffn"])
+def test_wrong_channel_count_is_left_to_the_first_op(merged, fn, part):
+    # a block function checks no channel count itself: the first op it calls does
+    model = build_model(TOY, seed=0)
+    block = (merge_for_deploy(model) if merged else model).stages[2][0]
+    x = np.zeros((2, block.channels + 1, 8, 8))
+    with pytest.raises(ShapeError):
+        fn(x, part(block))
 
 
 class TestDownsample:

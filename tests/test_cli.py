@@ -636,6 +636,21 @@ class TestBadInputs:
         assert "4-D" in captured.err
         assert not out.exists()
 
+    def test_forward_rejects_wrong_channel_input(self, capsys, tmp_path):
+        # the stem's conv checks the channel count, and forward_stages names the stage
+        weights = tmp_path / "a.urlk"
+        save_model(weights, build_named("A", seed=0))
+        x = tmp_path / "x.raw"
+        write_raw_array(x, np.zeros((1, 1, 32, 32)))
+        out = tmp_path / "logits.urlk"
+        code = main(["forward", "--model", "A", "--weights", str(weights),
+                     "--input", str(x), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: stem: ") and "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_forward_rejects_input_that_overflows_model_dtype(self, capsys, tmp_path):
         # 1e39 is finite in the f64 file but infinite once cast to the f32 model
         weights = tmp_path / "a.urlk"

@@ -191,12 +191,19 @@ class TestForward:
             forward(bad_model, np.zeros((1, 3, 32, 32)))
 
     def test_wrong_channel_count(self, model_a):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^stem: "):
             forward(model_a, np.zeros((1, 4, 64, 64)))
 
     def test_wrong_dtype(self, model_a):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="^stem: "):
             forward(model_a, np.zeros((1, 3, 64, 64), dtype=np.float32))
+
+    def test_head_bias_must_match_the_classes(self):
+        # linear checks its bias, so one bias cannot broadcast over every class
+        from dataclasses import replace as dc_replace
+        bad_model = dc_replace(build_model(TOY, seed=0), head_bias=np.zeros(1))
+        with pytest.raises(ShapeError, match="bias"):
+            forward(bad_model, np.zeros((1, 3, 32, 32)))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
     def test_plain_array_input_matches_tensor4(self, dtype):

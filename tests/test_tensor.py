@@ -304,6 +304,8 @@ class TestActivationsAndPooling:
             linear(np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(3))
         with pytest.raises(ShapeError):
             linear(np.zeros(5), np.zeros((3, 5)), np.zeros(3))
+        with pytest.raises(ShapeError):
+            linear(np.ones((2, 3)), np.ones((4, 3)), np.ones(1))
 
 
 class TestGrn:
