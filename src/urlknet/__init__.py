@@ -17,7 +17,6 @@ The package is organized around ten modules:
 from .errors import (
     ConfigError,
     FormatError,
-    GeometryError,
     ShapeError,
     StateError,
     UrlkError,

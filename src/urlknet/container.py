@@ -79,7 +79,7 @@ def write_container(
     payload = []
     offset = 0
     for name, arr in tensors:
-        arr = np.ascontiguousarray(arr)
+        arr = np.asarray(arr, order="C")  # ascontiguousarray would make a 0-d array 1-d
         le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         tag = _DTYPE_TAGS.get(le.dtype)
         if tag is None:

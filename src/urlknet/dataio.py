@@ -75,7 +75,7 @@ def write_raw_array(path: str | Path, array: np.ndarray, dtype: str = "f32") -> 
     path = Path(path)
     if dtype not in DTYPES:
         raise FormatError(f"dtype must be f32 or f64, got {dtype!r}")
-    arr = np.ascontiguousarray(array, dtype=DTYPES[dtype])
+    arr = np.asarray(array, dtype=DTYPES[dtype], order="C")  # keeps a 0-d array 0-d
     path.write_bytes(arr.tobytes())
     sidecar = path.with_name(path.name + ".json")
     sidecar.write_text(json.dumps({"shape": list(arr.shape), "dtype": dtype}))

@@ -14,10 +14,6 @@ class ShapeError(UrlkError, ValueError):
     """Dimension or channel-count mismatch between operands."""
 
 
-class GeometryError(UrlkError, ValueError):
-    """Convolution geometry produced a non-positive output size."""
-
-
 class ConfigError(UrlkError, ValueError):
     """Invalid parameter or configuration (even kernel, bad split, ...)."""
 

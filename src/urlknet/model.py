@@ -42,7 +42,7 @@ from .blocks import (
     downsample_forward,
     merge_block,
 )
-from .errors import ConfigError, FormatError, GeometryError, ShapeError, StateError
+from .errors import ConfigError, FormatError, ShapeError, StateError
 from .reparam import stock_branches
 from .tensor import BnParams, ConvLayer, batchnorm_infer, checked_array, linear
 
@@ -92,23 +92,20 @@ class ArchConfig:
         return (13, *(3,) * (n // self.stage3_lark - 1)) * self.stage3_lark
 
 
-# (N1, N2, N3, N4, stage-3 LarK count, C); reference param counts in millions
+# (N1, N2, N3, N4, stage-3 LarK count, C, reference param count in millions)
 _INSTANCE_ROWS = {
-    "A": (2, 2, 6, 2, 6, 40),
-    "F": (2, 2, 6, 2, 6, 48),
-    "P": (2, 2, 6, 2, 6, 64),
-    "N": (2, 2, 8, 2, 8, 80),
-    "T": (3, 3, 18, 3, 9, 80),
-    "S": (3, 3, 27, 3, 9, 96),
-    "B": (3, 3, 27, 3, 9, 128),
-    "L": (3, 3, 27, 3, 9, 192),
-    "XL": (3, 3, 27, 3, 9, 256),
+    "A": (2, 2, 6, 2, 6, 40, 4.4),
+    "F": (2, 2, 6, 2, 6, 48, 6.2),
+    "P": (2, 2, 6, 2, 6, 64, 10.7),
+    "N": (2, 2, 8, 2, 8, 80, 18.3),
+    "T": (3, 3, 18, 3, 9, 80, 31.0),
+    "S": (3, 3, 27, 3, 9, 96, 55.6),
+    "B": (3, 3, 27, 3, 9, 128, 97.9),
+    "L": (3, 3, 27, 3, 9, 192, 218.3),
+    "XL": (3, 3, 27, 3, 9, 256, 386.4),
 }
 
-REFERENCE_PARAMS_M = {
-    "A": 4.4, "F": 6.2, "P": 10.7, "N": 18.3, "T": 31.0,
-    "S": 55.6, "B": 97.9, "L": 218.3, "XL": 386.4,
-}
+REFERENCE_PARAMS_M = {name: row[-1] for name, row in _INSTANCE_ROWS.items()}
 
 INSTANCE_NAMES = tuple(_INSTANCE_ROWS)
 
@@ -117,7 +114,7 @@ def arch_config(name: str, in_channels: int = 3, num_classes: int = 1000) -> Arc
     """ArchConfig for one of the nine named instances (A F P N T S B L XL)."""
     if name not in _INSTANCE_ROWS:
         raise ConfigError(f"unknown model instance {name!r}; choose from {INSTANCE_NAMES}")
-    *depths, lark, width = _INSTANCE_ROWS[name]
+    *depths, lark, width, _ = _INSTANCE_ROWS[name]
     return ArchConfig(
         depths=tuple(depths),
         width=width,
@@ -129,7 +126,6 @@ def arch_config(name: str, in_channels: int = 3, num_classes: int = 1000) -> Arc
 
 @dataclass(frozen=True)
 class ModelInstance:
-    name: str
     config: ArchConfig
     downsamples: tuple[tuple[tuple[ConvLayer, BnParams], ...], ...]
     stages: tuple[tuple[BlockSpec, ...], ...]
@@ -140,6 +136,17 @@ class ModelInstance:
     def __post_init__(self):
         if len({b.merged for stage in self.stages for b in stage}) != 1:
             raise StateError("a model's blocks must be all merged or all train-structure")
+        # a set of dtypes, not of dtype.name, which costs more than the walk itself
+        dtypes = {arr.dtype for _, init, arr in _tensors(self) if init != "eps"}
+        if len(dtypes) != 1:
+            raise ShapeError(f"model tensors are {sorted(map(str, dtypes))}; a model holds one dtype")
+
+    @property
+    def name(self) -> str:
+        """The named instance whose arch_config is this config, or "custom" if none is."""
+        c = self.config
+        return next((n for n in INSTANCE_NAMES
+                     if arch_config(n, c.in_channels, c.num_classes) == c), "custom")
 
     @property
     def merged(self) -> bool:
@@ -152,6 +159,7 @@ class ModelInstance:
 
     @property
     def dtype(self) -> np.dtype:
+        """Read from the head, as __post_init__ holds every tensor but the BN eps to one dtype."""
         return self.head_weight.dtype
 
 
@@ -219,7 +227,7 @@ def _layout(cfg: ArchConfig, merged: bool):
     yield "head.fc.bias", (cfg.num_classes,), "zeros"
 
 
-def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance:
+def _assemble(cfg: ArchConfig, merged: bool, arrays) -> ModelInstance:
     """Turn arrays given in _layout order into the model objects."""
     take = iter(arrays).__next__
 
@@ -249,7 +257,7 @@ def _assemble(name: str, cfg: ArchConfig, merged: bool, arrays) -> ModelInstance
         downsamples.append(tuple((conv(2, 1), bn()) for _ in range(2 if s == 1 else 1)))
         stages.append(tuple(block(K, w) for K in cfg.stage_kernels(s)))
     return ModelInstance(
-        name=name, config=cfg, downsamples=tuple(downsamples), stages=tuple(stages),
+        config=cfg, downsamples=tuple(downsamples), stages=tuple(stages),
         head_bn=bn(), head_weight=take(), head_bias=take(),
     )
 
@@ -316,16 +324,15 @@ def _cast(init: str, arr: np.ndarray, dtype) -> np.ndarray:
     return arr if init == "eps" else arr.astype(np.dtype(dtype).type, copy=False)
 
 
-def build_model(cfg: ArchConfig, seed: int = 0, name: str = "custom",
-                dtype=np.float64) -> ModelInstance:
+def build_model(cfg: ArchConfig, seed: int = 0, dtype=np.float64) -> ModelInstance:
     """Deterministically initialize a train-structure model from a seed.
 
     Conv/linear/GRN parameters draw from a +-2 sigma truncated normal with
     std 0.02 in layout order, so equal seeds give bit-identical parameters.
     BN starts at identity statistics. Each tensor but the BN eps is drawn in
     f64 and cast to dtype at once, so the result is bit-identical to
-    model_astype(build_model(cfg, seed, name), dtype) without ever holding
-    the whole f64 model.
+    model_astype(build_model(cfg, seed), dtype) without ever holding the
+    whole f64 model.
     """
     rng = np.random.default_rng(seed)
     arrays = [
@@ -333,13 +340,12 @@ def build_model(cfg: ArchConfig, seed: int = 0, name: str = "custom",
               dtype)
         for _, shape, init in _layout(cfg, merged=False)
     ]
-    return _assemble(name, cfg, False, arrays)
+    return _assemble(cfg, False, arrays)
 
 
 def build_named(name: str, seed: int = 0, in_channels: int = 3, num_classes: int = 1000,
                 dtype=np.float64) -> ModelInstance:
-    return build_model(arch_config(name, in_channels, num_classes), seed=seed, name=name,
-                       dtype=dtype)
+    return build_model(arch_config(name, in_channels, num_classes), seed=seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +358,8 @@ def forward_stages(model: ModelInstance, x) -> tuple:
     for s, (down, stage) in enumerate(zip(model.downsamples, model.stages), start=1):
         try:
             cur = downsample_forward(cur, down)
-        except (GeometryError, ShapeError) as e:
-            raise type(e)(f"{'stem' if s == 1 else f'transition{s}'}: {e}") from None
+        except ShapeError as e:
+            raise ShapeError(f"{'stem' if s == 1 else f'transition{s}'}: {e}") from None
         for b in stage:
             cur = block_forward(cur, b)
         outs.append(cur)
@@ -384,7 +390,7 @@ def merge_for_deploy(model: ModelInstance) -> ModelInstance:
 def model_astype(model: ModelInstance, dtype) -> ModelInstance:
     """Convert every parameter array to the given element width (f32/f64)."""
     arrays = [_cast(init, arr, dtype) for _, init, arr in _tensors(model)]
-    return _assemble(model.name, model.config, model.merged, arrays)
+    return _assemble(model.config, model.merged, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -464,4 +470,4 @@ def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
         raise FormatError(
             f"container holds {len(extra)} unexpected tensor(s): {', '.join(extra[:5])} ..."
         )
-    return _assemble(name, config, merged, [arrays[tname] for tname, _, _ in layout])
+    return _assemble(config, merged, [arrays[tname] for tname, _, _ in layout])

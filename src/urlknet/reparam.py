@@ -89,15 +89,15 @@ def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
 
     A branch is a (conv, bn) pair. Each conv needs a square kernel k (odd, as
     equivalent_kernel_size requires), one dilation rate r, stride 1 and
-    padding (k-1)*r/2, so every branch preserves spatial size; its BN must
-    cover the conv's c_out channels (a ShapeError otherwise). The branches'
-    own geometry is the block's spec: K is the principal's (largest) kernel
-    size, every conv must map the same c channels to c with the same groups,
-    K must be >= 3, no branch may be wider than K, and exactly one branch
-    must be the (K, 1) principal. Every other violation is a ConfigError.
+    padding (k-1)*r/2, so every branch preserves spatial size (fuse_bn and
+    batchnorm_infer check its BN's width). The branches' own geometry is the
+    block's spec: K is the principal's (largest) kernel size, every conv must
+    map the same c channels to c with the same groups, K must be >= 3, no
+    branch may be wider than K, and exactly one branch must be the (K, 1)
+    principal. Every violation is a ConfigError.
     """
     spec = []
-    for conv, bn in branches:
+    for conv, _ in branches:
         (k, kw), (r, rw) = conv.kernel_size, conv.dilation
         if k != kw or r != rw:
             raise ConfigError(f"branch needs a square kernel and one dilation rate, "
@@ -108,8 +108,6 @@ def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
         if conv.padding != (half, half):
             raise ConfigError(f"branch with k={k}, r={r} must use padding {half}, "
                               f"got {conv.padding}")
-        if bn.channels != conv.out_channels:
-            raise ShapeError(f"branch BN channels {bn.channels} != conv c_out {conv.out_channels}")
         spec.append((k, r))
     groups = {conv.groups for conv, _ in branches}
     channels = {n for conv, _ in branches for n in (conv.in_channels, conv.out_channels)}

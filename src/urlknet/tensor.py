@@ -33,9 +33,9 @@ every other conv. Only the matmul reads the tap-window view `_windows`.
 All satisfy the same contract: the value at each output site equals the
 direct sliding-window sum over dilated taps, plus bias, up to the rounding of
 the summation order. A batched call is bit-identical to concatenated
-single-sample calls: every matmul runs one product per sample (the small-map
-form loops over samples for this), because folding the batch into one
-product's columns is not batch-invariant; the shift-add is elementwise.
+single-sample calls: every matmul runs one product per sample (per sample and
+channel in the small-map form), because folding the batch into one product's
+columns is not batch-invariant; the shift-add is elementwise.
 
 The elementwise ops work in place on buffers they allocate. GELU in float64 is
 the exact form 0.5*x*(1 + erf(x/sqrt(2))) with scipy's erf; in float32 erf is
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, GeometryError, ShapeError
+from .errors import ConfigError, ShapeError
 
 SUPPORTED_DTYPES = (np.float64, np.float32)
 
@@ -261,10 +261,9 @@ def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
                 + _tap_index(ow, w, sw, pw, dw, kw)[None, :, None, :])
         # np.take keeps m C-contiguous, which matmul needs to stay on BLAS
         m = np.take(wz.reshape(c, -1), taps, axis=1).reshape(c, oh * ow, h * w)
-        out = np.empty((n, c, oh * ow, 1), dtype=x.dtype)
-        for i in range(n):  # sample by sample, so a batch is bit-equal to single calls
-            np.matmul(m, x[i].reshape(c, h * w, 1), out=out[i])
-        return out.reshape(n, c, oh, ow)
+        # m broadcasts over the batch: one product per (sample, channel), so a batch
+        # is bit-equal to single calls
+        return np.matmul(m, x.reshape(n, c, h * w, 1)).reshape(n, c, oh, ow)
     # larger map: per-tap shift-add in (h, w, n, c) layout, so each pass is one long
     # contiguous broadcast over n*c; a tap adds only where it reads inside the map
     xt = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
@@ -287,7 +286,7 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     """2-D convolution with stride, zero-padding, dilation and channel groups.
 
     Output spatial size follows conv_output_size per axis; a non-positive
-    result raises GeometryError. The value at each site is the sliding-window
+    result raises ShapeError. The value at each site is the sliding-window
     sum over dilated taps plus bias.
     """
     w = layer.weight.data
@@ -307,7 +306,7 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
     oh = conv_output_size(ih, kh, sh, ph, dh)
     ow = conv_output_size(iw, kw, sw, pw, dw)
     if oh < 1 or ow < 1:
-        raise GeometryError(
+        raise ShapeError(
             f"kernel {kh}x{kw} (dilation {dh}x{dw}, padding {ph}x{pw}) does not fit "
             f"input {ih}x{iw}: output would be {oh}x{ow}"
         )

@@ -234,6 +234,40 @@ def test_wrong_channel_count_is_left_to_the_first_op(merged, fn, part):
         fn(x, part(block))
 
 
+def _widened(v):
+    return np.zeros(v.shape[0] + 1, dtype=v.dtype)
+
+
+# each edit gives a block one vector or kernel whose width only the op that reads it checks
+WRONG_WIDTH = {
+    "se-reduce-bias": lambda b: replace(b, se=replace(b.se, reduce_bias=_widened(b.se.reduce_bias))),
+    "se-expand-bias": lambda b: replace(b, se=replace(b.se, expand_bias=_widened(b.se.expand_bias))),
+    "grn-gamma": lambda b: replace(b, ffn=replace(b.ffn, grn_gamma=_widened(b.ffn.grn_gamma))),
+    "grn-beta": lambda b: replace(b, ffn=replace(b.ffn, grn_beta=_widened(b.ffn.grn_beta))),
+    "pw2-in": lambda b: replace(b, ffn=replace(b.ffn, pw2=ConvLayer(
+        np.zeros((b.channels, 2 * b.channels, 1, 1)), bias=np.zeros(b.channels)))),
+    "branch-bn": lambda b: replace(b, branches=(
+        b.branches[0], (b.branches[1][0], random_bn(np.random.default_rng(0), b.channels + 1)),
+        *b.branches[2:])),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_WIDTH)
+def test_wrong_width_constructs_and_the_op_rejects_it(case):
+    # linear, grn, conv2d, fuse_bn and batchnorm_infer each check the width they read,
+    # so the block constructs and its forward (or, for a branch BN, its merge) raises
+    bad = WRONG_WIDTH[case](build_model(TOY, seed=0).stages[1][0])
+    x = np.zeros((1, bad.channels, 4, 4))
+    with pytest.raises(ShapeError):
+        block_forward(x, bad)
+    if case == "branch-bn":
+        with pytest.raises(ShapeError, match="BN has"):
+            merge_block(bad)
+    else:
+        with pytest.raises(ShapeError):
+            block_forward(x, merge_block(bad))
+
+
 class TestDownsample:
     def _stem(self, rng, cin, c):
         return (

@@ -10,7 +10,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from urlknet import FormatError, build_model, build_named, forward, merge_for_deploy, model_astype
+from urlknet import (
+    FormatError,
+    arch_config,
+    build_model,
+    build_named,
+    forward,
+    merge_for_deploy,
+    model_astype,
+)
 from urlknet import container
 from urlknet.container import (
     MAGIC,
@@ -45,6 +53,16 @@ class TestRoundTrip:
         for name in original:
             np.testing.assert_array_equal(original[name], restored[name], err_msg=name)
 
+    def test_container_names_the_architecture_it_holds(self, tmp_path):
+        # the name is derived from the config: a model built from A's config saves as A,
+        # and build_model takes no name that could claim another instance
+        path = tmp_path / "a.urlk"
+        save_model(path, build_model(arch_config("A", num_classes=7), seed=0))
+        assert read_container(path)[0]["model_name"] == "A"
+        assert load_model(path).name == "A"
+        with pytest.raises(TypeError):
+            build_model(arch_config("S"), name="A")
+
     def test_merged_f32_roundtrip(self, tmp_path):
         model = model_astype(merge_for_deploy(build_named("A", seed=0)), np.float32)
         path = tmp_path / "a32.urlk"
@@ -78,11 +96,13 @@ class TestRoundTrip:
     # 24-byte runs split the payload between tensors and leave "mid" a buffer of its own
     @pytest.mark.parametrize("run_bytes", [container._RUN_BYTES, 24])
     def test_zero_element_tensors_roundtrip(self, tmp_path, monkeypatch, run_bytes):
-        # empty tensors first, between and last: each reads back with its shape and dtype
+        # empty tensors first, between and last, and a 0-d one: each reads back with its
+        # shape and dtype
         monkeypatch.setattr(container, "_RUN_BYTES", run_bytes)
         path = tmp_path / "empty.urlk"
         written = [("lead", np.zeros((0, 4), dtype=np.float32)),
                    ("mid", np.arange(4, dtype=np.float64)),
+                   ("scalar", np.array(2.5, dtype=np.float32)),
                    ("gap", np.zeros((2, 0, 3))),
                    ("tail", np.zeros(0, dtype=np.float32))]
         write_container(path, written)
@@ -110,7 +130,7 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back, arr)
 
     def test_manifest_contents(self, tmp_path):
-        model = build_model(TOY, seed=0, name="custom")
+        model = build_model(TOY, seed=0)
         path = tmp_path / "toy.urlk"
         save_model(path, model)
         manifest, tensors = read_container(path)
@@ -170,7 +190,7 @@ class TestMalformedFiles:
             read_container(path)
 
     def test_shape_mismatch_vs_manifest(self, tmp_path):
-        model = build_model(TOY, seed=0, name="custom-toy")
+        model = build_model(TOY, seed=0)
         arrays = state_dict(model)
         arrays["head.fc.bias"] = np.zeros(11)
         path = tmp_path / "shape.urlk"
@@ -312,7 +332,7 @@ class TestMalformedManifest:
             read_container(path)
 
     def test_duplicate_tensor_name(self, tmp_path):
-        model = build_model(TOY, seed=0, name="custom")
+        model = build_model(TOY, seed=0)
         tensors = list(iter_state(model))
         first = tensors[0]
         assert first[0] == "stem.conv1.weight"
@@ -345,7 +365,7 @@ class TestPinnedBytes:
     @pytest.mark.parametrize("name", ["TOY", "TOY3", "A"])
     def test_save_model_bytes(self, tmp_path, name):
         toys = {"TOY": TOY, "TOY3": TOY3}
-        train = build_model(toys[name], seed=0, name="custom") if name in toys else build_named("A", seed=0)
+        train = build_model(toys[name], seed=0) if name in toys else build_named("A", seed=0)
         for mode, model in (("train-structure", train), ("merged", merge_for_deploy(train))):
             for tag, dtype in (("f64", np.float64), ("f32", np.float32)):
                 path = tmp_path / f"{name}-{mode}-{tag}.urlk"
@@ -361,9 +381,9 @@ def sha256(path):
 class TestReplace:
     def test_failed_write_leaves_old_container(self, tmp_path, monkeypatch):
         path = tmp_path / "toy.urlk"
-        save_model(path, build_model(TOY, seed=0, name="custom"))
+        save_model(path, build_model(TOY, seed=0))
         old = path.read_bytes()
-        new = build_model(TOY, seed=1, name="custom")
+        new = build_model(TOY, seed=1)
         # fail once half of the new payload has been written
         limit = len(old) - sum(arr.nbytes for _, arr in iter_state(new)) // 2
 

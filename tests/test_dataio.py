@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from urlknet.dataio import read_raw_array, read_timeseries_csv, write_raw_array
+from urlknet.dataio import DTYPES, read_raw_array, read_timeseries_csv, write_raw_array
 from urlknet.errors import FormatError
 
 
@@ -36,6 +36,18 @@ def test_csv_is_parsed_into_one_array(tmp_path):
         tracemalloc.stop()
     np.testing.assert_array_equal(got, values.reshape(4, 5000, 8))
     assert peak < 1.5 * values.nbytes, f"peak {peak} bytes for a {values.nbytes}-byte array"
+
+
+@pytest.mark.parametrize("tag", ["f32", "f64"])
+@pytest.mark.parametrize("shape", [(), (2, 3, 4)], ids=["0-d", "3-d"])
+def test_raw_array_roundtrip(tmp_path, shape, tag):
+    # write_raw_array -> read_raw_array keeps shape, dtype and values, a 0-d array included
+    path = tmp_path / "x.raw"
+    values = np.arange(np.prod(shape), dtype=np.float64).reshape(shape) + 0.5
+    write_raw_array(path, values, tag)
+    got = read_raw_array(path)
+    assert got.shape == shape and got.dtype == DTYPES[tag]
+    np.testing.assert_array_equal(got, values)
 
 
 def test_raw_file_shrunk_after_size_check(tmp_path, monkeypatch):

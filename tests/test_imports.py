@@ -72,3 +72,14 @@ def test_tensor4_is_named_only_in_tensor_py():
         or (isinstance(node, ast.alias) and "Tensor4" in (node.name, node.asname))
     ]
     assert named == []
+
+
+def test_error_classes():
+    # one class per kind of fault: a kernel that does not fit its input is a ShapeError
+    import urlknet
+    from urlknet import errors
+    want = {"UrlkError", "ShapeError", "ConfigError", "StateError", "FormatError"}
+    for module in (urlknet, errors):
+        found = {name for name, value in vars(module).items()
+                 if isinstance(value, type) and issubclass(value, Exception)}
+        assert found == want, module.__name__

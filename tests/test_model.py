@@ -7,7 +7,6 @@ import pytest
 from urlknet import (
     ArchConfig,
     ConfigError,
-    GeometryError,
     ShapeError,
     StateError,
     arch_config,
@@ -151,6 +150,21 @@ class TestBuild:
         del train, model
         gc.collect()
 
+    def test_name_is_derived_from_the_config(self):
+        # a config equal to a named instance's, at any in_channels and num_classes, is that
+        # instance; any other is "custom"
+        assert build_model(arch_config("A", in_channels=1, num_classes=7)).name == "A"
+        assert build_model(TOY).name == "custom"
+        assert merge_for_deploy(build_named("A")).name == "A"
+
+    def test_tensors_hold_one_dtype(self):
+        # dtype reads the head, so an f32 head on an f64 model would misreport it
+        from dataclasses import replace as dc_replace
+        m = build_model(TOY, seed=0)
+        with pytest.raises(ShapeError, match="one dtype"):
+            dc_replace(m, head_weight=m.head_weight.astype(np.float32),
+                       head_bias=m.head_bias.astype(np.float32))
+
     def test_init_is_bounded(self):
         m = build_model(TOY, seed=3)
         for name, arr in iter_state(m):
@@ -187,7 +201,7 @@ class TestForward:
         ((conv, bn),) = model_a.downsamples[3]
         bad_transition = ((dc_replace(conv, padding=(0, 0)), bn),)
         bad_model = dc_replace(model_a, downsamples=(*model_a.downsamples[:3], bad_transition))
-        with pytest.raises(GeometryError, match="transition4"):
+        with pytest.raises(ShapeError, match="^transition4: kernel .* does not fit"):
             forward(bad_model, np.zeros((1, 3, 32, 32)))
 
     def test_wrong_channel_count(self, model_a):

@@ -261,7 +261,7 @@ class TestMerge:
         ((3, 3), (1, 2), (1, 2), 2, ConfigError, "one dilation rate"),
         ((4, 4), (1, 1), (1, 1), 2, ConfigError, "must be odd"),
         ((3, 3), (1, 1), (2, 2), 2, ConfigError, "must use padding 2"),
-        ((3, 3), (1, 1), (1, 1), 3, ShapeError, "branch BN channels 3"),
+        ((3, 3), (1, 1), (1, 1), 3, ShapeError, "BN has 3"),
     ], ids=["non-square", "two-rates", "even-k", "bad-padding", "bn-channels"])
     def test_branch_rule_checked(self, rng, shape, padding, dilation, bn_c, exc, match):
         # a principal plus one malformed branch: each per-branch rule is checked

@@ -4,7 +4,6 @@ import pytest
 from urlknet import (
     BnParams,
     ConvLayer,
-    GeometryError,
     ShapeError,
     batchnorm_infer,
     conv2d,
@@ -224,14 +223,14 @@ class TestConv2d:
         layer = ConvLayer(np.zeros((2, 3, k, k)), stride=(s, s),
                           padding=(p, p), dilation=(r, r))
         if oh < 1 or ow < 1:
-            with pytest.raises(GeometryError):
+            with pytest.raises(ShapeError, match="does not fit"):
                 conv2d(np.zeros((1, 3, h, w)), layer)
         else:
             assert conv2d(np.zeros((1, 3, h, w)), layer).shape == (1, 2, oh, ow)
 
     def test_kernel_too_big_raises(self):
         layer = ConvLayer(np.zeros((1, 1, 7, 7)))
-        with pytest.raises(GeometryError):
+        with pytest.raises(ShapeError, match="does not fit"):
             conv2d(np.zeros((1, 1, 4, 4)), layer)
 
     def test_channel_mismatch(self):
