@@ -16,8 +16,9 @@ Writing never truncates a container in place. The path is resolved through
 symlinks, the bytes go to a new hidden temp file beside the target (opened
 exclusively, named with the pid and a random suffix), and only once that file
 is complete and closed is the old target removed and the temp renamed onto
-the free name. A failed write removes the temp and leaves the old container
-as it was; an OSError becomes a FormatError. The file is not fsynced.
+the free name. A failure before the removal deletes the temp and leaves the
+old container as it was; a failed rename after it keeps the temp and names it
+in the error. Any OSError becomes a FormatError. The file is not fsynced.
 Neither truncating the old file nor renaming over it (os.replace) is used:
 on ext4 with the default auto_da_alloc, closing a file truncated to zero, or
 renaming onto an existing file, starts writeback of the whole new file. Writing
@@ -111,13 +112,16 @@ def write_container(
                 fh.write(le.data)
         with contextlib.suppress(FileNotFoundError):
             os.remove(target)
-        os.rename(tmp, target)
     except BaseException as e:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         if isinstance(e, OSError):
             raise FormatError(f"cannot write {path}: {e.strerror or e}") from None
         raise
+    try:
+        os.rename(tmp, target)
+    except OSError as e:  # the old file is gone, so the temp holds the only copy
+        raise FormatError(f"cannot write {path}: {e.strerror or e}; kept as {tmp}") from None
 
 
 def read_container(path: str | Path) -> tuple[dict, list[tuple[str, np.ndarray]]]:

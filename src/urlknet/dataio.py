@@ -42,8 +42,6 @@ def read_raw_array(path: str | Path) -> np.ndarray:
     """Load a raw little-endian float array described by its JSON sidecar."""
     path = Path(path)
     sidecar = path.with_name(path.name + ".json")
-    if not sidecar.exists():
-        raise FormatError(f"missing shape sidecar {sidecar}")
     try:
         meta = json.loads(sidecar.read_text())
         shape_value = meta["shape"]

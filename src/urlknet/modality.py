@@ -28,10 +28,8 @@ def most_square_grid(n: int) -> tuple[int, int]:
     """Factor n as rows*cols with rows <= cols, rows as large as possible."""
     if n < 1:
         raise ConfigError(f"frame count must be positive, got {n}")
-    for rows in range(int(np.sqrt(n)), 0, -1):
-        if n % rows == 0:
-            return rows, n // rows
-    return 1, n
+    rows = next(r for r in range(int(np.sqrt(n)), 0, -1) if n % r == 0)  # r = 1 always divides
+    return rows, n // rows
 
 
 def embed_time_series(data, nodes: int, projection, target_hw: tuple[int, int]) -> np.ndarray:

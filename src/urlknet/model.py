@@ -42,7 +42,7 @@ from .blocks import (
     downsample_forward,
     merge_block,
 )
-from .errors import ConfigError, FormatError, ShapeError, StateError
+from .errors import ConfigError, FormatError, ShapeError, StateError, UrlkError
 from .reparam import stock_branches
 from .tensor import BnParams, ConvLayer, batchnorm_infer, checked_array, linear
 
@@ -137,7 +137,10 @@ class ModelInstance:
         if len({b.merged for stage in self.stages for b in stage}) != 1:
             raise StateError("a model's blocks must be all merged or all train-structure")
         # a set of dtypes, not of dtype.name, which costs more than the walk itself
-        dtypes = {arr.dtype for _, init, arr in _tensors(self) if init != "eps"}
+        try:
+            dtypes = {arr.dtype for _, init, arr in _tensors(self) if init != "eps"}
+        except ValueError:  # _tensors' zip(strict=True): more or fewer tensors than the config's
+            raise ShapeError("the model's blocks do not match its config") from None
         if len(dtypes) != 1:
             raise ShapeError(f"model tensors are {sorted(map(str, dtypes))}; a model holds one dtype")
 
@@ -429,8 +432,8 @@ def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
 
     The architecture comes from the instance name; input channels and class
     count are inferred from the stem and head tensor shapes. An empty one of
-    these, missing tensors, extra tensors, shape mismatches, mixed dtypes or a
-    BN eps not in f64 raise FormatError.
+    these, missing, extra or mis-shaped tensors, a BN eps not in f64, and any
+    tensor the model objects reject (mixed dtypes, eps <= 0) raise FormatError.
     """
     if mode not in (TRAIN_MODE, MERGED_MODE):
         raise FormatError(f"unknown mode {mode!r}")
@@ -457,17 +460,15 @@ def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
             raise FormatError(
                 f"tensor {tname!r} has shape {tuple(arrays[tname].shape)}, expected {shape}"
             )
-    # one dtype for the model, and every BN eps in f64, as save_model writes them
-    dtypes = {arrays[tname].dtype.name for tname, _, init in layout if init != "eps"}
-    eps_dtypes = {arrays[tname].dtype.name for tname, _, init in layout if init == "eps"}
-    if len(dtypes) != 1 or eps_dtypes != {"float64"}:
-        raise FormatError(
-            f"container tensors are {sorted(dtypes)} and BN eps {sorted(eps_dtypes)}; "
-            "a model holds one dtype, with every eps in float64"
-        )
+    # every BN eps in f64, as save_model writes it; ModelInstance checks the one dtype
+    if any(arrays[tname].dtype != np.float64 for tname, _, init in layout if init == "eps"):
+        raise FormatError("a model holds one dtype, with every BN eps in float64")
     extra = sorted(arrays.keys() - {tname for tname, _, _ in layout})
     if extra:
         raise FormatError(
             f"container holds {len(extra)} unexpected tensor(s): {', '.join(extra[:5])} ..."
         )
-    return _assemble(config, merged, [arrays[tname] for tname, _, _ in layout])
+    try:
+        return _assemble(config, merged, [arrays[tname] for tname, _, _ in layout])
+    except UrlkError as e:
+        raise FormatError(f"container holds a malformed model: {e}") from None

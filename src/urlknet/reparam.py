@@ -36,9 +36,9 @@ def equivalent_kernel_size(k: int, r: int) -> int:
 
 
 def dilate_kernel(weight: np.ndarray, r: int) -> np.ndarray:
-    """Expand a (c_out, c_in/g, k, k) kernel at dilation r to its non-dilated equivalent.
+    """Expand a (c_out, c_in/g, kh, kw) kernel at dilation r to its non-dilated equivalent.
 
-    Zero insertion: entry (i, j) lands at (i*r, j*r) of a ((k-1)*r+1)-sized
+    Zero insertion: entry (i, j) lands at (i*r, j*r) of a ((kh-1)*r+1, (kw-1)*r+1)
     kernel and every other entry is exactly zero. r == 1 returns the weight.
     """
     if r < 1:
@@ -46,9 +46,7 @@ def dilate_kernel(weight: np.ndarray, r: int) -> np.ndarray:
     if r == 1:
         return weight
     c_out, cin_g, kh, kw = weight.shape
-    if kh != kw:
-        raise ShapeError(f"expected a square kernel, got shape {weight.shape}")
-    out = np.zeros((c_out, cin_g, (kh - 1) * r + 1, (kh - 1) * r + 1), dtype=weight.dtype)
+    out = np.zeros((c_out, cin_g, (kh - 1) * r + 1, (kw - 1) * r + 1), dtype=weight.dtype)
     out[..., ::r, ::r] = weight
     return out
 

@@ -134,6 +134,23 @@ class TestFfnBlock:
         np.testing.assert_allclose(ffn_forward(x, ffn), manual, rtol=1e-12)
 
 
+def _ffn(pw2_shape):
+    return FfnBlock(pw1=ConvLayer(np.zeros((16, 4, 1, 1))), grn_gamma=np.zeros(16),
+                    grn_beta=np.zeros(16), pw2=ConvLayer(np.zeros(pw2_shape)))
+
+
+@pytest.mark.parametrize("make,exc,match", [
+    # a (1, C/4) expand weight with a (1,) bias would broadcast one gate over every channel
+    (lambda: SeBlock(np.zeros((2, 8)), np.zeros(2), np.zeros((1, 2)), np.zeros(1)),
+     ShapeError, "SE expand weight shape"),
+    (lambda: _ffn((8, 16, 1, 1)), ShapeError, "pw2 maps to 8 channels, expected 4"),
+    (lambda: _ffn((4, 16, 3, 3)), ConfigError, "pw2 must be a 1x1 conv"),
+], ids=["se-expand-rows", "ffn-pw2-out", "ffn-pw2-3x3"])
+def test_block_part_shapes_checked(make, exc, match):
+    with pytest.raises(exc, match=match):
+        make()
+
+
 class TestBlockForward:
     def test_identity_preserving_zero_config(self, rng):
         # zero DW weights, zero post-DW BN affine, zero FFN projection and zero

@@ -125,6 +125,14 @@ class TestBench:
         assert env["thread_env"] == {v: os.environ.get(v) for v in (
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
 
+    def test_blas_is_null_without_config_dicts(self, monkeypatch):
+        # numpy before 1.25 has no show_config(mode=...), and pyproject allows numpy >= 1.24
+        def old_show_config():
+            pass
+
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        assert cli._environment()["blas"] is None
+
     def test_too_few_runs(self, capsys):
         code, _ = run(capsys, ["bench", "--model", "A", "--runs", "3"])
         assert code == 2
@@ -456,6 +464,10 @@ def _bad_input(tmp_path, case):
         shape = [1, 2.9, 3] if case == "sidecar-float-shape" else [True, 4, 4]
         (tmp_path / "x.raw.json").write_text(json.dumps({"shape": shape}))
         return ["--modality", "audio", "--input", str(raw)], "malformed shape"
+    if case == "sidecar-missing":
+        write_raw_array(raw, np.zeros((1, 4, 4)))
+        (tmp_path / "x.raw.json").unlink()
+        return ["--modality", "audio", "--input", str(raw)], "bad sidecar"
     if case == "sidecar-overflow-shape":
         # 2**64 elements wrapped to 0 in int64, which the empty file matched
         raw.write_bytes(b"")
@@ -480,6 +492,12 @@ def _bad_input(tmp_path, case):
     if case == "csv-not-utf8":
         csv_file.write_bytes(b"1,2\n\xff\xfe,3\n" * 4)
         return [*ts, "--input", str(csv_file)], "not a text CSV"
+    if case == "csv-batch-0":
+        csv_file.write_text("1,2\n" * 8)
+        return [*ts, "--batch", "0", "--input", str(csv_file)], "batch must be positive"
+    if case == "ts-no-map-size":
+        write_raw_array(raw, np.zeros((1, 8, 2)))
+        return ["--modality", "time-series", "--input", str(raw)], "explicit --height and --width"
     if case == "csv-nan":
         csv_file.write_text("1,2\nnan,3\n" * 4)
         return [*ts, "--input", str(csv_file)], "NaN or infinite"
@@ -490,6 +508,12 @@ def _bad_input(tmp_path, case):
         # (-1) * (-2) equals the frame count, so only the sign check rejects it
         write_raw_array(raw, np.zeros((1, 2, 3, 4, 4)))
         return ["--modality", "video", "--grid=-1x-2", "--input", str(raw)], "positive"
+    if case == "video-grid-text":
+        write_raw_array(raw, np.zeros((1, 16, 3, 4, 4)))
+        return ["--modality", "video", "--grid", "4by4", "--input", str(raw)], "like 4x4"
+    if case == "video-no-frames":
+        write_raw_array(raw, np.zeros((1, 0, 3, 4, 4)))
+        return ["--modality", "video", "--input", str(raw)], "frame count must be positive"
     if case == "ts-negative-map":
         # 8 steps x latent 4 = 32 cells = (-4) * (-8)
         write_raw_array(raw, np.zeros((1, 8, 4)))
@@ -525,11 +549,12 @@ def _bad_input(tmp_path, case):
 class TestBadInputs:
     @pytest.mark.parametrize("case", [
         "sidecar-dtype-list", "sidecar-negative-shape", "sidecar-float-shape",
-        "sidecar-bool-shape", "sidecar-overflow-shape", "manifest-overflow-shape",
-        "projection-nan", "projection-data-missing", "csv-missing", "csv-not-utf8", "csv-nan",
-        "raw-inf", "video-negative-grid", "ts-negative-map", "projection-0d",
-        "pointcloud-empty-batch", "ts-rank-2", "ts-nodes-3", "projection-rank-3", "audio-rank-2",
-        "video-rank-4",
+        "sidecar-bool-shape", "sidecar-overflow-shape", "sidecar-missing",
+        "manifest-overflow-shape", "projection-nan", "projection-data-missing", "csv-missing",
+        "csv-not-utf8", "csv-nan", "csv-batch-0", "raw-inf", "video-negative-grid",
+        "video-grid-text", "video-no-frames", "ts-negative-map", "ts-no-map-size",
+        "projection-0d", "pointcloud-empty-batch", "ts-rank-2", "ts-nodes-3",
+        "projection-rank-3", "audio-rank-2", "video-rank-4",
     ])
     def test_embed_exits_2_without_traceback(self, capsys, tmp_path, case):
         args, message = _bad_input(tmp_path, case)
@@ -559,11 +584,13 @@ class TestBadInputs:
         ["verify", "--adhoc", "K=13", "--seed", "-1"],
         ["bench", "--model", "A", "--seed", "-1"],
         ["verify", "--adhoc", "in=4000000", "out=4000000", "K=99999", "k=3", "r=3", "--trials", "1"],
+        ["verify", "--adhoc", "K13"],
+        ["verify", "--adhoc", "K=5", "k=3", "r=3"],
     ], ids=["trials-0", "trials-negative", "adhoc-trials-0", "adhoc-K-not-int", "adhoc-groups-0",
             "adhoc-in-negative", "adhoc-K-even", "adhoc-k-even", "adhoc-r-0", "model-and-adhoc",
             "tolerance-nan", "tolerance-negative", "tolerance-inf", "bench-res-negative",
             "bench-batch-negative", "verify-seed-negative", "bench-seed-negative",
-            "adhoc-beyond-address-space"])
+            "adhoc-beyond-address-space", "adhoc-no-equals", "adhoc-branch-wider-than-K"])
     def test_bad_count_or_size_exits_2_without_traceback(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
@@ -619,6 +646,27 @@ class TestBadInputs:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "NaN or infinite" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case,message", [
+        ("model-container", "expected a single-tensor container, found"),
+        ("sidecar-missing", "bad sidecar"),
+    ])
+    def test_forward_rejects_unreadable_input(self, capsys, tmp_path, case, message):
+        weights = tmp_path / "a.urlk"
+        save_model(weights, build_named("A", seed=0))
+        x = tmp_path / "x.raw"
+        if case == "model-container":
+            x = weights
+        else:
+            write_raw_array(x, np.zeros((1, 3, 32, 32)))
+            (tmp_path / "x.raw.json").unlink()
+        out = tmp_path / "logits.urlk"
+        code = main(["forward", "--model", "A", "--weights", str(weights),
+                     "--input", str(x), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert message in captured.err and "Traceback" not in captured.err
         assert not out.exists()
 
     def test_forward_rejects_3d_input(self, capsys, tmp_path):

@@ -249,6 +249,25 @@ class TestMalformedFiles:
         with pytest.raises(FormatError, match="one dtype"):
             load_model(mixed_dtype_weights)
 
+    @pytest.mark.parametrize("tensor,value,match", [
+        ("stage1.block0.bn1.eps", 0.0, "eps must be > 0"),
+        ("stage2.block0.bn1.running_var", -1.0, "running_var entries must be >= 0"),
+    ], ids=["eps-0", "negative-var"])
+    def test_rejected_bn_statistics_are_format_errors(self, tmp_path, tensor, value, match):
+        # BnParams rejects these; loaded from a file, they are a malformed container
+        arrays = state_dict(build_named("A", seed=0))
+        arrays[tensor] = np.full_like(arrays[tensor], value)
+        path = tmp_path / "bn.urlk"
+        write_container(path, list(arrays.items()), model_name="A", mode="train-structure")
+        with pytest.raises(FormatError, match=match):
+            load_model(path)
+
+    def test_unsupported_dtype_is_not_written(self, tmp_path):
+        path = tmp_path / "i.urlk"
+        with pytest.raises(FormatError, match="unsupported dtype int32"):
+            save_tensor(path, "x", np.zeros(3, dtype=np.int32))
+        assert list(tmp_path.iterdir()) == []
+
 
 def write_raw_manifest(path, manifest, payload=b""):
     blob = json.dumps(manifest).encode()
@@ -401,6 +420,48 @@ class TestReplace:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["toy.urlk"]
         assert isinstance(info.value, FormatError) and "No space left" in str(info.value)
+
+    def test_interrupted_write_leaves_old_container(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.urlk"
+        save_tensor(path, "x", np.zeros(3))
+        old = path.read_bytes()
+
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        # the header is packed once the temp file is open
+        monkeypatch.setattr(container, "struct", SimpleNamespace(pack=interrupt))
+        with pytest.raises(KeyboardInterrupt):
+            save_tensor(path, "x", np.ones(3))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t.urlk"]
+
+    @pytest.mark.parametrize("window", ["remove", "rename"])
+    def test_failed_swap(self, tmp_path, monkeypatch, window):
+        # before the old file is removed, the temp goes and the old file stays; after it,
+        # the complete temp is kept and named, since it holds the only container
+        path = tmp_path / "t.urlk"
+        save_tensor(path, "x", np.zeros(3))
+        old = path.read_bytes()
+        real = getattr(os, window)
+
+        def full(src, *args):
+            if window == "rename" or src == os.path.realpath(path):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real(src, *args)
+
+        monkeypatch.setattr(os, window, full)
+        with pytest.raises(FormatError, match="No space left") as info:
+            save_tensor(path, "x", np.ones(3))
+        monkeypatch.undo()
+        left = [p.name for p in tmp_path.iterdir()]
+        if window == "remove":
+            assert left == ["t.urlk"] and path.read_bytes() == old
+        else:
+            (tmp,) = left
+            assert tmp.startswith(".t.urlk.") and tmp.endswith(".tmp")
+            assert os.path.realpath(tmp_path / tmp) in str(info.value)
+            np.testing.assert_array_equal(load_tensor(tmp_path / tmp)[1], np.ones(3))
 
     def test_overwrite_matches_fresh_export(self, tmp_path):
         fresh, reused = tmp_path / "fresh.urlk", tmp_path / "reused.urlk"

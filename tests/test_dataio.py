@@ -58,3 +58,17 @@ def test_raw_file_shrunk_after_size_check(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=64))
     with pytest.raises(FormatError, match="holds 40 bytes"):
         read_raw_array(path)
+
+
+def test_raw_reader_and_writer_reject_bad_files(tmp_path):
+    # no sidecar: reading it is what fails, naming the sidecar
+    with pytest.raises(FormatError, match="bad sidecar .*x.raw.json"):
+        read_raw_array(tmp_path / "x.raw")
+    # a directory where the data file should be, beside a valid sidecar
+    (tmp_path / "d.raw").mkdir()
+    (tmp_path / "d.raw.json").write_text('{"shape": [0]}')
+    with pytest.raises(FormatError, match="cannot read"):
+        read_raw_array(tmp_path / "d.raw")
+    with pytest.raises(FormatError, match="dtype must be f32 or f64, got 'f16'"):
+        write_raw_array(tmp_path / "h.raw", np.zeros(2), "f16")
+    assert not (tmp_path / "h.raw").exists()

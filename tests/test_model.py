@@ -112,10 +112,20 @@ class TestNamedConfigs:
     def test_all_lark_stage3(self):
         assert arch_config("N").stage_kernels(3) == (13,) * 8
 
-    def test_invalid_split_rejected(self):
+    @pytest.mark.parametrize("fields,match", [
         # N3 = 5 over 2 LarK blocks would leave 3 SmaK: not 0, 2 or 4
-        with pytest.raises(ConfigError, match="1, 2 or 3 times"):
-            ArchConfig(depths=(1, 1, 5, 1), width=8, stage3_lark=2)
+        ({"depths": (1, 1, 5, 1), "stage3_lark": 2}, "1, 2 or 3 times"),
+        ({"depths": (1, 1, 1)}, "four positive ints"),
+        ({"depths": (1, 0, 1, 1)}, "four positive ints"),
+        ({"width": 10}, "multiple of 4"),
+        ({"width": 4}, "multiple of 4"),
+        ({"in_channels": 0}, "must be positive"),
+        ({"num_classes": 0}, "must be positive"),
+    ], ids=["split-5-over-2", "three-depths", "zero-depth", "width-10", "width-4",
+            "no-input-channels", "no-classes"])
+    def test_invalid_config_rejected(self, fields, match):
+        with pytest.raises(ConfigError, match=match):
+            ArchConfig(**{"depths": (1, 1, 1, 1), "width": 8, "stage3_lark": 1, **fields})
 
     def test_split_must_match_depth(self):
         # N3 = 4 over one LarK block would need 3 SmaK blocks after it
@@ -164,6 +174,19 @@ class TestBuild:
         with pytest.raises(ShapeError, match="one dtype"):
             dc_replace(m, head_weight=m.head_weight.astype(np.float32),
                        head_bias=m.head_bias.astype(np.float32))
+
+    @pytest.mark.parametrize("cut", ["stage4-empty", "lark-two-branches"])
+    def test_blocks_must_match_the_config(self, cut):
+        # _tensors pairs the config's layout with the blocks; a mismatch is a ShapeError
+        from dataclasses import replace as dc_replace
+        m = build_model(TOY, seed=0)
+        if cut == "stage4-empty":
+            stages = (*m.stages[:3], ())
+        else:
+            lark = m.stages[1][0]
+            stages = (m.stages[0], (dc_replace(lark, branches=lark.branches[:2]),), *m.stages[2:])
+        with pytest.raises(ShapeError, match="do not match its config"):
+            dc_replace(m, stages=stages)
 
     def test_init_is_bounded(self):
         m = build_model(TOY, seed=3)

@@ -93,6 +93,16 @@ class TestDilateKernel:
         with pytest.raises(ConfigError):
             dilate_kernel(np.zeros((1, 1, 3, 3)), 0)
 
+    def test_rectangular_kernel_matches_naive_dilated_conv(self, rng):
+        # a 3x5 kernel at r=2 expands to 5x9 and replays the dilated conv
+        x = rng.standard_normal((2, 2, 11, 13))
+        w = rng.standard_normal((3, 2, 3, 5))
+        wide = dilate_kernel(w, 2)
+        assert wide.shape == (3, 2, 5, 9)
+        want = conv2d_naive(x, w, padding=(2, 4), dilation=(2, 2))
+        got = conv2d(x, ConvLayer(wide, padding=(2, 4)))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
 
 class TestFuseBn:
     def test_identity_statistics_keep_layer(self, rng):

@@ -3,6 +3,7 @@ import pytest
 
 from urlknet import (
     BnParams,
+    ConfigError,
     ConvLayer,
     ShapeError,
     batchnorm_infer,
@@ -41,6 +42,34 @@ class TestTensor4:
         bare, wrapped = ConvLayer(w, groups=2), ConvLayer(Tensor4(w), groups=2)
         assert type(bare.weight) is Tensor4
         np.testing.assert_array_equal(bare.weight.data, wrapped.weight.data)
+
+
+_W = np.zeros((2, 1, 3, 3))
+_ONES, _ZEROS = np.ones(2), np.zeros(2)
+
+
+@pytest.mark.parametrize("make,exc,match", [
+    (lambda: ConvLayer(_W, stride=(1, 1, 1)), ConfigError, "stride must be an int or a pair"),
+    (lambda: ConvLayer(_W, groups=0), ConfigError, "groups must be >= 1"),
+    (lambda: ConvLayer(_W, stride=0), ConfigError, "must be positive"),
+    (lambda: ConvLayer(_W, dilation=(1, 0)), ConfigError, "must be positive"),
+    (lambda: ConvLayer(_W, padding=(0, -1)), ConfigError, "padding must be non-negative"),
+    (lambda: ConvLayer(np.zeros((3, 1, 3, 3)), groups=2), ShapeError, "not divisible by groups"),
+    # a (1,) bias would broadcast over every output channel
+    (lambda: ConvLayer(_W, bias=np.zeros(1)), ShapeError, "bias shape"),
+    # an f64 bias would be cast into the f32 output without an error
+    (lambda: ConvLayer(_W.astype(np.float32), bias=_ZEROS), ShapeError, "bias dtype"),
+    (lambda: BnParams(_ONES, _ZEROS, _ZEROS, np.ones((2, 1))), ShapeError, "must be 1-D"),
+    (lambda: BnParams(_ONES, np.zeros(3), _ZEROS, _ONES), ShapeError, "disagree on channel count"),
+    (lambda: BnParams(_ONES, _ZEROS, _ZEROS, _ONES, eps=0.0), ConfigError, "eps must be > 0"),
+    (lambda: BnParams(_ONES, _ZEROS, _ZEROS, _ONES, eps=float("nan")), ConfigError,
+     "eps must be > 0"),
+], ids=["pair-length", "groups-0", "stride-0", "dilation-0", "padding-negative",
+        "c_out-groups", "bias-shape", "bias-dtype", "bn-rank", "bn-lengths", "bn-eps-0",
+        "bn-eps-nan"])
+def test_layer_parameters_checked(make, exc, match):
+    with pytest.raises(exc, match=match):
+        make()
 
 
 class TestConv2d:

@@ -6,7 +6,7 @@ import pytest
 
 from urlknet import ConfigError, build_model, build_named
 from urlknet import cli, verify
-from urlknet.verify import adhoc_scenario, verify_model
+from urlknet.verify import adhoc_scenario, relative_error, verify_model
 from helpers import TOY
 
 
@@ -56,3 +56,9 @@ def test_verify_model_zero_trials_rejected_before_merge(rng, monkeypatch):
     monkeypatch.setattr(verify, "merge_for_deploy", no_merge)
     with pytest.raises(ConfigError, match="trials must be >= 1"):
         verify_model(build_named("A", seed=0), rng, 0)
+
+
+def test_relative_error_against_a_zero_reference():
+    # with nothing to divide by, the error is the absolute sum of the actual values
+    assert relative_error(np.zeros(4), np.zeros(4)) == 0.0
+    assert relative_error(np.array([1.0, -2.0]), np.zeros(2)) == 3.0
