@@ -134,12 +134,14 @@ class ModelInstance:
     head_bias: np.ndarray
 
     def __post_init__(self):
-        if len({b.merged for stage in self.stages for b in stage}) != 1:
+        if len({b.merged for stage in self.stages for b in stage}) > 1:
             raise StateError("a model's blocks must be all merged or all train-structure")
         # a set of dtypes, not of dtype.name, which costs more than the walk itself
         try:
             dtypes = {arr.dtype for _, init, arr in _tensors(self) if init != "eps"}
-        except ValueError:  # _tensors' zip(strict=True): more or fewer tensors than the config's
+        # no first block for self.merged to read, or _tensors' zip(strict=True) found more
+        # or fewer tensors than the config's
+        except (IndexError, ValueError):
             raise ShapeError("the model's blocks do not match its config") from None
         if len(dtypes) != 1:
             raise ShapeError(f"model tensors are {sorted(map(str, dtypes))}; a model holds one dtype")

@@ -5,26 +5,41 @@ once, where it enters the package (a forward input, an embedder output, a
 conv weight). The reference numeric type is float64; float32 storage exists
 for the benchmarking paths. All ops are pure functions of their arrays: they
 never mutate their inputs and identical inputs produce bit-identical outputs.
+The one state is what a depthwise layer keeps of its weight (below), which
+changes no output.
 
 Convolution comes in three forms: two for depthwise convs and one matmul for
 every other conv. Only the matmul reads the tap-window view `_windows`.
 
-* depthwise — one of two forms, picked from the map and kernel sizes:
-    - small map (h*w and oh*ow both <= min(kh*kw, 64)): each channel is a
-      dense (oh*ow, h*w) matrix whose entries are the kernel taps that link
-      an output site to an input site (0 where none does), applied to each
-      sample by one matrix-vector product per channel. It does no more
-      multiply-adds per output than the tap sum, and its transient matrix
-      holds c*(oh*ow)*(h*w) <= c*min(kh*kw, 64)**2 elements. The 64-site cap
-      is measured: the matrix is rebuilt and streamed on every call, and at
-      batch 8 under 13x13 it still beat the shift-add on 8x8 and 4x4 maps.
-    - larger map: an unpadded, channels-last per-tap shift-add. The input is
-      laid out as (h, w, n, c), and each kernel tap adds w[tap] * (the input
+* depthwise — one of two forms, picked by the map size and the live taps: the
+  kernel rows that reach the map (a non-empty `_tap_span`) times the kernel
+  columns that do. 13x13 on a 2x2 map has 3*3 = 9 live taps.
+    - dense, where h*w and oh*ow are both <= 64 and at least 25 taps are
+      live: each channel is a dense (oh*ow, h*w) matrix whose entries are the
+      kernel taps that link an output site to an input site (0 where none
+      does), applied to each sample by one matrix-vector product per channel.
+      It holds c*(oh*ow)*(h*w) <= c*64**2 elements, about 24x a 13x13 weight.
+    - otherwise: an unpadded, channels-last per-tap shift-add. The input is
+      laid out as (h, w, n, c), and each live tap adds w[tap] * (the input
       rows and columns it reads) into the output rows and columns it reaches,
-      one contiguous broadcast over n*c per tap. The span arithmetic
-      (`_tap_span`) covers stride, dilation and per-axis padding, so nothing
-      is padded, and a tap that reads only padding costs nothing. Taps are
-      summed in row-major order from zero.
+      one contiguous broadcast over n*c per tap, with the weight tiled to
+      (kh, kw, n, c). The span arithmetic (`_tap_span`) covers stride,
+      dilation and per-axis padding, so nothing is padded, and a tap that
+      reads only padding costs nothing. Taps are summed in row-major order
+      from zero.
+  The 25-tap floor is measured (f32): the shift-add was faster under k7 r2
+  on 4x4 maps, under k5, k7 r2 and k3 r3 on 2x2 at batch 8, and under 13x13
+  on 2x2 at batch 1; and k3 on 4x4 maps stays on it because a one-shot
+  forward at batch 1, which builds the matrix for one product, ran slower
+  with it dense. The rule reads neither the batch size nor a clock, so a
+  batched call runs the same form as its single-sample calls and the forms
+  are deterministic.
+  A layer keeps its tap matrix (keyed by map size and dtype) or its tiled
+  weight (keyed by batch size and dtype) from the second call with the same
+  key on, one entry per form, and a new key replaces the entry. A first call
+  keeps nothing, so a one-shot forward (a model built, run once and dropped)
+  pays no memory for it. A kept array is used only while the weight's bytes
+  equal the copy taken when it was built; otherwise it is rebuilt.
 * every other conv — one BLAS matmul of the (g, c_out/g, c_in/g*kh*kw)
   weight against the tap-window view `_windows` (the padded input as an
   (n, c, oh, ow, kh, kw) strided view) laid out as (n, g, c_in/g*kh*kw,
@@ -47,7 +62,7 @@ shift taken from the BN statistics, or per sample from GRN's channel norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -121,6 +136,8 @@ class ConvLayer:
     padding: tuple[int, int] = (0, 0)
     dilation: tuple[int, int] = (1, 1)
     groups: int = 1
+    # depthwise only: the weight-side arrays conv2d keeps, one entry per form (see _kept)
+    _plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weight", Tensor4(self.weight))
@@ -225,8 +242,10 @@ def _tap_index(out_size, in_size, stride, pad, dilation, k):
     return np.where((rem == 0) & (t >= 0) & (t < k), t, k)
 
 
-# largest map (in sites) given the dense depthwise form; see the module docstring
+# the dense depthwise form runs on maps of at most this many sites, under kernels
+# with at least this many taps that reach the map; see the module docstring
 _DENSE_MAX_SITES = 64
+_DENSE_MIN_TAPS = 25
 
 
 def _windows(x, kh, kw, sh, sw, ph, pw, dh, dw):
@@ -249,31 +268,52 @@ def _tap_span(out_size, in_size, stride, pad, dilation, t):
     return lo, hi, lo * stride + off
 
 
-def _conv2d_depthwise(x, weight, sh, sw, ph, pw, dh, dw, oh, ow):
+def _kept(layer, form, key, build):
+    """build(), kept in layer._plan[form] as (key, array, weight bytes) from the second
+    call with this key on, and reused while the weight's bytes are unchanged."""
+    entry = layer._plan.get(form)
+    if entry is None or entry[0] != key:
+        layer._plan[form] = (key, None, None)
+        return build()
+    # compared as bytes, so any in-place write to the weight is seen
+    weight = layer.weight.data.tobytes()
+    if entry[2] != weight:
+        entry = layer._plan[form] = (key, build(), weight)
+    return entry[1]
+
+
+def _conv2d_depthwise(x, layer, oh, ow):
     n, c, h, w = x.shape
-    kh, kw = weight.shape[2], weight.shape[3]
-    if max(h * w, oh * ow) <= min(kh * kw, _DENSE_MAX_SITES):
-        # small map: each channel is one dense (oh*ow, h*w) matrix of kernel taps,
-        # gathered from the weight with a zero tap appended for sites no tap reaches
-        wz = np.zeros((c, kh + 1, kw + 1), dtype=x.dtype)
-        wz[:, :kh, :kw] = weight[:, 0]
-        taps = (_tap_index(oh, h, sh, ph, dh, kh)[:, None, :, None] * (kw + 1)
-                + _tap_index(ow, w, sw, pw, dw, kw)[None, :, None, :])
-        # np.take keeps m C-contiguous, which matmul needs to stay on BLAS
-        m = np.take(wz.reshape(c, -1), taps, axis=1).reshape(c, oh * ow, h * w)
+    weight = layer.weight.data
+    kh, kw = layer.kernel_size
+    (sh, sw), (ph, pw), (dh, dw) = layer.stride, layer.padding, layer.dilation
+    rows = [_tap_span(oh, h, sh, ph, dh, i) for i in range(kh)]
+    cols = [_tap_span(ow, w, sw, pw, dw, j) for j in range(kw)]
+    live = sum(r1 > r0 for r0, r1, _ in rows) * sum(c1 > c0 for c0, c1, _ in cols)
+    if max(h * w, oh * ow) <= _DENSE_MAX_SITES and live >= _DENSE_MIN_TAPS:
+        def taps():
+            # each channel is one dense (oh*ow, h*w) matrix of kernel taps, gathered
+            # from the weight with a zero tap appended for sites no tap reaches
+            wz = np.zeros((c, kh + 1, kw + 1), dtype=x.dtype)
+            wz[:, :kh, :kw] = weight[:, 0]
+            index = (_tap_index(oh, h, sh, ph, dh, kh)[:, None, :, None] * (kw + 1)
+                     + _tap_index(ow, w, sw, pw, dw, kw)[None, :, None, :])
+            # np.take keeps m C-contiguous, which matmul needs to stay on BLAS
+            return np.take(wz.reshape(c, -1), index, axis=1).reshape(c, oh * ow, h * w)
+
+        m = _kept(layer, "dense", (h, w, x.dtype), taps)
         # m broadcasts over the batch: one product per (sample, channel), so a batch
         # is bit-equal to single calls
         return np.matmul(m, x.reshape(n, c, h * w, 1)).reshape(n, c, oh, ow)
-    # larger map: per-tap shift-add in (h, w, n, c) layout, so each pass is one long
-    # contiguous broadcast over n*c; a tap adds only where it reads inside the map
+    # per-tap shift-add in (h, w, n, c) layout, so each pass is one long contiguous
+    # broadcast over n*c; a tap adds only where it reads inside the map
     xt = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
     # (kh, kw, n, c): the weight repeated per sample, so a tap's multiply also runs over n*c
-    wt = np.tile(weight[:, 0].transpose(1, 2, 0)[:, :, None], (1, 1, n, 1))
+    wt = _kept(layer, "tiled", (n, x.dtype),
+               lambda: np.tile(weight[:, 0].transpose(1, 2, 0)[:, :, None], (1, 1, n, 1)))
     out = np.zeros((oh, ow, n, c), dtype=x.dtype)
     tmp = np.empty_like(out)
-    cols = [_tap_span(ow, w, sw, pw, dw, j) for j in range(kw)]
-    for i in range(kh):
-        r0, r1, ri = _tap_span(oh, h, sh, ph, dh, i)
+    for i, (r0, r1, ri) in enumerate(rows):
         for j, (c0, c1, ci) in enumerate(cols):
             if r1 <= r0 or c1 <= c0:
                 continue
@@ -312,7 +352,7 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
         )
 
     if layer.is_depthwise:
-        out = _conv2d_depthwise(x, w, sh, sw, ph, pw, dh, dw, oh, ow)
+        out = _conv2d_depthwise(x, layer, oh, ow)
     else:
         # one (c_out/g, ck) @ (ck, oh*ow) product per sample and group; for a 1x1,
         # stride-1, unpadded kernel the reshape is a view of x and copies nothing

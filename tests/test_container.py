@@ -162,6 +162,13 @@ class TestMalformedFiles:
         with pytest.raises(FormatError):
             read_container(path)
 
+    def test_trailing_payload_bytes(self, tmp_path):
+        path = tmp_path / "long.urlk"
+        save_tensor(path, "x", np.ones((4, 4)))
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(FormatError, match="payload holds 136 bytes but manifest accounts for 128"):
+            read_container(path)
+
     def test_file_shrunk_after_size_check(self, tmp_path, monkeypatch):
         path = tmp_path / "shrunk.urlk"
         save_tensor(path, "x", np.ones((4, 4)))

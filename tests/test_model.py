@@ -175,13 +175,19 @@ class TestBuild:
             dc_replace(m, head_weight=m.head_weight.astype(np.float32),
                        head_bias=m.head_bias.astype(np.float32))
 
-    @pytest.mark.parametrize("cut", ["stage4-empty", "lark-two-branches"])
+    @pytest.mark.parametrize("cut", ["stage4-empty", "lark-two-branches", "no-stages",
+                                     "every-stage-empty"])
     def test_blocks_must_match_the_config(self, cut):
-        # _tensors pairs the config's layout with the blocks; a mismatch is a ShapeError
+        # _tensors pairs the config's layout with the blocks; a mismatch is a ShapeError,
+        # also when there is no block to read the model's mode from
         from dataclasses import replace as dc_replace
         m = build_model(TOY, seed=0)
         if cut == "stage4-empty":
             stages = (*m.stages[:3], ())
+        elif cut == "no-stages":
+            stages = ()
+        elif cut == "every-stage-empty":
+            stages = ((), (), (), ())
         else:
             lark = m.stages[1][0]
             stages = (m.stages[0], (dc_replace(lark, branches=lark.branches[:2]),), *m.stages[2:])

@@ -14,7 +14,10 @@ from urlknet import (
     linear,
 )
 from urlknet import tensor
+from urlknet.model import build_model, forward, merge_for_deploy, model_astype
+from urlknet.reparam import stock_branches
 from urlknet.tensor import Tensor4
+from helpers import TOY
 from oracles import batchnorm_naive, conv2d_naive, grn_naive
 
 
@@ -103,9 +106,9 @@ class TestConv2d:
         (3, 2, 3, 1, 5),
         (6, 6, 13, 2, 1),     # stride 2
         (5, 7, 3, 2, 1),
-        (13, 13, 13, 1, 1),   # h*w == k*k, over the 64-site cap: the shift-add form
-        (3, 3, 3, 1, 1),      # h*w == k*k: the dense form
-        (10, 17, 13, 1, 1),   # h*w == k*k + 1: the shift-add form
+        (13, 13, 13, 1, 1),   # over the 64-site cap: the shift-add form
+        (3, 3, 3, 1, 1),      # 9 live taps: the shift-add form
+        (10, 17, 13, 1, 1),   # 170 sites: the shift-add form
         (2, 5, 3, 1, 1),
         (8, 8, 13, 1, 1),     # h*w == 64, the cap: the dense form
         (5, 13, 13, 1, 1),    # h*w == 65: the shift-add form
@@ -123,21 +126,55 @@ class TestConv2d:
         want = conv2d_naive(x, wt, b, s, pad, r, c)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    # which form runs: only the shift-add form takes tap spans, only the dense form a tap table
-    @pytest.mark.parametrize("h,w,k,shift_add", [
-        (8, 8, 13, False), (5, 13, 13, True), (9, 9, 13, True),
-        (3, 3, 3, False), (2, 5, 3, True), (7, 7, 7, False),
-    ])
-    def test_depthwise_form_rule(self, rng, monkeypatch, h, w, k, shift_add):
-        spans, tables = [], []
-        span, table = tensor._tap_span, tensor._tap_index
-        monkeypatch.setattr(tensor, "_tap_span", lambda *a: spans.append(a) or span(*a))
-        monkeypatch.setattr(tensor, "_tap_index", lambda *a: tables.append(a) or table(*a))
-        layer = ConvLayer(rng.standard_normal((2, 1, k, k)), padding=k // 2, groups=2)
-        conv2d(rng.standard_normal((1, 2, h, w)), layer)
-        assert (bool(spans), bool(tables)) == (shift_add, not shift_add)
+    # which form runs: only the dense form builds tap tables (both forms count live taps
+    # by tap spans); dense iff at most 64 sites and at least 25 taps reach the map.
+    # (h, w, k, r, shift_add), with r in the id only where it is not 1
+    FORMS = [
+        (8, 8, 13, 1, False), (5, 13, 13, 1, True), (9, 9, 13, 1, True),
+        (3, 3, 3, 1, True),     # 9 live taps: the shift-add
+        (2, 5, 3, 1, True), (7, 7, 7, 1, False),
+        (8, 8, 5, 1, False),    # 25 live taps
+        (8, 8, 7, 2, False),    # 49 live taps
+        (2, 2, 13, 1, True),    # 9 of 169 taps reach a 2x2 map
+        (4, 4, 7, 2, True),     # 9 of 49 taps reach a 4x4 map
+        (4, 4, 5, 1, False),    # all 25 taps reach a 4x4 map
+    ]
 
-    @pytest.mark.parametrize("h,k,r", [(8, 13, 1), (4, 7, 2), (2, 13, 1)])
+    @pytest.mark.parametrize("h,w,k,r,shift_add", FORMS, ids=[
+        f"{h}-{w}-{k}{f'r{r}' if r > 1 else ''}-{sa}" for h, w, k, r, sa in FORMS])
+    def test_depthwise_form_rule(self, rng, monkeypatch, h, w, k, r, shift_add):
+        tables, table = [], tensor._tap_index
+        monkeypatch.setattr(tensor, "_tap_index", lambda *a: tables.append(a) or table(*a))
+        layer = ConvLayer(rng.standard_normal((2, 1, k, k)), padding=r * (k - 1) // 2,
+                          dilation=r, groups=2)
+        conv2d(rng.standard_normal((1, 2, h, w)), layer)
+        assert bool(tables) == (not shift_add)
+
+    # every stock LarK branch (k, r) and the SmaK k3 on the maps of stages 2-4 at res 64
+    # (8, 4, 2 px) and of stage 4 at res 224 (7 px), f64 against the scalar oracle; the
+    # form follows the live taps, (2*min(k//2, (size-1)//r) + 1)**2 on a square map
+    @pytest.mark.parametrize("size", [2, 4, 7, 8])
+    @pytest.mark.parametrize("k,r", [*stock_branches(13), (3, 1)])
+    def test_depthwise_stock_branches_match_naive(self, rng, monkeypatch, size, k, r):
+        tables, table = [], tensor._tap_index
+        monkeypatch.setattr(tensor, "_tap_index", lambda *a: tables.append(a) or table(*a))
+        c = 3
+        x = rng.standard_normal((2, c, size, size))
+        wt = rng.standard_normal((c, 1, k, k))
+        b = rng.standard_normal(c)
+        pad = r * (k - 1) // 2
+        layer = ConvLayer(wt, bias=b, padding=pad, dilation=r, groups=c)
+        got = conv2d(x, layer)
+        assert bool(tables) == ((2 * min(k // 2, (size - 1) // r) + 1) ** 2 >= 25)
+        np.testing.assert_allclose(got, conv2d_naive(x, wt, b, (1, 1), (pad, pad), (r, r), c),
+                                   rtol=1e-12, atol=1e-12)
+
+    # every case but the first is a geometry whose form the live-tap rule changed (from
+    # "h*w <= min(k*k, 64)"): dense at 8x8 under k5 and k7 r2; the shift-add at 3x3
+    # under k3, at 4x4 under k7 r2, and at 2x2 under every stock branch
+    @pytest.mark.parametrize("h,k,r", [(8, 13, 1), (4, 7, 2), (2, 13, 1), (8, 5, 1), (8, 7, 2),
+                                       (3, 3, 1), (2, 5, 1), (2, 7, 2), (2, 3, 3), (2, 3, 4),
+                                       (2, 3, 5)])
     def test_depthwise_small_map_batch_invariant_f32(self, rng, h, k, r):
         x = rng.standard_normal((8, 16, h, h)).astype(np.float32)
         wt = rng.standard_normal((16, 1, k, k)).astype(np.float32)
@@ -276,6 +313,82 @@ class TestConv2d:
         x = rng.standard_normal((2, 4, 10, 10))
         layer = ConvLayer(rng.standard_normal((4, 4, 3, 3)), padding=(1, 1))
         np.testing.assert_array_equal(conv2d(x, layer), conv2d(x, layer))
+
+
+def _held(layer):
+    """{form: (key, whether an array is kept)} of a depthwise layer's plan."""
+    return {form: (key, arr is not None) for form, (key, arr, _) in layer._plan.items()}
+
+
+def _depthwise_layers(m):
+    return [conv for stage in m.stages for b in stage
+            for conv, _ in (b.branches or ((b.dw_conv, None),))]
+
+
+class TestDepthwisePlan:
+    """A depthwise layer keeps its tap matrix (dense form) or tiled weight (shift-add) from
+    the second call with one map size, batch size and dtype on, while its weight is unchanged."""
+
+    # (h, k): 8x8 under 13x13 runs the dense form, 16x16 under 3x3 the shift-add
+    SHAPES = {"dense": (8, 13), "tiled": (16, 3)}
+
+    def _layer(self, rng, form):
+        h, k = self.SHAPES[form]
+        layer = ConvLayer(rng.standard_normal((4, 1, k, k)).astype(np.float32),
+                          padding=k // 2, groups=4)
+        return layer, rng.standard_normal((2, 4, h, h)).astype(np.float32)
+
+    @pytest.mark.parametrize("form", ["dense", "tiled"])
+    def test_kept_from_the_second_call(self, rng, form):
+        layer, x = self._layer(rng, form)
+        first = conv2d(x, layer)
+        assert [held for _, held in _held(layer).values()] == [False]
+        np.testing.assert_array_equal(conv2d(x, layer), first)
+        assert list(_held(layer)) == [form] and _held(layer)[form][1]
+        np.testing.assert_array_equal(conv2d(x, layer), first)
+
+    @pytest.mark.parametrize("form", ["dense", "tiled"])
+    def test_weight_written_in_place_is_seen(self, rng, form):
+        layer, x = self._layer(rng, form)
+        conv2d(x, layer)
+        before = conv2d(x, layer)
+        layer.weight.data[:, :, 1, 1] += 0.5
+        after = conv2d(x, layer)
+        fresh = ConvLayer(layer.weight.data.copy(), padding=layer.padding, groups=4)
+        np.testing.assert_array_equal(after, conv2d(x, fresh))
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(conv2d(x, layer), after)
+
+    def test_new_map_or_batch_size_replaces_the_entry(self, rng):
+        dense, x = self._layer(rng, "dense")
+        conv2d(x, dense)
+        conv2d(x, dense)
+        x7 = np.ascontiguousarray(x[:, :, :7, :7])    # 49 sites: still the dense form
+        got = conv2d(x7, dense)
+        assert _held(dense) == {"dense": ((7, 7, np.float32), False)}
+        np.testing.assert_array_equal(got, conv2d(x7, ConvLayer(dense.weight.data, padding=6,
+                                                                groups=4)))
+        tiled, x = self._layer(rng, "tiled")
+        conv2d(x, tiled)
+        batched = conv2d(x, tiled)
+        single = conv2d(x[:1], tiled)
+        assert _held(tiled) == {"tiled": ((1, np.float32), False)}
+        np.testing.assert_array_equal(single, batched[:1])
+
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_one_forward_keeps_nothing_and_repeats_are_bit_identical(self, merged):
+        m = build_model(TOY, seed=0, dtype=np.float32)
+        m = merge_for_deploy(m) if merged else m
+        x = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
+        layers = _depthwise_layers(m)
+        first = forward(m, x)
+        assert {form for layer in layers for form in layer._plan} == {"dense", "tiled"}
+        assert not any(held for layer in layers for _, held in _held(layer).values())
+        for _ in range(2):
+            np.testing.assert_array_equal(forward(m, x), first)
+        assert all(held for layer in layers for _, held in _held(layer).values())
+        # a converted copy builds new layers, which start with nothing kept
+        assert not any(layer._plan for layer in _depthwise_layers(model_astype(m, np.float64)))
 
 
 class TestBatchNorm:
