@@ -22,11 +22,11 @@ every other conv. Only the matmul reads the tap-window view `_windows`.
     - otherwise: an unpadded, channels-last per-tap shift-add. The input is
       laid out as (h, w, n, c), and each live tap adds w[tap] * (the input
       rows and columns it reads) into the output rows and columns it reaches,
-      one contiguous broadcast over n*c per tap, with the weight tiled to
-      (kh, kw, n, c). The span arithmetic (`_tap_span`) covers stride,
-      dilation and per-axis padding, so nothing is padded, and a tap that
-      reads only padding costs nothing. Taps are summed in row-major order
-      from zero.
+      one contiguous broadcast over n*c per tap, with the live taps of the
+      weight tiled to (live rows, live cols, n, c). The span arithmetic
+      (`_tap_span`) covers stride, dilation and per-axis padding, so nothing
+      is padded, and a tap that reads only padding is never visited. Live
+      taps are summed in row-major order from zero.
   The 25-tap floor is measured (f32): the shift-add was faster under k7 r2
   on 4x4 maps, under k5, k7 r2 and k3 r3 on 2x2 at batch 8, and under 13x13
   on 2x2 at batch 1; and k3 on 4x4 maps stays on it because a one-shot
@@ -34,11 +34,11 @@ every other conv. Only the matmul reads the tap-window view `_windows`.
   with it dense. The rule reads neither the batch size nor a clock, so a
   batched call runs the same form as its single-sample calls and the forms
   are deterministic.
-  A layer keeps its tap matrix (keyed by map size and dtype) or its tiled
-  weight (keyed by batch size and dtype) from the second call with the same
-  key on, one entry per form, and a new key replaces the entry. A first call
-  keeps nothing, so a one-shot forward (a model built, run once and dropped)
-  pays no memory for it. A kept array is used only while the weight's bytes
+  A layer keeps one entry, keyed by the input's shape and dtype: the tap
+  matrix, or the shift-add's tiled live taps. It is kept from the second call
+  with the same key on, and a new key replaces it. A first call keeps
+  nothing, so a one-shot forward (a model built, run once and dropped) pays
+  no memory for it. A kept array is used only while the weight's bytes
   equal the copy taken when it was built; otherwise it is rebuilt.
 * every other conv — one BLAS matmul of the (g, c_out/g, c_in/g*kh*kw)
   weight against the tap-window view `_windows` (the padded input as an
@@ -136,8 +136,9 @@ class ConvLayer:
     padding: tuple[int, int] = (0, 0)
     dilation: tuple[int, int] = (1, 1)
     groups: int = 1
-    # depthwise only: the weight-side arrays conv2d keeps, one entry per form (see _kept)
-    _plan: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # depthwise only: the one (key, array, weight bytes) entry conv2d keeps, keyed by the
+    # input's shape and dtype; the shift-add keeps only its live taps (see _kept)
+    _plan: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weight", Tensor4(self.weight))
@@ -268,18 +269,17 @@ def _tap_span(out_size, in_size, stride, pad, dilation, t):
     return lo, hi, lo * stride + off
 
 
-def _kept(layer, form, key, build):
-    """build(), kept in layer._plan[form] as (key, array, weight bytes) from the second
+def _kept(layer, key, build):
+    """build(), kept in layer._plan as (key, array, weight bytes) from the second
     call with this key on, and reused while the weight's bytes are unchanged."""
-    entry = layer._plan.get(form)
-    if entry is None or entry[0] != key:
-        layer._plan[form] = (key, None, None)
+    if layer._plan[0] != key:
+        object.__setattr__(layer, "_plan", (key, None, None))
         return build()
     # compared as bytes, so any in-place write to the weight is seen
     weight = layer.weight.data.tobytes()
-    if entry[2] != weight:
-        entry = layer._plan[form] = (key, build(), weight)
-    return entry[1]
+    if layer._plan[2] != weight:
+        object.__setattr__(layer, "_plan", (key, build(), weight))
+    return layer._plan[1]
 
 
 def _conv2d_depthwise(x, layer, oh, ow):
@@ -287,10 +287,11 @@ def _conv2d_depthwise(x, layer, oh, ow):
     weight = layer.weight.data
     kh, kw = layer.kernel_size
     (sh, sw), (ph, pw), (dh, dw) = layer.stride, layer.padding, layer.dilation
-    rows = [_tap_span(oh, h, sh, ph, dh, i) for i in range(kh)]
-    cols = [_tap_span(ow, w, sw, pw, dw, j) for j in range(kw)]
-    live = sum(r1 > r0 for r0, r1, _ in rows) * sum(c1 > c0 for c0, c1, _ in cols)
-    if max(h * w, oh * ow) <= _DENSE_MAX_SITES and live >= _DENSE_MIN_TAPS:
+    # the live kernel rows and columns, as (tap, lo, hi, in_start): a non-empty `_tap_span`
+    rows = [(i, *s) for i in range(kh) if (s := _tap_span(oh, h, sh, ph, dh, i))[1] > s[0]]
+    cols = [(j, *s) for j in range(kw) if (s := _tap_span(ow, w, sw, pw, dw, j))[1] > s[0]]
+    key = (n, h, w, x.dtype)
+    if max(h * w, oh * ow) <= _DENSE_MAX_SITES and len(rows) * len(cols) >= _DENSE_MIN_TAPS:
         def taps():
             # each channel is one dense (oh*ow, h*w) matrix of kernel taps, gathered
             # from the weight with a zero tap appended for sites no tap reaches
@@ -301,24 +302,23 @@ def _conv2d_depthwise(x, layer, oh, ow):
             # np.take keeps m C-contiguous, which matmul needs to stay on BLAS
             return np.take(wz.reshape(c, -1), index, axis=1).reshape(c, oh * ow, h * w)
 
-        m = _kept(layer, "dense", (h, w, x.dtype), taps)
+        m = _kept(layer, key, taps)
         # m broadcasts over the batch: one product per (sample, channel), so a batch
         # is bit-equal to single calls
         return np.matmul(m, x.reshape(n, c, h * w, 1)).reshape(n, c, oh, ow)
-    # per-tap shift-add in (h, w, n, c) layout, so each pass is one long contiguous
-    # broadcast over n*c; a tap adds only where it reads inside the map
+    # per-tap shift-add over the live taps in (h, w, n, c) layout, so each pass is one
+    # long contiguous broadcast over n*c; a tap adds only where it reads inside the map
     xt = np.ascontiguousarray(x.transpose(2, 3, 0, 1))
-    # (kh, kw, n, c): the weight repeated per sample, so a tap's multiply also runs over n*c
-    wt = _kept(layer, "tiled", (n, x.dtype),
-               lambda: np.tile(weight[:, 0].transpose(1, 2, 0)[:, :, None], (1, 1, n, 1)))
+    # (live rows, live cols, n, c): the live taps repeated per sample, so a tap's multiply
+    # also runs over n*c
+    wt = _kept(layer, key, lambda: np.tile(weight[:, 0].transpose(1, 2, 0)[np.ix_(
+        [r[0] for r in rows], [q[0] for q in cols])][:, :, None], (1, 1, n, 1)))
     out = np.zeros((oh, ow, n, c), dtype=x.dtype)
     tmp = np.empty_like(out)
-    for i, (r0, r1, ri) in enumerate(rows):
-        for j, (c0, c1, ci) in enumerate(cols):
-            if r1 <= r0 or c1 <= c0:
-                continue
+    for (_, r0, r1, ri), wrow in zip(rows, wt):
+        for (_, c0, c1, ci), wtap in zip(cols, wrow):
             xs = xt[ri:ri + (r1 - r0 - 1) * sh + 1:sh, ci:ci + (c1 - c0 - 1) * sw + 1:sw]
-            out[r0:r1, c0:c1] += np.multiply(xs, wt[i, j], out=tmp[:r1 - r0, :c1 - c0])
+            out[r0:r1, c0:c1] += np.multiply(xs, wtap, out=tmp[:r1 - r0, :c1 - c0])
     return np.ascontiguousarray(out.transpose(2, 3, 0, 1))
 
 

@@ -1,5 +1,6 @@
 """Test-side builders and checks: random branch sets, the merge-equivalence sweep,
-a count of the scalars a model instance carries, and a one-block-per-stage config.
+a count of the scalars a model instance carries, a one-block-per-stage config and
+BN statistics calibrated on data.
 
 None of these is reached by `urlk` or a forward. They draw from the caller's
 Generator in a fixed order, so a seeded sweep gives the same number every run.
@@ -11,9 +12,10 @@ from typing import Sequence
 
 import numpy as np
 
-from urlknet.model import _BUFFERS, ArchConfig, ModelInstance, _tensors
+from urlknet import blocks, model as model_module, reparam
+from urlknet.model import _BUFFERS, ArchConfig, ModelInstance, _assemble, _tensors, forward
 from urlknet.reparam import merge_dilated_reparam, reparam_forward
-from urlknet.tensor import BnParams, ConvLayer, conv2d
+from urlknet.tensor import BnParams, ConvLayer, batchnorm_infer, conv2d
 from urlknet.verify import _SPATIAL, _worst, relative_error
 
 # one block per stage: every block kind and transition, built and run in well under a second
@@ -80,3 +82,38 @@ def learnable_scalars(model: ModelInstance) -> int:
     param_count(model).
     """
     return sum(arr.size for _, init, arr in _tensors(model) if init not in _BUFFERS)
+
+
+def calibrate_bn(model: ModelInstance, x: np.ndarray, rng: np.random.Generator) -> ModelInstance:
+    """A copy of a train-structure model whose BNs carry trained-looking statistics.
+
+    One forward of x visits every BN in forward order, which is also their
+    layout order. Each gets gamma ~ 1 + 0.5*N(0,1) and beta ~ 0.1*N(0,1), and
+    its running mean and variance become the per-channel statistics of its
+    actual input, so each later BN sees the calibrated output of the ones
+    before it. The forward finds `batchnorm_infer` through module attributes,
+    which are swapped for the walk as perfbench's tracer swaps them.
+    """
+    drawn = []
+
+    def calibrating(inp: np.ndarray, bn: BnParams) -> np.ndarray:
+        c = bn.channels
+        drawn.append(BnParams(1 + 0.5 * rng.standard_normal(c), 0.1 * rng.standard_normal(c),
+                              inp.mean(axis=(0, 2, 3)), inp.var(axis=(0, 2, 3)), eps=bn.eps))
+        return batchnorm_infer(inp, drawn[-1])
+
+    modules = (blocks, reparam, model_module)
+    for mod in modules:
+        mod.batchnorm_infer = calibrating
+    try:
+        forward(model, x)
+    finally:
+        for mod in modules:
+            mod.batchnorm_infer = batchnorm_infer
+    # a BN's gamma is the only tensor laid out with init "ones"
+    prefixes = [name[:-len(".gamma")] for name, init, _ in _tensors(model) if init == "ones"]
+    new = {f"{prefix}.{field}": getattr(bn, field)
+           for prefix, bn in zip(prefixes, drawn, strict=True)
+           for field in ("gamma", "beta", "running_mean", "running_var")}
+    arrays = [new.get(name, arr) for name, _, arr in _tensors(model)]
+    return _assemble(model.config, model.merged, arrays)

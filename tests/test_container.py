@@ -29,7 +29,7 @@ from urlknet.container import (
     save_tensor,
     write_container,
 )
-from urlknet.model import ArchConfig, iter_state
+from urlknet.model import ArchConfig, build_from_state, iter_state
 from helpers import TOY
 
 # stage 3 lays out LarK, SmaK, SmaK like S, so SmaK blocks sit past stage 1
@@ -154,6 +154,19 @@ class TestMalformedFiles:
         with pytest.raises(FormatError, match="magic"):
             read_container(path)
 
+    def test_file_too_short(self, tmp_path):
+        path = tmp_path / "short.urlk"
+        path.write_bytes(MAGIC[:3])
+        with pytest.raises(FormatError, match="too short"):
+            read_container(path)
+
+    @pytest.mark.parametrize("text", [b"not json", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+    def test_manifest_not_json(self, tmp_path, text):
+        path = tmp_path / "text.urlk"
+        path.write_bytes(MAGIC + struct.pack("<I", len(text)) + text)
+        with pytest.raises(FormatError, match="manifest is not valid JSON"):
+            read_container(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.urlk"
         save_tensor(path, "x", np.ones((4, 4)))
@@ -237,6 +250,19 @@ class TestMalformedFiles:
         with pytest.raises(FormatError, match=f"tensor '{empty}.*empty dimension"):
             load_model(path)
 
+    @pytest.mark.parametrize("tensor", ["stem.conv1.weight", "head.fc.bias"])
+    @pytest.mark.parametrize("how", ["missing", "0-d"])
+    def test_stem_or_head_tensor_unreadable(self, tensor, how):
+        # input channels and class count are read from these shapes, so they must exist
+        # and have the dimension read; TOY's stem and head names are A's
+        arrays = state_dict(build_model(TOY, seed=0))
+        if how == "missing":
+            del arrays[tensor]
+        else:
+            arrays[tensor] = np.zeros(())
+        with pytest.raises(FormatError, match="lacks a well-formed stem.conv1.weight or head.fc.bias"):
+            build_from_state("A", "train-structure", arrays)
+
     def test_unknown_model_name(self, tmp_path):
         path = tmp_path / "who.urlk"
         model = build_named("A", seed=0)
@@ -286,6 +312,18 @@ class TestMalformedManifest:
         path = tmp_path / "list.urlk"
         write_raw_manifest(path, [1, 2, 3])
         with pytest.raises(FormatError, match="must be a JSON object"):
+            read_container(path)
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "x", "dtype": "f64", "shape": [1], "byte_offset": 0},
+        {"name": "x", "dtype": "f16", "shape": [1], "byte_offset": 0, "byte_length": 8},
+        {"name": "x", "dtype": [], "shape": [1], "byte_offset": 0, "byte_length": 8},
+    ], ids=["no-length", "unknown-dtype", "list-dtype"])
+    def test_malformed_tensor_entry(self, tmp_path, entry):
+        path = tmp_path / "entry.urlk"
+        write_raw_manifest(path, {"format_version": 1, "model_name": "", "mode": "data",
+                                  "tensors": [entry]}, b"\x00" * 8)
+        with pytest.raises(FormatError, match="malformed tensor entry"):
             read_container(path)
 
     def test_tensors_not_a_list(self, tmp_path):

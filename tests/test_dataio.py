@@ -72,3 +72,17 @@ def test_raw_reader_and_writer_reject_bad_files(tmp_path):
     with pytest.raises(FormatError, match="dtype must be f32 or f64, got 'f16'"):
         write_raw_array(tmp_path / "h.raw", np.zeros(2), "f16")
     assert not (tmp_path / "h.raw").exists()
+
+
+@pytest.mark.parametrize("text,batch,match", [
+    ("1,2\n3\n", 1, "inconsistent widths \\[1, 2\\]"),
+    ("1,2\n3,x\n", 1, "non-numeric CSV value"),
+    ("", 1, "holds no data rows"),
+    ("\n\n", 1, "holds no data rows"),
+    ("1,2\n3,4\n5,6\n", 2, "holds 3 rows, not divisible into 2 batch entries"),
+], ids=["ragged", "non-numeric", "empty", "blank-lines", "rows-not-divisible"])
+def test_csv_reader_rejects_bad_files(tmp_path, text, batch, match):
+    path = tmp_path / "ts.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match):
+        read_timeseries_csv(path, batch=batch)

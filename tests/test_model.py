@@ -30,7 +30,7 @@ from urlknet.tensor import Tensor4
 from urlknet.blocks import block_forward
 from urlknet.reparam import reparam_forward
 from urlknet.verify import relative_error
-from helpers import TOY, learnable_scalars
+from helpers import TOY, calibrate_bn, learnable_scalars
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +297,24 @@ class TestMerge:
             x = rng.standard_normal((1, 3, 64, 64))
             err = relative_error(forward(model_a_merged, x), forward(model_a, x))
             assert err <= 1e-9
+
+    def test_whole_model_equivalence_at_calibrated_bn_statistics(self, model_a):
+        # trained-looking BN statistics widen the merged kernels' range, and with it the
+        # f32 rounding; identity BN, as built, makes every fold nearly a no-op
+        rng = np.random.default_rng(0)
+        train = calibrate_bn(model_a, rng.standard_normal((4, 3, 64, 64)), rng)
+        merged = merge_for_deploy(train)
+        merged32 = model_astype(merged, np.float32)
+        x = rng.standard_normal((2, 3, 64, 64))
+        want = (*forward_stages(train, x), forward(train, x))
+        x32 = x.astype(np.float32)
+        got32 = (*forward_stages(merged32, x32), forward(merged32, x32))
+        err64 = relative_error(forward(merged, x), want[-1])
+        err32 = [relative_error(g.astype(np.float64), w) for g, w in zip(got32, want)]
+        print(f"  calibrated BN against train f64: merged f64 logits {err64:.1e}; merged f32 "
+              f"stages 1-4 {' '.join(f'{e:.1e}' for e in err32[:4])}, logits {err32[-1]:.1e}")
+        assert any(not np.allclose(bn.running_var, 1) for _, bn in train.downsamples[0])
+        assert err64 <= 1e-9 and err32[-1] <= 1e-5
 
     def test_double_merge_rejected(self, model_a_merged):
         with pytest.raises(StateError):

@@ -206,6 +206,9 @@ class TestConv2d:
         (5, 13, 13, (1, 1), (6, 6), (1, 1)),   # non-square map
         (5, 13, 3, (1, 1), (1, 1), (1, 1)),
         (3, 9, 3, (1, 1), (4, 4), (4, 1)),     # row taps 0 and 2 read only padding, their columns do not
+        (2, 2, 3, (3, 3), (2, 2), (1, 1)),     # stride above the map: live rows and columns {0, 2}
+        (1, 1, 2, (1, 1), (1, 1), (2, 2)),     # no tap reaches the map: the output is the bias
+        (9, 9, 5, (1, 1), (2, 0), (1, 1)),     # ph != pw above the dense cap (7x6 runs dense)
     ])
     def test_depthwise_shift_add_matches_naive(self, rng, monkeypatch, h, w, k, s, p, r):
         spans, span = [], tensor._tap_span
@@ -215,9 +218,11 @@ class TestConv2d:
         wt = rng.standard_normal((c, 1, k, k))
         b = rng.standard_normal(c)
         layer = ConvLayer(wt, bias=b, stride=s, padding=p, dilation=r, groups=c)
-        got = conv2d(x, layer)
+        want = conv2d_naive(x, wt, b, s, p, r, c)
+        # the first call keeps nothing, the second keeps the weight-side array, the third uses it
+        for _ in range(3):
+            np.testing.assert_allclose(conv2d(x, layer), want, rtol=1e-12, atol=1e-12)
         assert spans
-        np.testing.assert_allclose(got, conv2d_naive(x, wt, b, s, p, r, c), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("c,h,k,r", [(40, 16, 3, 1), (80, 8, 7, 2), (160, 4, 3, 5)])
     def test_depthwise_shift_add_batch_invariant_f32(self, rng, c, h, k, r):
@@ -316,8 +321,9 @@ class TestConv2d:
 
 
 def _held(layer):
-    """{form: (key, whether an array is kept)} of a depthwise layer's plan."""
-    return {form: (key, arr is not None) for form, (key, arr, _) in layer._plan.items()}
+    """(key, whether an array is kept) of a depthwise layer's one plan entry."""
+    key, arr, _ = layer._plan
+    return key, arr is not None
 
 
 def _depthwise_layers(m):
@@ -326,8 +332,9 @@ def _depthwise_layers(m):
 
 
 class TestDepthwisePlan:
-    """A depthwise layer keeps its tap matrix (dense form) or tiled weight (shift-add) from
-    the second call with one map size, batch size and dtype on, while its weight is unchanged."""
+    """A depthwise layer keeps its tap matrix (dense form) or its tiled live taps (shift-add)
+    in one entry, from the second call with one batch size, map size and dtype on, while its
+    weight is unchanged."""
 
     # (h, k): 8x8 under 13x13 runs the dense form, 16x16 under 3x3 the shift-add
     SHAPES = {"dense": (8, 13), "tiled": (16, 3)}
@@ -341,10 +348,14 @@ class TestDepthwisePlan:
     @pytest.mark.parametrize("form", ["dense", "tiled"])
     def test_kept_from_the_second_call(self, rng, form):
         layer, x = self._layer(rng, form)
+        n, _, h, w = x.shape
+        key = (n, h, w, np.float32)
         first = conv2d(x, layer)
-        assert [held for _, held in _held(layer).values()] == [False]
+        assert _held(layer) == (key, False)
         np.testing.assert_array_equal(conv2d(x, layer), first)
-        assert list(_held(layer)) == [form] and _held(layer)[form][1]
+        assert _held(layer) == (key, True)
+        # the dense form keeps a (c, oh*ow, h*w) matrix, the shift-add a (rows, cols, n, c) tile
+        assert layer._plan[1].ndim == {"dense": 3, "tiled": 4}[form]
         np.testing.assert_array_equal(conv2d(x, layer), first)
 
     @pytest.mark.parametrize("form", ["dense", "tiled"])
@@ -365,15 +376,36 @@ class TestDepthwisePlan:
         conv2d(x, dense)
         x7 = np.ascontiguousarray(x[:, :, :7, :7])    # 49 sites: still the dense form
         got = conv2d(x7, dense)
-        assert _held(dense) == {"dense": ((7, 7, np.float32), False)}
+        assert _held(dense) == ((2, 7, 7, np.float32), False)
         np.testing.assert_array_equal(got, conv2d(x7, ConvLayer(dense.weight.data, padding=6,
                                                                 groups=4)))
+        conv2d(x7, dense)
+        single = conv2d(x7[:1], dense)
+        assert _held(dense) == ((1, 7, 7, np.float32), False)
+        np.testing.assert_array_equal(single, got[:1])
         tiled, x = self._layer(rng, "tiled")
         conv2d(x, tiled)
         batched = conv2d(x, tiled)
         single = conv2d(x[:1], tiled)
-        assert _held(tiled) == {"tiled": ((1, np.float32), False)}
+        assert _held(tiled) == ((1, 16, 16, np.float32), False)
         np.testing.assert_array_equal(single, batched[:1])
+        conv2d(x[:1], tiled)
+        x9 = np.ascontiguousarray(x[:1, :, :9, :9])   # 81 sites: still the shift-add
+        got = conv2d(x9, tiled)
+        assert _held(tiled) == ((1, 9, 9, np.float32), False)
+        np.testing.assert_array_equal(got, conv2d(x9, ConvLayer(tiled.weight.data, padding=1,
+                                                                groups=4)))
+
+    # (h, k, dilation) -> kept tile (live rows, live cols): 13x13 on 2x2 reaches the map
+    # with its 3x3 centre taps, k3 r4 on 4x4 with its centre tap alone
+    @pytest.mark.parametrize("h,k,r,live", [(2, 13, 1, 3), (4, 3, 4, 1)])
+    def test_shift_add_keeps_only_its_live_taps(self, rng, h, k, r, live):
+        layer = ConvLayer(rng.standard_normal((4, 1, k, k)).astype(np.float32),
+                          padding=r * (k // 2), dilation=r, groups=4)
+        x = rng.standard_normal((3, 4, h, h)).astype(np.float32)
+        first = conv2d(x, layer)
+        np.testing.assert_array_equal(conv2d(x, layer), first)
+        assert layer._plan[1].shape == (live, live, 3, 4)
 
     @pytest.mark.parametrize("merged", [False, True])
     def test_one_forward_keeps_nothing_and_repeats_are_bit_identical(self, merged):
@@ -382,13 +414,15 @@ class TestDepthwisePlan:
         x = np.random.default_rng(0).standard_normal((2, 3, 32, 32)).astype(np.float32)
         layers = _depthwise_layers(m)
         first = forward(m, x)
-        assert {form for layer in layers for form in layer._plan} == {"dense", "tiled"}
-        assert not any(held for layer in layers for _, held in _held(layer).values())
+        assert not any(_held(layer)[1] for layer in layers)
         for _ in range(2):
             np.testing.assert_array_equal(forward(m, x), first)
-        assert all(held for layer in layers for _, held in _held(layer).values())
+        assert all(_held(layer)[1] for layer in layers)
+        # both forms run: a dense tap matrix has rank 3, a shift-add tile rank 4
+        assert {layer._plan[1].ndim for layer in layers} == {3, 4}
         # a converted copy builds new layers, which start with nothing kept
-        assert not any(layer._plan for layer in _depthwise_layers(model_astype(m, np.float64)))
+        assert all(_held(layer) == (None, False)
+                   for layer in _depthwise_layers(model_astype(m, np.float64)))
 
 
 class TestBatchNorm:
