@@ -54,10 +54,11 @@ columns is not batch-invariant; the shift-add is elementwise.
 
 The elementwise ops work in place on buffers they allocate. GELU in float64 is
 the exact form 0.5*x*(1 + erf(x/sqrt(2))) with scipy's erf; in float32 erf is
-the Eigen/XLA rational form z*P(z^2)/Q(z^2) on z clamped to [-4, 4], built
-from in-place ufuncs (absolute erf error below 1e-6). Batch norm and GRN are
-pure per-channel scale/shift passes: x*scale + shift, with the (c,) scale and
-shift taken from the BN statistics, or per sample from GRN's channel norms.
+tanh(z*P(z^2)) on z clamped to [-4, 4], P of degree 6 (absolute erf error
+below 1e-6), so a GELU is 20 array passes and no divide. Batch norm and GRN
+are pure per-channel scale/shift passes: x*scale + shift, with the (c,) scale
+and shift taken from the BN statistics, or per sample from GRN's channel
+norms.
 """
 
 from __future__ import annotations
@@ -73,13 +74,12 @@ SUPPORTED_DTYPES = (np.float64, np.float32)
 
 _SQRT1_2 = float(np.sqrt(0.5))
 
-# float32 erf(z) ~= z * P(z^2) / Q(z^2) on |z| <= 4 (Eigen/XLA coefficients, highest power first)
+# float32 erf(z) ~= tanh(z * P(z^2)) on |z| <= 4, highest power first. P is a minimax fit of
+# atanh(erf z) on [0, 4] weighted by 1 - erf(z)^2 (the slope of tanh there), solved as a linear
+# program under 4 * P(16) >= 10.5, so that float32 tanh rounds to exactly +-1 from |z| = 4 on.
 _ERF_P = tuple(np.float32(v) for v in (
-    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
-    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02))
-_ERF_Q = tuple(np.float32(v) for v in (
-    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
-    -1.42647390514189e-02))
+    1.993060152472026e-07, -6.6450975282350555e-06, 9.33887786231935e-05, -0.0006345011061057448,
+    -0.00017536774976179004, 0.10276208817958832, 1.1283799409866333))
 
 
 def _as_pair(value, name: str) -> tuple[int, int]:
@@ -375,15 +375,16 @@ def batchnorm_infer(x: np.ndarray, bn: BnParams) -> np.ndarray:
     if x.shape[1] != bn.channels:
         raise ShapeError(f"input has {x.shape[1]} channels, BN has {bn.channels}")
     dtype = x.dtype
-    scale = bn.gamma.astype(dtype) / np.sqrt(bn.running_var.astype(dtype) + dtype.type(bn.eps))
-    shift = bn.beta.astype(dtype) - bn.running_mean.astype(dtype) * scale
+    var = bn.running_var.astype(dtype, copy=False)
+    scale = bn.gamma.astype(dtype, copy=False) / np.sqrt(var + dtype.type(bn.eps))
+    shift = bn.beta.astype(dtype, copy=False) - bn.running_mean.astype(dtype, copy=False) * scale
     out = x * scale[:, None, None]
     out += shift[:, None, None]
     return out
 
 
 def _erf_f32(z: np.ndarray) -> np.ndarray:
-    """erf of a float32 array by the rational form; overwrites z, which must be a fresh buffer."""
+    """erf of a float32 array as tanh(z * P(z^2)); overwrites z, which must be a fresh buffer."""
     np.clip(z, -4, 4, out=z)
     z2 = z * z
     p = z2 * _ERF_P[0]
@@ -392,21 +393,15 @@ def _erf_f32(z: np.ndarray) -> np.ndarray:
         p *= z2
         p += c
     p *= z
-    q = np.multiply(z2, _ERF_Q[0], out=z)
-    q += _ERF_Q[1]
-    for c in _ERF_Q[2:]:
-        q *= z2
-        q += c
-    p /= q
-    return p
+    return np.tanh(p, out=p)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:
     """Gaussian-CDF form: 0.5 * x * (1 + erf(x / sqrt(2))).
 
-    float64 uses scipy's erf. float32 uses a rational erf whose absolute error
-    is below 1e-6 (4.4e-7 measured against the float64 erf); it keeps the
-    float64 form's values at +-0, NaN and +-inf.
+    float64 uses scipy's erf. float32 uses erf ~= tanh(z * P(z^2)), whose
+    absolute error is below 1e-6 (1.9e-7 measured against the float64 erf over
+    every float32 z); it keeps the float64 form's values at +-0, NaN and +-inf.
     """
     if x.dtype != np.float32:
         return 0.5 * x * (1.0 + erf(x * x.dtype.type(_SQRT1_2)))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -508,13 +510,37 @@ class TestGrn:
 
 
 class TestElementwiseForms:
-    """The float32 GELU's rational erf and the scale/shift forms of BN and GRN."""
+    """The float32 GELU's erf, tanh(z * P(z^2)), and the scale/shift forms of BN and GRN."""
 
     def test_f32_erf_within_1e6_of_f64_erf(self):
         from scipy.special import erf
         z = np.linspace(-8.0, 8.0, 2_000_001).astype(np.float32)
         got = tensor._erf_f32(z.copy()).astype(np.float64)
         assert np.abs(got - erf(z.astype(np.float64))).max() <= 1e-6
+
+    def test_f32_erf_odd_and_non_decreasing(self):
+        z = np.linspace(-8.0, 8.0, 2_000_001).astype(np.float32)
+        got = tensor._erf_f32(z.copy())
+        np.testing.assert_array_equal(tensor._erf_f32(-z).view(np.uint32), (-got).view(np.uint32))
+        assert (np.diff(got) >= 0).all()
+
+    def test_f32_erf_exactly_one_from_4_on(self):
+        # the clip sends |z| >= 4 to z * P(z^2) = 10.5, where float32 tanh rounds to 1
+        z = np.append(np.geomspace(4.0, 3.4e38, 10_001), np.finfo(np.float32).max).astype(np.float32)
+        np.testing.assert_array_equal(tensor._erf_f32(z.copy()), np.ones_like(z))
+        np.testing.assert_array_equal(tensor._erf_f32(-z), -np.ones_like(z))
+        special = tensor._erf_f32(np.array([np.inf, -np.inf, np.nan], dtype=np.float32))
+        assert special[0] == 1 and special[1] == -1 and np.isnan(special[2])
+
+    def test_f32_gelu_finite_input_raises_no_warning(self, rng):
+        big = np.finfo(np.float32).max
+        tiny = np.finfo(np.float32).smallest_subnormal
+        x = np.concatenate([rng.standard_normal(4096) * 3, np.linspace(-12, 12, 4097),
+                            [0.0, -0.0, tiny, -tiny, 1e-30, -1e-30, 30.0, -30.0, big, -big]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = gelu(x.astype(np.float32).reshape(1, 1, 1, -1))
+        assert np.isfinite(out).all()
 
     def test_f32_gelu_near_f64_form(self, rng):
         from scipy.special import erf
