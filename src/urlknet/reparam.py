@@ -3,8 +3,8 @@
 A dilated k-kernel at rate r covers a (k-1)*r+1 window, so it can be rewritten
 as a non-dilated layer with a sparse larger kernel (zero insertion). A block of
 parallel conv+BN branches — one principal KxK branch plus dilated small-kernel
-branches — therefore merges into a single KxK layer: fold each BN into its
-conv, expand each dilated kernel, zero-pad everything to KxK, and sum.
+branches — therefore merges into a single KxK layer: each branch's conv is
+folded with its BN and added into its centred, r-strided window of the KxK kernel.
 
 A block is described by its branches alone, each a (conv, bn) pair like a
 downsample's: K is the principal's kernel and the channels and groups are the
@@ -54,21 +54,14 @@ def dilate_kernel(weight: np.ndarray, r: int) -> np.ndarray:
 def fuse_bn(conv: ConvLayer, bn: BnParams) -> ConvLayer:
     """Fold inference-mode BN statistics into the preceding conv layer.
 
-    weight'[o] = weight[o] * gamma_o / sqrt(var_o + eps)
-    bias'_o    = beta_o + (bias_o - mean_o) * gamma_o / sqrt(var_o + eps)
+    weight'[o] = weight[o] * scale_o and bias' = shift, with (scale, shift) =
+    bn.affine(weight dtype, bias or 0); merge_dilated_reparam then adds each folded
+    branch into its r-strided window of the merged kernel.
     """
     if bn.channels != conv.out_channels:
-        raise ShapeError(
-            f"BN has {bn.channels} channels but conv produces {conv.out_channels}"
-        )
-    dtype = conv.weight.dtype
-    scale = (bn.gamma / np.sqrt(bn.running_var + bn.eps)).astype(dtype, copy=False)
-    bias0 = conv.bias if conv.bias is not None else np.zeros(conv.out_channels, dtype=dtype)
-    return replace(
-        conv,
-        weight=conv.weight.data * scale[:, None, None, None],
-        bias=(bn.beta.astype(dtype, copy=False) + (bias0 - bn.running_mean.astype(dtype, copy=False)) * scale),
-    )
+        raise ShapeError(f"BN has {bn.channels} channels but conv produces {conv.out_channels}")
+    scale, shift = bn.affine(conv.weight.dtype, 0 if conv.bias is None else conv.bias)
+    return replace(conv, weight=conv.weight.data * scale[:, None, None, None], bias=shift)
 
 
 def stock_branches(K: int) -> tuple[tuple[int, int], ...]:
@@ -92,7 +85,8 @@ def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
     block's spec: K is the principal's (largest) kernel size, every conv must
     map the same c channels to c with the same groups, K must be >= 3, no
     branch may be wider than K, and exactly one branch must be the (K, 1)
-    principal. Every violation is a ConfigError.
+    principal. Every conv must also hold one weight dtype: mixed dtypes are a
+    ShapeError, as in conv2d. Every other violation is a ConfigError.
     """
     spec = []
     for conv, _ in branches:
@@ -107,6 +101,9 @@ def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
             raise ConfigError(f"branch with k={k}, r={r} must use padding {half}, "
                               f"got {conv.padding}")
         spec.append((k, r))
+    dtypes = {conv.weight.dtype for conv, _ in branches}
+    if len(dtypes) != 1:
+        raise ShapeError(f"branches must share one weight dtype, got {sorted(map(str, dtypes))}")
     groups = {conv.groups for conv, _ in branches}
     channels = {n for conv, _ in branches for n in (conv.in_channels, conv.out_channels)}
     if len(groups) != 1 or len(channels) != 1:
@@ -146,10 +143,10 @@ def reparam_forward(x: np.ndarray, branches: Sequence[tuple[ConvLayer, BnParams]
 def merge_dilated_reparam(branches: Sequence[tuple[ConvLayer, BnParams]]) -> ConvLayer:
     """Collapse a multi-branch block into one non-dilated KxK conv with bias.
 
-    Per branch: fold its BN, expand the kernel by zero insertion, then pad
-    symmetrically by (K - equivalent_size)/2 per side. Kernels and biases are
-    summed principal-first, then in declared order. The result reproduces the
-    branch-sum forward for every input.
+    Per branch: the BN-folded kernel (fuse_bn) is added into its r-strided window
+    kernel[:, :, s:K-s:r, s:K-s:r], s = K//2 - padding, where dilate_kernel and a
+    centring pad would put it. Kernels and biases are summed principal-first, then
+    in declared order, and reproduce the branch-sum forward for every input.
     """
     ordered, K, channels, groups = _checked(branches)
     dtype = branches[0][0].weight.dtype
@@ -157,8 +154,7 @@ def merge_dilated_reparam(branches: Sequence[tuple[ConvLayer, BnParams]]) -> Con
     bias = np.zeros(channels, dtype=dtype)
     for conv, bn in ordered:
         fused = fuse_bn(conv, bn)
-        expanded = dilate_kernel(fused.weight.data, conv.dilation[0])
-        pad = (K - expanded.shape[2]) // 2
-        kernel[:, :, pad:K - pad, pad:K - pad] += expanded
+        s, r = K // 2 - conv.padding[0], conv.dilation[0]
+        kernel[:, :, s:K - s:r, s:K - s:r] += fused.weight.data
         bias += fused.bias
     return ConvLayer(kernel, bias, padding=K // 2, groups=groups)

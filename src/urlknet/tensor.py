@@ -34,7 +34,7 @@ every other conv. Only the matmul reads the tap-window view `_windows`.
   with it dense. The rule reads neither the batch size nor a clock, so a
   batched call runs the same form as its single-sample calls and the forms
   are deterministic.
-  A layer keeps one entry, keyed by the input's shape and dtype: the tap
+  A layer keeps one entry, keyed by the input's shape: the tap
   matrix, or the shift-add's tiled live taps. It is kept from the second call
   with the same key on, and a new key replaces it. A first call keeps
   nothing, so a one-shot forward (a model built, run once and dropped) pays
@@ -43,7 +43,7 @@ every other conv. Only the matmul reads the tap-window view `_windows`.
 * every other conv — one BLAS matmul of the (g, c_out/g, c_in/g*kh*kw)
   weight against the tap-window view `_windows` (the padded input as an
   (n, c, oh, ow, kh, kw) strided view) laid out as (n, g, c_in/g*kh*kw,
-  oh*ow); a 1x1, stride-1, unpadded kernel lays out as a view of the input
+  oh*ow), which for a 1x1, stride-1, unpadded kernel is a view of the input.
 
 All satisfy the same contract: the value at each output site equals the
 direct sliding-window sum over dilated taps, plus bias, up to the rounding of
@@ -57,8 +57,8 @@ the exact form 0.5*x*(1 + erf(x/sqrt(2))) with scipy's erf; in float32 erf is
 tanh(z*P(z^2)) on z clamped to [-4, 4], P of degree 6 (absolute erf error
 below 1e-6), so a GELU is 20 array passes and no divide. Batch norm and GRN
 are pure per-channel scale/shift passes: x*scale + shift, with the (c,) scale
-and shift taken from the BN statistics, or per sample from GRN's channel
-norms.
+and shift taken from the BN statistics (`BnParams.affine`, which fuse_bn
+also uses), or per sample from GRN's channel norms.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class ConvLayer:
     dilation: tuple[int, int] = (1, 1)
     groups: int = 1
     # depthwise only: the one (key, array, weight bytes) entry conv2d keeps, keyed by the
-    # input's shape and dtype; the shift-add keeps only its live taps (see _kept)
+    # input's shape (its dtype is the weight's); the shift-add keeps only its live taps (see _kept)
     _plan: tuple = field(default=(None, None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -217,6 +217,13 @@ class BnParams:
     def channels(self) -> int:
         return self.gamma.shape[0]
 
+    def affine(self, dtype, bias=0) -> tuple[np.ndarray, np.ndarray]:
+        """(scale, shift) with BN(x + bias) = x * scale + shift per channel: gamma / sqrt(var + eps)
+        and beta + (bias - mean) * scale, computed in the vectors' own dtype and cast to dtype."""
+        scale = self.gamma / np.sqrt(self.running_var + float(self.eps))  # float: keeps their dtype
+        shift = self.beta + (bias - self.running_mean) * scale
+        return scale.astype(dtype, copy=False), shift.astype(dtype, copy=False)
+
 
 # ---------------------------------------------------------------------------
 # convolution
@@ -290,7 +297,7 @@ def _conv2d_depthwise(x, layer, oh, ow):
     # the live kernel rows and columns, as (tap, lo, hi, in_start): a non-empty `_tap_span`
     rows = [(i, *s) for i in range(kh) if (s := _tap_span(oh, h, sh, ph, dh, i))[1] > s[0]]
     cols = [(j, *s) for j in range(kw) if (s := _tap_span(ow, w, sw, pw, dw, j))[1] > s[0]]
-    key = (n, h, w, x.dtype)
+    key = (n, h, w)
     if max(h * w, oh * ow) <= _DENSE_MAX_SITES and len(rows) * len(cols) >= _DENSE_MIN_TAPS:
         def taps():
             # each channel is one dense (oh*ow, h*w) matrix of kernel taps, gathered
@@ -374,10 +381,7 @@ def batchnorm_infer(x: np.ndarray, bn: BnParams) -> np.ndarray:
     """Per-channel affine map (x - mean) / sqrt(var + eps) * gamma + beta, as x * scale + shift."""
     if x.shape[1] != bn.channels:
         raise ShapeError(f"input has {x.shape[1]} channels, BN has {bn.channels}")
-    dtype = x.dtype
-    var = bn.running_var.astype(dtype, copy=False)
-    scale = bn.gamma.astype(dtype, copy=False) / np.sqrt(var + dtype.type(bn.eps))
-    shift = bn.beta.astype(dtype, copy=False) - bn.running_mean.astype(dtype, copy=False) * scale
+    scale, shift = bn.affine(x.dtype)
     out = x * scale[:, None, None]
     out += shift[:, None, None]
     return out

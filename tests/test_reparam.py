@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,37 @@ class TestMerge:
     def test_branch_geometry_checked(self, rng, ks):
         # each branch is valid alone; the tuple is not a valid block
         assert_block_rejected(rng, [one_branch(rng, k, r) for k, r in ks], ConfigError, None)
+
+    @pytest.mark.parametrize("first", [np.float32, np.float64])
+    def test_mixed_dtype_branches_rejected(self, rng, first):
+        # a (13, 1) principal and a (5, 1) branch of the other dtype, in both declared orders
+        other = np.float64 if first == np.float32 else np.float32
+        branches = [one_branch(rng, 13, 1), one_branch(rng, 5, 1)]
+        branches = [(replace(conv, weight=conv.weight.data.astype(dtype)), bn)
+                    for (conv, bn), dtype in zip(branches, (first, other))]
+        for declared in (branches, branches[::-1]):
+            assert_block_rejected(rng, declared, ShapeError, "one weight dtype")
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("K", [13, 3])
+    def test_strided_window_matches_dilate_then_pad(self, rng, K, dtype):
+        # each folded branch lands where zero insertion and a centring pad put it
+        branches = [(replace(conv, weight=conv.weight.data.astype(dtype)),
+                     BnParams(*(v.astype(dtype) for v in (bn.gamma, bn.beta, bn.running_mean,
+                                                           bn.running_var))))
+                    for conv, bn in random_branches(stock_branches(K), 4, 4, rng)]
+        want_w = np.zeros((4, 1, K, K), dtype=dtype)
+        want_b = np.zeros(4, dtype=dtype)
+        for conv, bn in branches:   # stock_branches lists the principal first
+            fused = fuse_bn(conv, bn)
+            expanded = dilate_kernel(fused.weight.data, conv.dilation[0])
+            pad = (K - expanded.shape[2]) // 2
+            want_w[:, :, pad:K - pad, pad:K - pad] += expanded
+            want_b += fused.bias
+        merged = merge_dilated_reparam(branches)
+        assert merged.weight.dtype == dtype
+        np.testing.assert_array_equal(merged.weight.data, want_w)
+        np.testing.assert_array_equal(merged.bias, want_b)
 
     def test_reparam_forward_matches_manual_sum(self, rng):
         branches = random_branches(((9, 1), (3, 2), (3, 4)), 3, 3, rng)

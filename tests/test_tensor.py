@@ -335,8 +335,8 @@ def _depthwise_layers(m):
 
 class TestDepthwisePlan:
     """A depthwise layer keeps its tap matrix (dense form) or its tiled live taps (shift-add)
-    in one entry, from the second call with one batch size, map size and dtype on, while its
-    weight is unchanged."""
+    in one entry, from the second call with one batch size and map size on, while its weight
+    is unchanged. The key holds no dtype: conv2d requires the input's to be the weight's."""
 
     # (h, k): 8x8 under 13x13 runs the dense form, 16x16 under 3x3 the shift-add
     SHAPES = {"dense": (8, 13), "tiled": (16, 3)}
@@ -351,7 +351,7 @@ class TestDepthwisePlan:
     def test_kept_from_the_second_call(self, rng, form):
         layer, x = self._layer(rng, form)
         n, _, h, w = x.shape
-        key = (n, h, w, np.float32)
+        key = (n, h, w)
         first = conv2d(x, layer)
         assert _held(layer) == (key, False)
         np.testing.assert_array_equal(conv2d(x, layer), first)
@@ -378,23 +378,23 @@ class TestDepthwisePlan:
         conv2d(x, dense)
         x7 = np.ascontiguousarray(x[:, :, :7, :7])    # 49 sites: still the dense form
         got = conv2d(x7, dense)
-        assert _held(dense) == ((2, 7, 7, np.float32), False)
+        assert _held(dense) == ((2, 7, 7), False)
         np.testing.assert_array_equal(got, conv2d(x7, ConvLayer(dense.weight.data, padding=6,
                                                                 groups=4)))
         conv2d(x7, dense)
         single = conv2d(x7[:1], dense)
-        assert _held(dense) == ((1, 7, 7, np.float32), False)
+        assert _held(dense) == ((1, 7, 7), False)
         np.testing.assert_array_equal(single, got[:1])
         tiled, x = self._layer(rng, "tiled")
         conv2d(x, tiled)
         batched = conv2d(x, tiled)
         single = conv2d(x[:1], tiled)
-        assert _held(tiled) == ((1, 16, 16, np.float32), False)
+        assert _held(tiled) == ((1, 16, 16), False)
         np.testing.assert_array_equal(single, batched[:1])
         conv2d(x[:1], tiled)
         x9 = np.ascontiguousarray(x[:1, :, :9, :9])   # 81 sites: still the shift-add
         got = conv2d(x9, tiled)
-        assert _held(tiled) == ((1, 9, 9, np.float32), False)
+        assert _held(tiled) == ((1, 9, 9), False)
         np.testing.assert_array_equal(got, conv2d(x9, ConvLayer(tiled.weight.data, padding=1,
                                                                 groups=4)))
 
@@ -456,6 +456,49 @@ class TestBatchNorm:
         bn = BnParams(np.ones(3), np.zeros(3), np.zeros(3), np.ones(3))
         with pytest.raises(ShapeError):
             batchnorm_infer(np.zeros((1, 2, 2, 2)), bn)
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_affine_matches_scalar_oracle(self, rng, with_bias):
+        # BN(x + bias) = x * scale + shift per channel, bias being a folded conv's
+        x = rng.standard_normal((2, 5, 6, 6))
+        gamma, beta = rng.standard_normal(5), rng.standard_normal(5)
+        mean, var = rng.standard_normal(5), rng.uniform(0.1, 2.0, 5)
+        bias = rng.standard_normal(5) if with_bias else np.zeros(5)
+        bn = BnParams(gamma, beta, mean, var)
+        scale, shift = bn.affine(np.float64, bias) if with_bias else bn.affine(np.float64)
+        want = batchnorm_naive(x + bias[:, None, None], gamma, beta, mean, var, 1e-5)
+        np.testing.assert_allclose(x * scale[:, None, None] + shift[:, None, None], want,
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_batchnorm_applies_affine_bit_for_bit(self, rng, dtype):
+        x = rng.standard_normal((2, 4, 5, 5)).astype(dtype)
+        bn = BnParams(*(v.astype(dtype) for v in (rng.standard_normal(4), rng.standard_normal(4),
+                                                   rng.standard_normal(4), rng.uniform(0.1, 2, 4))))
+        scale, shift = bn.affine(dtype)
+        assert scale.dtype == shift.dtype == dtype
+        np.testing.assert_array_equal(batchnorm_infer(x, bn),
+                                      x * scale[:, None, None] + shift[:, None, None])
+
+    def test_numpy_eps_does_not_change_the_dtype_computed_in(self, rng):
+        # a float64 scalar eps beside float32 statistics: computed in float32 all the same
+        stats = [rng.standard_normal(8).astype(np.float32) for _ in range(3)]
+        stats.append(rng.uniform(0.1, 2.0, 8).astype(np.float32))
+        want = BnParams(*stats, eps=1e-5).affine(np.float32)
+        got = BnParams(*stats, eps=np.float64(1e-5)).affine(np.float32)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+    def test_f64_statistics_on_f32_input_computed_in_f64_then_cast(self, rng):
+        gamma, beta = rng.standard_normal(4), rng.standard_normal(4)
+        mean, var = rng.standard_normal(4), rng.uniform(0.1, 2.0, 4)
+        x = rng.standard_normal((1, 4, 3, 3)).astype(np.float32)
+        scale = gamma / np.sqrt(var + 1e-5)
+        shift = beta - mean * scale
+        out = batchnorm_infer(x, BnParams(gamma, beta, mean, var))
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, x * scale.astype(np.float32)[:, None, None]
+                                      + shift.astype(np.float32)[:, None, None])
 
     def test_negative_var_rejected(self):
         with pytest.raises(ShapeError):
