@@ -9,11 +9,14 @@ The one state is what a depthwise layer keeps of its weight (below), which
 changes no output.
 
 Convolution comes in three forms: two for depthwise convs and one matmul for
-every other conv. Only the matmul reads the tap-window view `_windows`.
+every other conv. All three read the input through one list per axis,
+`_live_taps`: each kernel row (column) that reads inside the map, with the
+output rows (columns) it reaches and the input rows (columns) it reads. No
+form pads the input, and a tap that reads only padding is never visited.
 
 * depthwise — one of two forms, picked by the map size and the live taps: the
-  kernel rows that reach the map (a non-empty `_tap_span`) times the kernel
-  columns that do. 13x13 on a 2x2 map has 3*3 = 9 live taps.
+  live kernel rows times the live kernel columns. 13x13 on a 2x2 map has
+  3*3 = 9 live taps.
     - dense, where h*w and oh*ow are both <= 64 and at least 25 taps are
       live: each channel is a dense (oh*ow, h*w) matrix whose entries are the
       kernel taps that link an output site to an input site (0 where none
@@ -23,10 +26,8 @@ every other conv. Only the matmul reads the tap-window view `_windows`.
       laid out as (h, w, n, c), and each live tap adds w[tap] * (the input
       rows and columns it reads) into the output rows and columns it reaches,
       one contiguous broadcast over n*c per tap, with the live taps of the
-      weight tiled to (live rows, live cols, n, c). The span arithmetic
-      (`_tap_span`) covers stride, dilation and per-axis padding, so nothing
-      is padded, and a tap that reads only padding is never visited. Live
-      taps are summed in row-major order from zero.
+      weight tiled to (live rows, live cols, n, c). Live taps are summed in
+      row-major order from zero.
   The 25-tap floor is measured (f32): the shift-add was faster under k7 r2
   on 4x4 maps, under k5, k7 r2 and k3 r3 on 2x2 at batch 8, and under 13x13
   on 2x2 at batch 1; and k3 on 4x4 maps stays on it because a one-shot
@@ -41,9 +42,10 @@ every other conv. Only the matmul reads the tap-window view `_windows`.
   no memory for it. A kept array is used only while the weight's bytes
   equal the copy taken when it was built; otherwise it is rebuilt.
 * every other conv — one BLAS matmul of the (g, c_out/g, c_in/g*kh*kw)
-  weight against the tap-window view `_windows` (the padded input as an
-  (n, c, oh, ow, kh, kw) strided view) laid out as (n, g, c_in/g*kh*kw,
-  oh*ow), which for a 1x1, stride-1, unpadded kernel is a view of the input.
+  weight against the (n, c, kh, kw, oh, ow) im2col columns, laid out as
+  (n, g, c_in/g*kh*kw, oh*ow): zeros, with each live tap's (output rows,
+  output cols) block holding the input it reads. A 1x1, stride-1, unpadded
+  kernel reads the input itself and copies nothing.
 
 All satisfy the same contract: the value at each output site equals the
 direct sliding-window sum over dilated taps, plus bias, up to the rounding of
@@ -234,46 +236,32 @@ def conv_output_size(size: int, kernel: int, stride: int, padding: int, dilation
     return (size + 2 * padding - dilation * (kernel - 1) - 1) // stride + 1
 
 
-def _pad_input(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    if ph == 0 and pw == 0:
-        return x
-    n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    out[:, :, ph:ph + h, pw:pw + w] = x
-    return out
+def _live_taps(out_size, in_size, stride, pad, dilation, k):
+    """[(tap, output slice, input slice)] along one axis for each of the k taps that reads
+    inside the map: output o's tap t reads input o*stride + t*dilation - pad."""
+    taps = []
+    for t in range(k):
+        off = t * dilation - pad
+        lo = max(0, -(off // stride))
+        hi = min(out_size, (in_size - 1 - off) // stride + 1)
+        if hi > lo:
+            i0 = lo * stride + off
+            taps.append((t, slice(lo, hi), slice(i0, i0 + (hi - lo - 1) * stride + 1, stride)))
+    return taps
 
 
-def _tap_index(out_size, in_size, stride, pad, dilation, k):
-    """(out_size, in_size) table: the tap by which output o reads input site i, or k for none."""
-    t, rem = np.divmod(np.arange(in_size)[None, :] - np.arange(out_size)[:, None] * stride + pad,
-                       dilation)
-    return np.where((rem == 0) & (t >= 0) & (t < k), t, k)
+def _tap_index(taps, out_size, in_size, k):
+    """(out_size, in_size) table: the tap of `taps` by which output o reads input site i, or k."""
+    table = np.full((out_size, in_size), k)
+    for t, o, i in taps:
+        table[np.arange(out_size)[o], np.arange(in_size)[i]] = t
+    return table
 
 
 # the dense depthwise form runs on maps of at most this many sites, under kernels
 # with at least this many taps that reach the map; see the module docstring
 _DENSE_MAX_SITES = 64
 _DENSE_MIN_TAPS = 25
-
-
-def _windows(x, kh, kw, sh, sw, ph, pw, dh, dw):
-    """(n, c, oh, ow, kh, kw) read-only view of the padded input: the taps of each output site."""
-    xp = _pad_input(x, ph, pw)
-    n, c, h, w = xp.shape
-    _, _, rs, cs = xp.strides
-    # stride steps the window origin, dilation steps the taps inside the window
-    return np.lib.stride_tricks.as_strided(
-        xp, (n, c, conv_output_size(h, kh, sh, 0, dh), conv_output_size(w, kw, sw, 0, dw), kh, kw),
-        xp.strides[:2] + (rs * sh, cs * sw, rs * dh, cs * dw), writeable=False)
-
-
-def _tap_span(out_size, in_size, stride, pad, dilation, t):
-    """(lo, hi, in_start): the outputs [lo, hi) whose input o*stride + t*dilation - pad
-    lies inside [0, in_size), and that input for o = lo; hi <= lo when tap t reads only padding."""
-    off = t * dilation - pad
-    lo = max(0, -(off // stride))
-    hi = min(out_size, (in_size - 1 - off) // stride + 1)
-    return lo, hi, lo * stride + off
 
 
 def _kept(layer, key, build):
@@ -289,14 +277,10 @@ def _kept(layer, key, build):
     return layer._plan[1]
 
 
-def _conv2d_depthwise(x, layer, oh, ow):
+def _conv2d_depthwise(x, layer, rows, cols, oh, ow):
     n, c, h, w = x.shape
     weight = layer.weight.data
     kh, kw = layer.kernel_size
-    (sh, sw), (ph, pw), (dh, dw) = layer.stride, layer.padding, layer.dilation
-    # the live kernel rows and columns, as (tap, lo, hi, in_start): a non-empty `_tap_span`
-    rows = [(i, *s) for i in range(kh) if (s := _tap_span(oh, h, sh, ph, dh, i))[1] > s[0]]
-    cols = [(j, *s) for j in range(kw) if (s := _tap_span(ow, w, sw, pw, dw, j))[1] > s[0]]
     key = (n, h, w)
     if max(h * w, oh * ow) <= _DENSE_MAX_SITES and len(rows) * len(cols) >= _DENSE_MIN_TAPS:
         def taps():
@@ -304,8 +288,8 @@ def _conv2d_depthwise(x, layer, oh, ow):
             # from the weight with a zero tap appended for sites no tap reaches
             wz = np.zeros((c, kh + 1, kw + 1), dtype=x.dtype)
             wz[:, :kh, :kw] = weight[:, 0]
-            index = (_tap_index(oh, h, sh, ph, dh, kh)[:, None, :, None] * (kw + 1)
-                     + _tap_index(ow, w, sw, pw, dw, kw)[None, :, None, :])
+            index = (_tap_index(rows, oh, h, kh)[:, None, :, None] * (kw + 1)
+                     + _tap_index(cols, ow, w, kw)[None, :, None, :])
             # np.take keeps m C-contiguous, which matmul needs to stay on BLAS
             return np.take(wz.reshape(c, -1), index, axis=1).reshape(c, oh * ow, h * w)
 
@@ -322,10 +306,9 @@ def _conv2d_depthwise(x, layer, oh, ow):
         [r[0] for r in rows], [q[0] for q in cols])][:, :, None], (1, 1, n, 1)))
     out = np.zeros((oh, ow, n, c), dtype=x.dtype)
     tmp = np.empty_like(out)
-    for (_, r0, r1, ri), wrow in zip(rows, wt):
-        for (_, c0, c1, ci), wtap in zip(cols, wrow):
-            xs = xt[ri:ri + (r1 - r0 - 1) * sh + 1:sh, ci:ci + (c1 - c0 - 1) * sw + 1:sw]
-            out[r0:r1, c0:c1] += np.multiply(xs, wtap, out=tmp[:r1 - r0, :c1 - c0])
+    for (_, ro, ri), wrow in zip(rows, wt):
+        for (_, co, ci), wtap in zip(cols, wrow):
+            out[ro, co] += np.multiply(xt[ri, ci], wtap, out=tmp[ro, co])
     return np.ascontiguousarray(out.transpose(2, 3, 0, 1))
 
 
@@ -358,14 +341,22 @@ def conv2d(x: np.ndarray, layer: ConvLayer) -> np.ndarray:
             f"input {ih}x{iw}: output would be {oh}x{ow}"
         )
 
+    # the live kernel rows and columns, which every form reads
+    rows = _live_taps(oh, ih, sh, ph, dh, kh)
+    cols = _live_taps(ow, iw, sw, pw, dw, kw)
     if layer.is_depthwise:
-        out = _conv2d_depthwise(x, layer, oh, ow)
+        out = _conv2d_depthwise(x, layer, rows, cols, oh, ow)
     else:
-        # one (c_out/g, ck) @ (ck, oh*ow) product per sample and group; for a 1x1,
-        # stride-1, unpadded kernel the reshape is a view of x and copies nothing
+        # one (c_out/g, ck) @ (ck, oh*ow) product per sample and group over im2col columns, zero
+        # but where a live tap reads; a 1x1, stride-1, unpadded kernel reads x and copies nothing
+        im2col = x
+        if (kh, kw, sh, sw, ph, pw) != (1, 1, 1, 1, 0, 0):
+            im2col = np.zeros((n, c, kh, kw, oh, ow), dtype=x.dtype)
+            for i, ro, ri in rows:
+                for j, co, ci in cols:
+                    im2col[:, :, i, j, ro, co] = x[:, :, ri, ci]
         ck = cin_g * kh * kw
-        cols = _windows(x, kh, kw, sh, sw, ph, pw, dh, dw).transpose(0, 1, 4, 5, 2, 3)
-        out = np.matmul(w.reshape(g, c_out // g, ck), cols.reshape(n, g, ck, oh * ow))
+        out = np.matmul(w.reshape(g, c_out // g, ck), im2col.reshape(n, g, ck, oh * ow))
         out = out.reshape(n, c_out, oh, ow)
 
     if layer.bias is not None:
@@ -407,11 +398,10 @@ def gelu(x: np.ndarray) -> np.ndarray:
     absolute error is below 1e-6 (1.9e-7 measured against the float64 erf over
     every float32 z); it keeps the float64 form's values at +-0, NaN and +-inf.
     """
-    if x.dtype != np.float32:
-        return 0.5 * x * (1.0 + erf(x * x.dtype.type(_SQRT1_2)))
-    out = _erf_f32(x * np.float32(_SQRT1_2))
+    z = x * x.dtype.type(_SQRT1_2)
+    out = _erf_f32(z) if x.dtype == np.float32 else erf(z, out=z)
     out += 1
-    out *= 0.5  # exact, so this equals (0.5 * x) * (1 + erf) as in the float64 form
+    out *= 0.5  # exact, so this equals (0.5 * x) * (1 + erf)
     out *= x
     return out
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -128,8 +129,8 @@ class TestConv2d:
         want = conv2d_naive(x, wt, b, s, pad, r, c)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    # which form runs: only the dense form builds tap tables (both forms count live taps
-    # by tap spans); dense iff at most 64 sites and at least 25 taps reach the map.
+    # which form runs: only the dense form builds tap tables (both forms read the live taps
+    # of `_live_taps`); dense iff at most 64 sites and at least 25 taps reach the map.
     # (h, w, k, r, shift_add), with r in the id only where it is not 1
     FORMS = [
         (8, 8, 13, 1, False), (5, 13, 13, 1, True), (9, 9, 13, 1, True),
@@ -186,23 +187,26 @@ class TestConv2d:
         np.testing.assert_array_equal(batched, np.concatenate(singles))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_tap_span_matches_enumeration(self, seed):
+    def test_live_taps_matches_enumeration(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(200):
-            out_size, in_size, s, p, d, t = (int(v) for v in rng.integers(1, 9, 6))
-            lo, hi, start = tensor._tap_span(out_size, in_size, s, p, d, t)
-            reads = [o for o in range(out_size) if 0 <= o * s + t * d - p < in_size]
-            assert list(range(lo, hi)) == reads
-            if reads:
-                assert start == lo * s + t * d - p
+            out_size, in_size, s, p, d, k = (int(v) for v in rng.integers(1, 9, 6))
+            reads = {t: [o for o in range(out_size) if 0 <= o * s + t * d - p < in_size]
+                     for t in range(k)}
+            taps = tensor._live_taps(out_size, in_size, s, p, d, k)
+            assert [t for t, _, _ in taps] == [t for t in range(k) if reads[t]]
+            for t, o, i in taps:
+                assert list(range(out_size))[o] == reads[t]
+                assert list(range(in_size))[i] == [o * s + t * d - p for o in reads[t]]
 
-    # the shift-add form (maps above the dense form's cap): (h, w, k, stride, padding, dilation)
+    # the shift-add form (maps above the dense form's cap): (h, w, k, stride, padding, dilation);
+    # groups 1 and 2 run the same geometries through the matmul form
     @pytest.mark.parametrize("h,w,k,s,p,r", [
         (9, 8, 3, (2, 1), (1, 1), (1, 1)),     # per-axis stride
         (8, 9, 3, (1, 2), (1, 1), (1, 1)),
         (4, 4, 3, (1, 1), (5, 5), (5, 5)),     # dilation beyond the map: only the centre tap reads it
         (5, 3, 3, (1, 1), (5, 5), (5, 5)),
-        (7, 6, 5, (1, 1), (2, 0), (1, 1)),     # ph != pw, "valid" along w
+        (7, 6, 5, (1, 1), (2, 0), (1, 1)),     # ph != pw, "valid" along w (dense: 42 sites)
         (9, 9, 3, (1, 1), (0, 0), (2, 2)),     # "valid" along both axes
         (6, 7, 3, (2, 1), (3, 1), (1, 2)),
         (5, 13, 13, (1, 1), (6, 6), (1, 1)),   # non-square map
@@ -213,18 +217,20 @@ class TestConv2d:
         (9, 9, 5, (1, 1), (2, 0), (1, 1)),     # ph != pw above the dense cap (7x6 runs dense)
     ])
     def test_depthwise_shift_add_matches_naive(self, rng, monkeypatch, h, w, k, s, p, r):
-        spans, span = [], tensor._tap_span
-        monkeypatch.setattr(tensor, "_tap_span", lambda *a: spans.append(a) or span(*a))
-        c = 3
+        tables, table = [], tensor._tap_index
+        monkeypatch.setattr(tensor, "_tap_index", lambda *a: tables.append(a) or table(*a))
+        c = 4
         x = rng.standard_normal((2, c, h, w))
-        wt = rng.standard_normal((c, 1, k, k))
-        b = rng.standard_normal(c)
-        layer = ConvLayer(wt, bias=b, stride=s, padding=p, dilation=r, groups=c)
-        want = conv2d_naive(x, wt, b, s, p, r, c)
-        # the first call keeps nothing, the second keeps the weight-side array, the third uses it
-        for _ in range(3):
-            np.testing.assert_allclose(conv2d(x, layer), want, rtol=1e-12, atol=1e-12)
-        assert spans
+        for g in (c, 1, 2):
+            wt = rng.standard_normal((c, c // g, k, k))
+            b = rng.standard_normal(c)
+            layer = ConvLayer(wt, bias=b, stride=s, padding=p, dilation=r, groups=g)
+            want = conv2d_naive(x, wt, b, s, p, r, g)
+            # call 1 keeps nothing, call 2 keeps the depthwise weight-side array, call 3 uses it
+            for _ in range(3):
+                np.testing.assert_allclose(conv2d(x, layer), want, rtol=1e-12, atol=1e-12)
+        # only the depthwise 7x6 builds tap tables: 42 sites, all 25 taps live
+        assert bool(tables) == ((h, w) == (7, 6))
 
     @pytest.mark.parametrize("c,h,k,r", [(40, 16, 3, 1), (80, 8, 7, 2), (160, 4, 3, 5)])
     def test_depthwise_shift_add_batch_invariant_f32(self, rng, c, h, k, r):
@@ -238,8 +244,9 @@ class TestConv2d:
         np.testing.assert_array_equal(x, x0)
         assert batched.flags.c_contiguous
 
-    # every non-depthwise conv is one matmul over (n, g, ck, oh*ow) windows
-    @pytest.mark.parametrize("k,s,p,g", [(1, 1, 0, 1), (3, 2, 1, 1), (3, 1, 1, 2)])
+    # every non-depthwise conv is one matmul over (n, g, ck, oh*ow) columns; under k3 s13 p2 on
+    # 12x12 the middle tap reads only padding (inputs -1 and 12)
+    @pytest.mark.parametrize("k,s,p,g", [(1, 1, 0, 1), (3, 2, 1, 1), (3, 1, 1, 2), (3, 13, 2, 1)])
     def test_matmul_form_batch_invariant_f32(self, rng, k, s, p, g):
         x = rng.standard_normal((8, 16, 12, 12)).astype(np.float32)
         wt = rng.standard_normal((24, 16 // g, k, k)).astype(np.float32)
@@ -270,6 +277,19 @@ class TestConv2d:
         w = rng.standard_normal((3, 5, 1, 1))
         got = conv2d(x, ConvLayer(w))
         np.testing.assert_allclose(got, conv2d_naive(x, w), rtol=1e-12, atol=1e-12)
+
+    def test_pointwise_copies_nothing(self, rng):
+        # a 1x1, stride-1, unpadded conv reads its input in place, so its peak is the output
+        # (an FFN expansion, 160 -> 640 channels: a copy of the input would add 25%)
+        x = rng.standard_normal((8, 160, 8, 8))
+        layer = ConvLayer(rng.standard_normal((640, 160, 1, 1)), bias=rng.standard_normal(640))
+        tracemalloc.start()
+        try:
+            out = conv2d(x, layer)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * out.nbytes
 
     def test_grouped_equals_independent_slices(self, rng):
         g, cin, cout = 2, 6, 4
@@ -596,16 +616,19 @@ class TestElementwiseForms:
         assert (np.abs(got - want) <= 1e-6 * np.abs(x32)).all()
 
     def test_f32_gelu_special_values_match_scipy_form(self):
+        # float64 too: both dtypes share gelu's tail, and float64 keeps scipy's erf
         from scipy.special import erf
-        x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -30.0, 30.0, -3e38, 3e38],
-                     dtype=np.float32).reshape(1, 1, 1, -1)
-        with np.errstate(invalid="ignore"):
-            got = gelu(x)
-            want = 0.5 * x * (1.0 + erf(x * np.float32(np.sqrt(0.5))))
-        np.testing.assert_array_equal(got, want)
-        num = ~np.isnan(want)
-        np.testing.assert_array_equal(np.signbit(got[num]), np.signbit(want[num]))
-        assert got.ravel()[3] == np.inf and np.isnan(got.ravel()[4])
+        for dtype in (np.float32, np.float64):
+            x = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -30.0, 30.0, -3e38, 3e38],
+                         dtype=dtype).reshape(1, 1, 1, -1)
+            with np.errstate(invalid="ignore"):
+                got = gelu(x)
+                want = 0.5 * x * (1.0 + erf(x * dtype(np.sqrt(0.5))))
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+            num = ~np.isnan(want)
+            np.testing.assert_array_equal(np.signbit(got[num]), np.signbit(want[num]))
+            assert got.ravel()[3] == np.inf and np.isnan(got.ravel()[4])
 
     @pytest.mark.parametrize("shape", [(2, 5, 6, 6), (3, 7, 1, 1), (1, 4, 3, 11)])
     def test_batchnorm_matches_oracle_f64(self, rng, shape):
