@@ -39,7 +39,8 @@ from .tensor import (
 
 @dataclass(frozen=True)
 class SeBlock:
-    """Channel gate: pool -> C/4 bottleneck -> sigmoid, reduction ratio fixed at 4."""
+    """Channel gate: pool -> C/4 bottleneck -> sigmoid, reduction ratio 4 in every model, set by
+    `ArchConfig`. Every entry must be finite: an infinite one would pin gates at 0 or 1."""
 
     reduce_weight: np.ndarray   # (C/4, C)
     reduce_bias: np.ndarray     # (C/4,)
@@ -48,14 +49,13 @@ class SeBlock:
 
     def __post_init__(self):
         hidden, c = self.reduce_weight.shape
-        if c != 4 * hidden:
-            raise ConfigError(
-                f"SE reduction ratio must be exactly 4, got {c} -> {hidden}"
-            )
         if self.expand_weight.shape != (c, hidden):
             raise ShapeError(
                 f"SE expand weight shape {self.expand_weight.shape} != ({c}, {hidden})"
             )
+        if not all(np.isfinite(a).all() for a in (self.reduce_weight, self.reduce_bias,
+                                                   self.expand_weight, self.expand_bias)):
+            raise ConfigError("SE weights and biases must be finite")
 
     @property
     def channels(self) -> int:
@@ -72,7 +72,8 @@ def se_forward(x: np.ndarray, se: SeBlock) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FfnBlock:
-    """1x1 expand -> GELU -> GRN -> 1x1 project, expansion ratio fixed at 4."""
+    """1x1 expand -> GELU -> GRN -> 1x1 project, expansion ratio 4 in every model, set by
+    `ArchConfig`."""
 
     pw1: ConvLayer
     grn_gamma: np.ndarray
@@ -81,9 +82,6 @@ class FfnBlock:
 
     def __post_init__(self):
         c = self.pw1.in_channels
-        e = self.pw1.out_channels
-        if e != 4 * c:
-            raise ConfigError(f"FFN expansion ratio must be 4, got {c} -> {e}")
         if self.pw2.out_channels != c:
             raise ShapeError(f"FFN pw2 maps to {self.pw2.out_channels} channels, expected {c}")
         for name, layer in (("pw1", self.pw1), ("pw2", self.pw2)):

@@ -44,7 +44,7 @@ from .blocks import (
 )
 from .errors import ConfigError, FormatError, ShapeError, StateError, UrlkError
 from .reparam import stock_branches
-from .tensor import BnParams, ConvLayer, batchnorm_infer, checked_array, linear
+from .tensor import BnParams, ConvLayer, _as_int, batchnorm_infer, checked_array, linear
 
 TRAIN_MODE = "train-structure"
 MERGED_MODE = "merged"
@@ -64,7 +64,9 @@ class ArchConfig:
     num_classes: int = 1000
 
     def __post_init__(self):
-        object.__setattr__(self, "depths", tuple(int(d) for d in self.depths))
+        object.__setattr__(self, "depths", tuple(_as_int(d, "depths") for d in self.depths))
+        for name in ("width", "stage3_lark", "in_channels", "num_classes"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if len(self.depths) != 4 or min(self.depths) < 1:
             raise ConfigError(f"depths must be four positive ints, got {self.depths}")
         if self.width % 4 != 0 or self.width < 8:
@@ -435,7 +437,8 @@ def build_from_state(name: str, mode: str, arrays: dict) -> ModelInstance:
     The architecture comes from the instance name; input channels and class
     count are inferred from the stem and head tensor shapes. An empty one of
     these, missing, extra or mis-shaped tensors, a BN eps not in f64, and any
-    tensor the model objects reject (mixed dtypes, eps <= 0) raise FormatError.
+    tensor the model objects reject (mixed dtypes, eps <= 0, an infinite BN statistic
+    or SE entry) raise FormatError.
     """
     if mode not in (TRAIN_MODE, MERGED_MODE):
         raise FormatError(f"unknown mode {mode!r}")

@@ -2,14 +2,15 @@
 
 A dilated k-kernel at rate r covers a (k-1)*r+1 window, so it can be rewritten
 as a non-dilated layer with a sparse larger kernel (zero insertion). A block of
-parallel conv+BN branches — one principal KxK branch plus dilated small-kernel
-branches — therefore merges into a single KxK layer: each branch's conv is
-folded with its BN and added into its centred, r-strided window of the KxK kernel.
+parallel conv+BN branches therefore merges into a single KxK layer, K the widest
+branch's equivalent size: each branch's conv is folded with its BN and added
+into its centred, r-strided window of the KxK kernel, in declared order.
 
 A block is described by its branches alone, each a (conv, bn) pair like a
-downsample's: K is the principal's kernel and the channels and groups are the
-convs'; stock_branches(K) gives the stock (k, r) list. A branch is checked
-(see _checked) whenever its block is forwarded or merged.
+downsample's: K, the channels and the groups are read from the convs, and no
+branch is singled out. stock_branches(K) gives the stock (k, r) list, principal
+(K, 1) first. A branch is checked (see _checked) whenever its block is forwarded
+or merged.
 
 All transformations here are pure and exact up to float rounding; the merged
 layer reproduces the branch-sum forward to ~1e-10 relative error in float64.
@@ -76,19 +77,16 @@ def stock_branches(K: int) -> tuple[tuple[int, int], ...]:
 
 
 def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
-    """(branches principal first then in declared order, K, channels, groups) of one block.
+    """(K, channels, groups) of one block: K is the widest branch's equivalent size (k-1)*r+1.
 
     A branch is a (conv, bn) pair. Each conv needs a square kernel k (odd, as
     equivalent_kernel_size requires), one dilation rate r, stride 1 and
     padding (k-1)*r/2, so every branch preserves spatial size (fuse_bn and
-    batchnorm_infer check its BN's width). The branches' own geometry is the
-    block's spec: K is the principal's (largest) kernel size, every conv must
-    map the same c channels to c with the same groups, K must be >= 3, no
-    branch may be wider than K, and exactly one branch must be the (K, 1)
-    principal. Every conv must also hold one weight dtype: mixed dtypes are a
-    ShapeError, as in conv2d. Every other violation is a ConfigError.
+    batchnorm_infer check its BN's width). Every conv must map the same c
+    channels to c with the same groups and hold one weight dtype. Mixed dtypes
+    are a ShapeError, as in conv2d; every other violation is a ConfigError.
     """
-    spec = []
+    halves = []
     for conv, _ in branches:
         (k, kw), (r, rw) = conv.kernel_size, conv.dilation
         if k != kw or r != rw:
@@ -100,7 +98,7 @@ def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
         if conv.padding != (half, half):
             raise ConfigError(f"branch with k={k}, r={r} must use padding {half}, "
                               f"got {conv.padding}")
-        spec.append((k, r))
+        halves.append(half)
     dtypes = {conv.weight.dtype for conv, _ in branches}
     if len(dtypes) != 1:
         raise ShapeError(f"branches must share one weight dtype, got {sorted(map(str, dtypes))}")
@@ -109,31 +107,13 @@ def _checked(branches: Sequence[tuple[ConvLayer, BnParams]]):
     if len(groups) != 1 or len(channels) != 1:
         raise ConfigError(f"branches must agree on channels and groups, got groups "
                           f"{sorted(groups)} and channels {sorted(channels)}")
-    K = max(k for k, _ in spec)
-    if K < 3:
-        raise ConfigError(f"large kernel size must be >= 3, got {K}")
-    for k, r in spec:
-        if equivalent_kernel_size(k, r) > K:
-            raise ConfigError(
-                f"branch (k={k}, r={r}) has equivalent size {(k - 1) * r + 1} > K={K}"
-            )
-    principals = spec.count((K, 1))
-    if principals != 1:
-        raise ConfigError(
-            f"expected exactly one principal (K={K}, r=1) branch, found {principals}"
-        )
-    p = spec.index((K, 1))
-    ordered = (branches[p], *branches[:p], *branches[p + 1:])
-    return ordered, K, channels.pop(), groups.pop()
+    return 2 * max(halves) + 1, channels.pop(), groups.pop()
 
 
 def reparam_forward(x: np.ndarray, branches: Sequence[tuple[ConvLayer, BnParams]]) -> np.ndarray:
-    """Training-structure forward: sum of conv->BN over all branches.
-
-    Branches are summed principal-first, then in declared order, matching the
-    summation order of merge_dilated_reparam bit for bit.
-    """
-    (conv, bn), *rest = _checked(branches)[0]
+    """Training-structure forward: sum of conv->BN over all branches, in declared order."""
+    _checked(branches)
+    (conv, bn), *rest = branches
     out = batchnorm_infer(conv2d(x, conv), bn)
     for conv, bn in rest:
         out += batchnorm_infer(conv2d(x, conv), bn)  # out is this call's own buffer
@@ -145,14 +125,14 @@ def merge_dilated_reparam(branches: Sequence[tuple[ConvLayer, BnParams]]) -> Con
 
     Per branch: the BN-folded kernel (fuse_bn) is added into its r-strided window
     kernel[:, :, s:K-s:r, s:K-s:r], s = K//2 - padding, where dilate_kernel and a
-    centring pad would put it. Kernels and biases are summed principal-first, then
-    in declared order, and reproduce the branch-sum forward for every input.
+    centring pad would put it. Kernels and biases are summed in declared order and
+    reproduce the branch-sum forward for every input.
     """
-    ordered, K, channels, groups = _checked(branches)
+    K, channels, groups = _checked(branches)
     dtype = branches[0][0].weight.dtype
     kernel = np.zeros((channels, channels // groups, K, K), dtype=dtype)
     bias = np.zeros(channels, dtype=dtype)
-    for conv, bn in ordered:
+    for conv, bn in branches:
         fused = fuse_bn(conv, bn)
         s, r = K // 2 - conv.padding[0], conv.dilation[0]
         kernel[:, :, s:K - s:r, s:K - s:r] += fused.weight.data

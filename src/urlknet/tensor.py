@@ -65,6 +65,7 @@ also uses), or per sample from GRN's channel norms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,12 +85,19 @@ _ERF_P = tuple(np.float32(v) for v in (
     -0.00017536774976179004, 0.10276208817958832, 1.1283799409866333))
 
 
+def _as_int(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _as_pair(value, name: str) -> tuple[int, int]:
     if isinstance(value, (tuple, list)):
         if len(value) != 2:
             raise ConfigError(f"{name} must be an int or a pair, got {value!r}")
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
+        return _as_int(value[0], name), _as_int(value[1], name)
+    return (_as_int(value, name),) * 2
 
 
 def checked_array(data) -> np.ndarray:
@@ -147,6 +155,7 @@ class ConvLayer:
         object.__setattr__(self, "stride", _as_pair(self.stride, "stride"))
         object.__setattr__(self, "padding", _as_pair(self.padding, "padding"))
         object.__setattr__(self, "dilation", _as_pair(self.dilation, "dilation"))
+        object.__setattr__(self, "groups", _as_int(self.groups, "groups"))
         if self.groups < 1:
             raise ConfigError(f"groups must be >= 1, got {self.groups}")
         if min(self.stride) < 1 or min(self.dilation) < 1:
@@ -210,10 +219,11 @@ class BnParams:
             object.__setattr__(self, name, arr)
         if len(lengths) != 1:
             raise ShapeError(f"batch-norm vectors disagree on channel count: {sorted(lengths)}")
-        if np.any(self.running_var < 0):
-            raise ShapeError("running_var entries must be >= 0")
-        if not self.eps > 0:
-            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        # an infinite var or eps would turn the channel into its beta: scale = gamma/sqrt(inf) = 0
+        if not np.all(np.isfinite(self.running_var) & (self.running_var >= 0)):
+            raise ShapeError("running_var entries must be >= 0 and finite")
+        if not 0 < self.eps < np.inf:
+            raise ConfigError(f"eps must be > 0 and finite, got {self.eps}")
 
     @property
     def channels(self) -> int:

@@ -81,10 +81,6 @@ class TestSeBlock:
         x = rng.standard_normal((2, c, 3, 3))
         np.testing.assert_allclose(se_forward(x, se), 0.5 * x, rtol=1e-15)
 
-    def test_quarter_reduction_enforced(self):
-        with pytest.raises(ConfigError):
-            SeBlock(np.zeros((3, 8)), np.zeros(3), np.zeros((8, 3)), np.zeros(8))
-
     def test_hidden_width(self, rng):
         se = make_se(rng, 8)
         assert se.reduce_weight.shape == (2, 8)
@@ -117,14 +113,9 @@ class TestFfnBlock:
         np.testing.assert_array_equal(ffn_forward(x, zeroed), np.zeros((1, c, 3, 3)))
 
     def test_expansion_ratio(self, rng):
+        # every model expands by 4 (ArchConfig and the layout set it); no op reads the ratio
         ffn = make_ffn(rng, 4)
         assert ffn.pw1.out_channels == 16
-        with pytest.raises(ConfigError):
-            FfnBlock(
-                pw1=ConvLayer(np.zeros((8, 4, 1, 1)), bias=np.zeros(8)),
-                grn_gamma=np.zeros(8), grn_beta=np.zeros(8),
-                pw2=ConvLayer(np.zeros((4, 8, 1, 1)), bias=np.zeros(4)),
-            )
 
     def test_matches_composition_of_primitives(self, rng):
         c = 4
@@ -139,13 +130,25 @@ def _ffn(pw2_shape):
                     grn_beta=np.zeros(16), pw2=ConvLayer(np.zeros(pw2_shape)))
 
 
+def _se(field, value):
+    arrays = [np.zeros((2, 8)), np.zeros(2), np.zeros((8, 2)), np.zeros(8)]
+    arrays[field].flat[-1] = value
+    return SeBlock(*arrays)
+
+
 @pytest.mark.parametrize("make,exc,match", [
     # a (1, C/4) expand weight with a (1,) bias would broadcast one gate over every channel
     (lambda: SeBlock(np.zeros((2, 8)), np.zeros(2), np.zeros((1, 2)), np.zeros(1)),
      ShapeError, "SE expand weight shape"),
+    # an infinite entry pins gates at exactly 0 or 1, and the output stays finite
+    (lambda: _se(0, np.inf), ConfigError, "SE weights and biases must be finite"),
+    (lambda: _se(1, -np.inf), ConfigError, "SE weights and biases must be finite"),
+    (lambda: _se(2, np.inf), ConfigError, "SE weights and biases must be finite"),
+    (lambda: _se(3, np.nan), ConfigError, "SE weights and biases must be finite"),
     (lambda: _ffn((8, 16, 1, 1)), ShapeError, "pw2 maps to 8 channels, expected 4"),
     (lambda: _ffn((4, 16, 3, 3)), ConfigError, "pw2 must be a 1x1 conv"),
-], ids=["se-expand-rows", "ffn-pw2-out", "ffn-pw2-3x3"])
+], ids=["se-expand-rows", "se-reduce-weight-inf", "se-reduce-bias-neg-inf", "se-expand-weight-inf",
+        "se-expand-bias-nan", "ffn-pw2-out", "ffn-pw2-3x3"])
 def test_block_part_shapes_checked(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

@@ -19,8 +19,9 @@ from urlknet import (ConfigError, arch_config, build_named, forward, model_astyp
                      param_breakdown)
 from urlknet import cli
 from urlknet.cli import build_parser, main
-from urlknet.container import MAGIC, load_tensor, read_container, save_model
+from urlknet.container import MAGIC, load_tensor, read_container, save_model, write_container
 from urlknet.dataio import write_raw_array
+from urlknet.model import iter_state
 
 
 def run(capsys, argv):
@@ -272,6 +273,31 @@ class TestWeightsCommands:
         manifest, _ = read_container(weights)
         assert summary["tensors"] == len(manifest["tensors"])
         assert summary["payload_bytes"] == sum(t["byte_length"] for t in manifest["tensors"])
+
+    @pytest.mark.parametrize("tensor,value", [
+        ("stage4.block1.bn1.running_var", np.inf),
+        ("stem.bn1.eps", np.inf),
+        ("head.bn.running_var", np.inf),
+        ("stage4.block1.se.expand.bias", -np.inf),
+        ("stage4.block1.se.reduce.weight", np.inf),
+    ], ids=["bn-var", "stem-bn-eps", "head-bn-var", "se-bias", "se-weight"])
+    def test_infinite_parameter_rejected(self, capsys, tmp_path, tensor, value):
+        # an infinite BN var or eps zeroes that BN's scale and an infinite SE entry pins
+        # gates at 0 or 1: the logits stay finite but wrong, so the file must not load
+        arrays = dict(iter_state(model_astype(build_named("A", seed=0), np.float32)))
+        arrays[tensor] = arrays[tensor].copy()
+        arrays[tensor].flat[0] = value
+        weights = tmp_path / "inf.urlk"
+        write_container(weights, list(arrays.items()), model_name="A", mode="train-structure")
+        x = tmp_path / "x.raw"
+        write_raw_array(x, np.zeros((1, 3, 64, 64)))
+        for argv in (["import", "--weights", str(weights)],
+                     ["forward", "--model", "A", "--weights", str(weights), "--input", str(x),
+                      "--output", str(tmp_path / "o.urlk")]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith("error: ") and "finite" in captured.err
 
     @pytest.mark.parametrize("case", ["list", "tensors-int", "duplicate", "version-true"])
     def test_import_rejects_malformed_manifest(self, capsys, tmp_path, case):
@@ -768,6 +794,16 @@ def test_module_entry_point(tmp_path, case):
     assert list(report)[:2] == ["schema_version", "command"] and report["command"] == argv[0]
     if case == "verify-fail":
         assert report["pass"] is False
+
+
+def test_settable_values_pinned():
+    # every option `urlk` takes, per subcommand: adding or removing one changes these numbers
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    counts = {name: sum(not isinstance(a, argparse._HelpAction) for a in p._actions)
+              for name, p in sub.choices.items()}
+    assert counts == {"verify": 6, "bench": 9, "params": 1, "forward": 4, "export": 5,
+                      "import": 1, "embed": 9}
+    assert sum(counts.values()) == 35
 
 
 def _readme_block(heading: str, lang: str) -> str:

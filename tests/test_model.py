@@ -121,8 +121,14 @@ class TestNamedConfigs:
         ({"width": 4}, "multiple of 4"),
         ({"in_channels": 0}, "must be positive"),
         ({"num_classes": 0}, "must be positive"),
+        # int() would truncate 1.5 to 1 and build a different model
+        ({"depths": (1, 1, 1.5, 1)}, "depths must be an integer"),
+        # a float width passes the multiple-of-4 check, then fails inside build_model
+        ({"width": 8.0}, "width must be an integer"),
+        ({"num_classes": 2.5}, "num_classes must be an integer"),
     ], ids=["split-5-over-2", "three-depths", "zero-depth", "width-10", "width-4",
-            "no-input-channels", "no-classes"])
+            "no-input-channels", "no-classes", "fractional-depth", "float-width",
+            "fractional-classes"])
     def test_invalid_config_rejected(self, fields, match):
         with pytest.raises(ConfigError, match=match):
             ArchConfig(**{"depths": (1, 1, 1, 1), "width": 8, "stage3_lark": 1, **fields})

@@ -240,19 +240,6 @@ class TestMerge:
         with pytest.raises(ConfigError, match="agree on channels and groups"):
             reparam_forward(rng.standard_normal((1, 4, 9, 9)), [branches[0], bad])
 
-    def test_principal_not_first_is_bit_identical(self, rng):
-        # the principal is summed first whatever the declared order, so moving it
-        # to the front changes neither the merged conv nor the branch-sum forward
-        declared = random_branches(((3, 2), (9, 1), (5, 1)), 4, 2, rng)
-        principal_first = (declared[1], declared[0], declared[2])
-        a, b = merge_dilated_reparam(declared), merge_dilated_reparam(principal_first)
-        assert a.weight.shape == (4, 2, 9, 9) and a.groups == 2 and a.padding == (4, 4)
-        np.testing.assert_array_equal(np.asarray(a.weight), np.asarray(b.weight))
-        np.testing.assert_array_equal(a.bias, b.bias)
-        x = rng.standard_normal((2, 4, 11, 11))
-        np.testing.assert_array_equal(reparam_forward(x, declared),
-                                      reparam_forward(x, principal_first))
-
     def test_branch_channel_mismatch_rejected(self, rng):
         with pytest.raises(ConfigError, match="agree on channels"):
             merge_dilated_reparam([one_branch(rng, 9, 1, c=4), one_branch(rng, 3, 2, c=2)])
@@ -283,11 +270,14 @@ class TestMerge:
         bn = BnParams(np.ones(bn_c), np.zeros(bn_c), np.zeros(bn_c), np.ones(bn_c))
         assert_block_rejected(rng, [one_branch(rng, 9, 1), (conv, bn)], exc, match)
 
-    @pytest.mark.parametrize("ks", [[(3, 2)], [(9, 1), (9, 1)], [(5, 1), (3, 3)], [(1, 1)]],
-                             ids=["dilated-alone", "two-principals", "too-wide", "lone-1x1"])
-    def test_branch_geometry_checked(self, rng, ks):
-        # each branch is valid alone; the tuple is not a valid block
-        assert_block_rejected(rng, [one_branch(rng, k, r) for k, r in ks], ConfigError, None)
+    @pytest.mark.parametrize("ks,K", [([(3, 2)], 5), ([(9, 1), (9, 1)], 9),
+                                      ([(5, 1), (3, 3)], 7), ([(1, 1)], 1)],
+                             ids=["dilated-alone", "two-undilated", "dilated-widest", "lone-1x1"])
+    def test_any_valid_branches_merge(self, rng, ks, K):
+        # no branch is singled out: K is the widest equivalent size, whichever branch has it
+        branches = random_branches(ks, 4, 2, rng)
+        assert merge_dilated_reparam(branches).weight.shape == (4, 2, K, K)
+        assert verify_reparam_merge(branches, rng, trials=2) <= 1e-10
 
     @pytest.mark.parametrize("first", [np.float32, np.float64])
     def test_mixed_dtype_branches_rejected(self, rng, first):
@@ -300,16 +290,18 @@ class TestMerge:
             assert_block_rejected(rng, declared, ShapeError, "one weight dtype")
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    @pytest.mark.parametrize("K", [13, 3])
-    def test_strided_window_matches_dilate_then_pad(self, rng, K, dtype):
-        # each folded branch lands where zero insertion and a centring pad put it
+    @pytest.mark.parametrize("K,order", [(13, 1), (3, 1), (13, -1)],
+                             ids=["13", "3", "13-reversed"])
+    def test_strided_window_matches_dilate_then_pad(self, rng, K, order, dtype):
+        # each folded branch lands where zero insertion and a centring pad put it, and the
+        # branches are summed in declared order (the reversed list ends with the (13, 1) branch)
         branches = [(replace(conv, weight=conv.weight.data.astype(dtype)),
                      BnParams(*(v.astype(dtype) for v in (bn.gamma, bn.beta, bn.running_mean,
                                                            bn.running_var))))
-                    for conv, bn in random_branches(stock_branches(K), 4, 4, rng)]
+                    for conv, bn in random_branches(stock_branches(K)[::order], 4, 4, rng)]
         want_w = np.zeros((4, 1, K, K), dtype=dtype)
         want_b = np.zeros(4, dtype=dtype)
-        for conv, bn in branches:   # stock_branches lists the principal first
+        for conv, bn in branches:
             fused = fuse_bn(conv, bn)
             expanded = dilate_kernel(fused.weight.data, conv.dilation[0])
             pad = (K - expanded.shape[2]) // 2
@@ -321,14 +313,14 @@ class TestMerge:
         np.testing.assert_array_equal(merged.bias, want_b)
 
     def test_reparam_forward_matches_manual_sum(self, rng):
-        branches = random_branches(((9, 1), (3, 2), (3, 4)), 3, 3, rng)
+        # summed in declared order, bit for bit, with the widest branch last
+        branches = random_branches(((3, 2), (3, 4), (9, 1)), 3, 3, rng)
         x = rng.standard_normal((2, 3, 15, 15))
         manual = sum(
             (batchnorm_infer(conv2d(x, conv), bn) for conv, bn in branches),
             start=np.zeros((2, 3, 15, 15)),
         )
-        got = reparam_forward(x, branches)
-        np.testing.assert_allclose(got, manual, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(reparam_forward(x, branches), manual)
 
     def test_merged_conv_matches_naive_oracle(self, rng):
         # end to end: merged kernel driven through the independent naive conv

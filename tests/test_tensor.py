@@ -70,9 +70,23 @@ _ONES, _ZEROS = np.ones(2), np.zeros(2)
     (lambda: BnParams(_ONES, _ZEROS, _ZEROS, _ONES, eps=0.0), ConfigError, "eps must be > 0"),
     (lambda: BnParams(_ONES, _ZEROS, _ZEROS, _ONES, eps=float("nan")), ConfigError,
      "eps must be > 0"),
+    # an infinite var or eps makes gamma / sqrt(var + eps) exactly 0: the BN outputs its beta
+    (lambda: BnParams(_ONES, _ZEROS, _ZEROS, _ONES, eps=float("inf")), ConfigError,
+     "eps must be > 0"),
+    (lambda: BnParams(_ONES, _ZEROS, _ZEROS, np.array([1.0, np.inf])), ShapeError,
+     "running_var entries must be >= 0"),
+    (lambda: BnParams(_ONES, _ZEROS, _ZEROS, np.array([np.nan, 1.0])), ShapeError,
+     "running_var entries must be >= 0"),
+    # int() would truncate these to 1 and run the layer with another geometry
+    (lambda: ConvLayer(_W, stride=1.5), ConfigError, "stride must be an integer"),
+    (lambda: ConvLayer(_W, padding=(1, 0.5)), ConfigError, "padding must be an integer"),
+    (lambda: ConvLayer(_W, dilation="2"), ConfigError, "dilation must be an integer"),
+    # a float group count runs conv2d, then fails as a TypeError inside merge_dilated_reparam
+    (lambda: ConvLayer(_W, groups=2.0), ConfigError, "groups must be an integer"),
 ], ids=["pair-length", "groups-0", "stride-0", "dilation-0", "padding-negative",
         "c_out-groups", "bias-shape", "bias-dtype", "bn-rank", "bn-lengths", "bn-eps-0",
-        "bn-eps-nan"])
+        "bn-eps-nan", "bn-eps-inf", "bn-var-inf", "bn-var-nan", "stride-float",
+        "padding-float", "dilation-str", "groups-float"])
 def test_layer_parameters_checked(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
